@@ -251,7 +251,7 @@ BENCHMARK(BM_TopBProbability)->Arg(1000)->Arg(10000);
 
 // End-to-end simulator throughput in requests/sec (items_per_second in the
 // JSON output — the CI throughput artifact).  Arg 0 = engine threads:
-// 1 is the sequential reference, 0 the parallel engine on all cores.
+// 1 is the one-shard reference, 0 a sharded run on all cores.
 void BM_SimulateRequests(benchmark::State& state) {
   core::ScenarioConfig cfg;
   cfg.server_count = 16;
@@ -275,8 +275,8 @@ void BM_SimulateRequests(benchmark::State& state) {
                           static_cast<std::int64_t>(sc.total_requests));
 }
 BENCHMARK(BM_SimulateRequests)
-    ->Arg(1)   // sequential reference engine
-    ->Arg(0)   // parallel sharded engine, all hardware threads
+    ->Arg(1)   // one-shard reference run
+    ->Arg(0)   // sharded run, all hardware threads
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();

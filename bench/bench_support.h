@@ -33,9 +33,9 @@ inline core::ScenarioConfig paper_config(double storage_fraction,
 /// panel under ~10 s while leaving CDF noise well below the effects being
 /// measured; override with HYBRIDCDN_BENCH_REQUESTS.
 ///
-/// Healthy panels run the parallel sharded engine on every hardware thread
-/// by default (fault panels auto-fall back to the sequential engine);
-/// HYBRIDCDN_BENCH_THREADS=1 restores the sequential reference,
+/// Healthy panels run sharded on every hardware thread by default (fault
+/// panels run the one-shard case automatically);
+/// HYBRIDCDN_BENCH_THREADS=1 restores the one-shard reference,
 /// HYBRIDCDN_BENCH_SHARDS pins the shard count for reproducible parallel
 /// results across machines.
 inline sim::SimulationConfig paper_sim(std::uint64_t seed = 99) {

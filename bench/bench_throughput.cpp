@@ -1,5 +1,5 @@
-// Simulator throughput bench — requests/sec of the sequential reference
-// engine and the parallel sharded engine on the paper's full scenario
+// Simulator throughput bench — requests/sec of the event engine's one-shard
+// reference run and an 8-shard run on all cores on the paper's full scenario
 // (N = 50, M = 200, pure-caching placement so the measurement is
 // simulate-dominated, not placement-dominated).
 //
@@ -178,13 +178,13 @@ int main(int argc, char** argv) {
   manifest.seed = cfg.seed;
   manifest.threads = 0;
   manifest.shards = cfg.shards;
-  for (const auto& [engine, kind] :
-       {std::pair<const char*, sim::detail::EngineKind>{
-            "engine/sequential", sim::detail::EngineKind::kSequential},
-        std::pair<const char*, sim::detail::EngineKind>{
-            "engine/parallel", sim::detail::EngineKind::kParallel}}) {
+  for (const auto& [engine, threads] :
+       {std::pair<const char*, std::size_t>{"engine/sequential", 1},
+        std::pair<const char*, std::size_t>{"engine/parallel", 0}}) {
+    sim::SimulationConfig shaped = cfg;
+    shaped.threads = threads;
     for (const auto& section : sim::detail::checkpoint_fingerprint(
-             scenario.system(), placement, cfg, kind, cfg.shards)) {
+             scenario.system(), placement, shaped)) {
       manifest.add_fingerprint(
           section.first == "engine" ? engine : section.first, section.second);
     }

@@ -43,6 +43,10 @@ std::uint64_t steady_now_ns() {
           .count());
 }
 
+// Stamped once during static initialisation, so a manifest built after the
+// measured work still reports the whole process's wall time.
+const std::uint64_t process_start_ns = steady_now_ns();
+
 std::string detect_build_flags() {
 #ifdef NDEBUG
   std::string flags = "ndebug";
@@ -194,7 +198,7 @@ RunManifest make_run_manifest(std::string tool) {
   manifest.build_type = "unknown";
 #endif
   manifest.build_flags = detect_build_flags();
-  manifest.start_steady_ns = steady_now_ns();
+  manifest.start_steady_ns = process_start_ns;
   return manifest;
 }
 

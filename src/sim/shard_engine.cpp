@@ -4,10 +4,13 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/obs/scoped_timer.h"
@@ -29,42 +32,1056 @@ namespace {
 constexpr std::uint64_t kPlanSalt = 0x9e3779b97f4a7c15ull;
 constexpr std::uint64_t kStreamSalt = 0xbf58476d1ce4e5b9ull;
 constexpr std::uint64_t kLambdaSalt = 0x94d049bb133111ebull;
+// The reference run's lambda and surge RNGs are seeded `seed ^ mix`.
+constexpr std::uint64_t kLambdaMix = 0x5bd1e995u;
+constexpr std::uint64_t kSurgeMix = 0x9e3779b9u;
 
-/// Everything one shard produces; plain data merged on the main thread in
-/// shard-index order (obs::Registry is single-threaded by design, so no
-/// shard ever touches it).
-struct ShardResult {
-  std::uint64_t measured = 0;
+/// Chunks of the request loop start on multiples of this many requests;
+/// those are also the points where multi-shard workers poll the stop flag.
+constexpr std::uint64_t kChunk = 4096;
+constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+
+using Clock = std::chrono::steady_clock;
+
+/// Independent substream seed for (seed, shard, salt) — SplitMix64 over a
+/// salted mix, the same construction as util::Rng::fork but reproducible
+/// from the plain config seed.
+std::uint64_t substream_seed(std::uint64_t seed, std::uint64_t stream,
+                             std::uint64_t salt) noexcept {
+  std::uint64_t mix = seed ^ (salt * (stream + 1));
+  return util::splitmix64(mix);
+}
+
+/// value * num / den, rounded down, with a 128-bit intermediate so huge
+/// runs cannot overflow.
+std::uint64_t scale(std::uint64_t value, std::uint64_t num,
+                    std::uint64_t den) {
+  return static_cast<std::uint64_t>(static_cast<unsigned __int128>(value) *
+                                    num / den);
+}
+
+/// Window of the r-th measured request of a shard that measures `m`
+/// requests over `w` windows; window k covers [k*m/w, (k+1)*m/w), rounded
+/// down, so its end is scale(k + 1, m, w).
+std::uint64_t window_of(std::uint64_t r, std::uint64_t m, std::uint64_t w) {
+  return static_cast<std::uint64_t>(
+      ((static_cast<unsigned __int128>(r) + 1) * w - 1) / m);
+}
+
+void save_rng(util::ByteWriter& w, const util::Rng& rng) {
+  for (const std::uint64_t word : rng.state()) w.u64(word);
+}
+
+void restore_rng(util::ByteReader& r, util::Rng& rng) {
+  std::array<std::uint64_t, 4> state;
+  for (auto& word : state) word = r.u64();
+  rng.set_state(state);
+}
+
+/// Measured-window accumulator.  Each shard keeps one per window; the
+/// merge sums them per window index and flushes each sum into the
+/// registry's per-window series.
+struct WindowAccumulator {
+  std::uint64_t requests = 0;
+  std::uint64_t local = 0;
+  std::uint64_t eligible = 0;
+  std::uint64_t eligible_hits = 0;
+  double hops = 0.0;
+  double latency_ms = 0.0;
+  // Degraded-mode extras (stay zero on a healthy run).
+  std::uint64_t failed = 0;
+  std::uint64_t failover = 0;
+  double degraded_latency_ms = 0.0;  // latency sum of failover requests
+
+  WindowAccumulator& operator+=(const WindowAccumulator& o) {
+    requests += o.requests;
+    local += o.local;
+    eligible += o.eligible;
+    eligible_hits += o.eligible_hits;
+    hops += o.hops;
+    latency_ms += o.latency_ms;
+    failed += o.failed;
+    failover += o.failover;
+    degraded_latency_ms += o.degraded_latency_ms;
+    return *this;
+  }
+};
+
+/// Resolved series pointers of the per-window time series (the fault
+/// series stay null when no fault schedule is active, keeping healthy
+/// snapshots unchanged).
+struct WindowSeries {
+  obs::Series* requests = nullptr;
+  obs::Series* local = nullptr;
+  obs::Series* eligible = nullptr;
+  obs::Series* eligible_hits = nullptr;
+  obs::Series* hops = nullptr;
+  obs::Series* hit_ratio = nullptr;
+  obs::Series* local_ratio = nullptr;
+  obs::Series* mean_hops = nullptr;
+  obs::Series* mean_latency_ms = nullptr;
+  obs::Series* failed = nullptr;
+  obs::Series* failover = nullptr;
+  obs::Series* availability = nullptr;
+  obs::Series* degraded_mean_latency_ms = nullptr;
+
+  /// Resolves the series under `prefix` in `metrics`; the degraded-mode
+  /// series only when `faults` is set.
+  void resolve(obs::Registry& metrics, const std::string& prefix,
+               bool faults) {
+    requests = &metrics.series(prefix + "window/requests");
+    local = &metrics.series(prefix + "window/local");
+    eligible = &metrics.series(prefix + "window/eligible");
+    eligible_hits = &metrics.series(prefix + "window/eligible_hits");
+    hops = &metrics.series(prefix + "window/hops");
+    hit_ratio = &metrics.series(prefix + "window/hit_ratio");
+    local_ratio = &metrics.series(prefix + "window/local_ratio");
+    mean_hops = &metrics.series(prefix + "window/mean_hops");
+    mean_latency_ms = &metrics.series(prefix + "window/mean_latency_ms");
+    if (faults) {
+      failed = &metrics.series(prefix + "window/failed");
+      failover = &metrics.series(prefix + "window/failover");
+      availability = &metrics.series(prefix + "window/availability");
+      degraded_mean_latency_ms =
+          &metrics.series(prefix + "window/degraded_mean_latency_ms");
+    }
+  }
+
+  void flush(const WindowAccumulator& win) const {
+    const double n = static_cast<double>(win.requests);
+    // Failed requests never complete, so they are excluded from the mean
+    // latency (they are 0 on a healthy run, keeping the division intact).
+    const double completed = static_cast<double>(win.requests - win.failed);
+    requests->push(n);
+    local->push(static_cast<double>(win.local));
+    eligible->push(static_cast<double>(win.eligible));
+    eligible_hits->push(static_cast<double>(win.eligible_hits));
+    hops->push(win.hops);
+    hit_ratio->push(win.eligible ? static_cast<double>(win.eligible_hits) /
+                                       static_cast<double>(win.eligible)
+                                 : 0.0);
+    local_ratio->push(win.requests ? static_cast<double>(win.local) / n : 0.0);
+    mean_hops->push(win.requests ? win.hops / n : 0.0);
+    mean_latency_ms->push(completed > 0.0 ? win.latency_ms / completed : 0.0);
+    if (failed != nullptr) {
+      failed->push(static_cast<double>(win.failed));
+      failover->push(static_cast<double>(win.failover));
+      availability->push(
+          win.requests ? 1.0 - static_cast<double>(win.failed) / n : 1.0);
+      degraded_mean_latency_ms->push(
+          win.failover ? win.degraded_latency_ms /
+                             static_cast<double>(win.failover)
+                       : 0.0);
+    }
+  }
+};
+
+void save_window(util::ByteWriter& w, const WindowAccumulator& win) {
+  w.u64(win.requests);
+  w.u64(win.local);
+  w.u64(win.eligible);
+  w.u64(win.eligible_hits);
+  w.f64(win.hops);
+  w.f64(win.latency_ms);
+  w.u64(win.failed);
+  w.u64(win.failover);
+  w.f64(win.degraded_latency_ms);
+}
+
+void restore_window(util::ByteReader& r, WindowAccumulator& win) {
+  win.requests = r.u64();
+  win.local = r.u64();
+  win.eligible = r.u64();
+  win.eligible_hits = r.u64();
+  win.hops = r.f64();
+  win.latency_ms = r.f64();
+  win.failed = r.u64();
+  win.failover = r.u64();
+  win.degraded_latency_ms = r.f64();
+}
+
+/// What happened to one request.
+struct Outcome {
+  double hops = 0.0;
+  bool served_locally = false;
+  bool cache_eligible = false;
+  bool cache_hit = false;
+  bool failed = false;
+  std::uint32_t attempts = 0;  // failed connection attempts (faults only)
+  obs::EventCause cause = obs::EventCause::kReplica;
+  /// Where a fault-mode redirect landed: a server, -1 for the origin, -2
+  /// for nowhere.  Healthy runs derive it from the nearest index instead.
+  std::int32_t served_by = -2;
+};
+
+/// One shard's state: stream, RNGs, position and everything it
+/// accumulates.  It survives barriers and round-trips through checkpoints;
+/// the shard's caches live in EventRun::caches_, indexed by server.
+/// Cache-line aligned so neighbouring shards' workers never share a line.
+struct alignas(64) Shard {
+  std::uint64_t total = 0;  // requests this shard serves
+  std::uint64_t warmup = 0;
+  std::optional<workload::RequestStream> stream;
+  util::Rng lambda_rng{0};
+  util::Rng surge_rng{0};
+  std::uint64_t t = 0;  // next shard-local request index
+
   double hop_sum = 0.0;
   std::uint64_t local = 0;
   std::uint64_t eligible = 0;
   std::uint64_t eligible_hits = 0;
   std::uint64_t slo_violations = 0;
-  util::LatencyDistribution latency;  // sketch mode
+  std::uint64_t failed = 0;
+  std::uint64_t failover = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t cold_restarts = 0;
+  util::LatencyDistribution latency;
   std::array<std::uint64_t, obs::kEventCauseCount> causes{};
-  std::vector<detail::WindowAccumulator> windows;  // size = window count
-  std::vector<cache::CacheStats> cache_stats;      // per owned server
-  std::vector<obs::Histogram> server_latency;      // per owned server
+  std::vector<WindowAccumulator> windows;  // one per window
+  std::vector<obs::Histogram> server_latency;      // one per owned server
 };
 
-/// Mutable per-shard engine state that must survive checkpoint barriers:
-/// the caches, the substream RNGs and the shard-local request index.
-struct ShardState {
-  std::vector<std::unique_ptr<cache::CachePolicy>> caches;
-  std::optional<workload::RequestStream> stream;
-  util::Rng lambda_rng{0};
-  std::uint64_t t = 0;  // next shard-local request index
-};
+/// One event run: set-up (and resume) in the constructor, the barrier loop
+/// in run(), the deterministic merge and the report in merge().
+class EventRun {
+ public:
+  EventRun(const sys::CdnSystem& system,
+           const placement::PlacementResult& result,
+           const SimulationConfig& config)
+      : catalog_(system.catalog()),
+        result_(result),
+        config_(config),
+        shape_(event_shape(config, system.server_count())),
+        per_request_((config.faults != nullptr && !config.faults->empty()) ||
+                     config.trace != nullptr),
+        poll_stop_(!shape_.reference && config.stop != nullptr),
+        slo_active_(config.slo_ms > 0.0),
+        uncacheable_mode_(config.staleness == StalenessMode::kUncacheable),
+        sink_(config.trace_sink),
+        spans_(config.spans) {
+    const std::size_t n = system.server_count();
+    const std::size_t m = system.site_count();
+    total_ = config.total_requests;
+    if (config.trace != nullptr) {
+      config.trace->validate(n, catalog_.site_count(),
+                             catalog_.objects_per_site());
+      total_ = config.trace->size();
+    }
+    if (shape_.reference) {
+      plan_.servers.emplace_back(n);
+      std::iota(plan_.servers[0].begin(), plan_.servers[0].end(),
+                workload::ServerId{0});
+      plan_.requests.push_back(total_);
+    } else {
+      plan_ = plan_shards(system.demand(), total_, shape_.shards, config.seed);
+    }
+    if (spans_ != nullptr) {
+      const std::string& prefix = config.metrics_prefix;
+      sp_shard_ = spans_->intern(prefix + "shard/run");
+      sp_barrier_ = spans_->intern(prefix + "barrier");
+      sp_merge_ = spans_->intern(prefix + "merge");
+      sp_checkpoint_ = spans_->intern(prefix + "checkpoint/write");
+      sp_resume_ = spans_->intern(prefix + "checkpoint/resume");
+      sp_fault_ = spans_->intern(prefix + "fault/transition");
+    }
 
-/// Per-shard interval target for barrier k of `intervals`: proportional
-/// progress, exact at the last barrier.  128-bit intermediate so huge runs
-/// cannot overflow.
-std::uint64_t interval_target(std::uint64_t shard_total, std::size_t k,
-                              std::size_t intervals) {
-  if (k + 1 >= intervals) return shard_total;
-  return static_cast<std::uint64_t>(static_cast<unsigned __int128>(shard_total) *
-                                    (k + 1) / intervals);
-}
+    site_lambda_.resize(m);
+    for (std::size_t j = 0; j < m; ++j) {
+      site_lambda_[j] =
+          catalog_.uncacheable_fraction(static_cast<workload::SiteId>(j));
+    }
+    // Caches are allocated shard by shard, so one worker's caches sit
+    // together in memory.
+    caches_.resize(n);
+    shards_.resize(plan_.requests.size());
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      Shard& sh = shards_[s];
+      for (const workload::ServerId server : plan_.servers[s]) {
+        caches_[server] =
+            cache::make_cache(config.policy, result.cache_bytes(server));
+      }
+      sh.total = plan_.requests[s];
+      sh.warmup = static_cast<std::uint64_t>(config.warmup_fraction *
+                                             static_cast<double>(sh.total));
+      warmup_total_ += sh.warmup;
+      measured_total_ += sh.total - sh.warmup;
+    }
+    CDN_CHECK(measured_total_ > 0, "warm-up consumed every request");
+
+    const bool instrumented = config.metrics != nullptr;
+    window_count_ =
+        instrumented ? std::max<std::size_t>(
+                           1, std::min<std::size_t>(config.metrics_windows,
+                                                    measured_total_))
+                     : 0;
+    per_server_ = instrumented && config.per_server_metrics;
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      Shard& sh = shards_[s];
+      if (sh.total == 0) continue;  // zero-demand shard: nothing to do
+      if (shape_.reference) {
+        sh.stream.emplace(catalog_, system.demand(), config.seed,
+                          config.stream_locality);
+        sh.lambda_rng = util::Rng(config.seed ^ kLambdaMix);
+        sh.surge_rng = util::Rng(config.seed ^ kSurgeMix);
+        sh.latency.reserve(sh.total - sh.warmup);
+      } else {
+        // The shard stream samples the conditional cell distribution given
+        // "first hop in this shard" — together with the multinomial split
+        // this reproduces the full i.i.d. stream's law exactly.
+        sh.stream.emplace(catalog_, system.demand(),
+                          substream_seed(config.seed, s, kStreamSalt),
+                          config.stream_locality, 256, plan_.servers[s]);
+        sh.lambda_rng =
+            util::Rng(substream_seed(config.seed, s, kLambdaSalt));
+        sh.latency.use_sketch(config.latency_sketch_error);
+      }
+      sh.windows.resize(window_count_);
+      if (per_server_) {
+        sh.server_latency.assign(
+            plan_.servers[s].size(),
+            obs::Histogram(obs::default_latency_bounds_ms()));
+      }
+    }
+
+    if (config.faults != nullptr && !config.faults->empty()) {
+      timeline_.emplace(*config.faults, n, m);
+      holders_.resize(m);
+      for (std::size_t j = 0; j < m; ++j) {
+        holders_[j] =
+            result.placement.replicators(static_cast<sys::SiteIndex>(j));
+      }
+    }
+
+    // --- Crash safety (see docs/RECOVERY.md). ---
+    if (!config.checkpoint_path.empty() || !config.resume_path.empty() ||
+        config.stop != nullptr) {
+      fingerprint_ = detail::checkpoint_fingerprint(system, result, config);
+      if (instrumented) {
+        const std::string& prefix = config.metrics_prefix;
+        rc_written_ = &config.metrics->counter(prefix +
+                                               "recover/checkpoints_written");
+        rc_bytes_ = &config.metrics->counter(prefix + "recover/bytes");
+        rc_last_ms_ =
+            &config.metrics->gauge(prefix + "recover/last_checkpoint_ms");
+      }
+    }
+    if (!config.resume_path.empty()) resume();
+  }
+
+  // Pool workers hold `this` while run() executes.
+  EventRun(const EventRun&) = delete;
+  EventRun& operator=(const EventRun&) = delete;
+
+  /// The barrier loop.  Barriers sit on the global request clock at the
+  /// probe stride (stop flag and checkpoint cadence) and the progress
+  /// stride; between them every shard advances to its proportional target.
+  /// The reference run probes exactly every checkpoint_every_requests
+  /// (else 4096) requests and reports progress exactly every
+  /// progress_every, so its kill points and snapshots are exact.  Each
+  /// multi-shard barrier joins the pool, so those runs take at most 64
+  /// probe and 256 progress barriers; their workers also poll the stop
+  /// flag between chunks, and any barrier that finds one stopped short
+  /// probes, the last barrier included.
+  void run() {
+    const std::uint64_t every = config_.checkpoint_every_requests;
+    const std::uint64_t probe_stride =
+        every > 0 ? every
+        : shape_.reference ? kChunk
+                           : std::max<std::uint64_t>(1, (total_ + 63) / 64);
+    const std::uint64_t progress_stride =
+        shape_.reference
+            ? config_.progress_every
+            : std::max<std::uint64_t>(config_.progress_every,
+                                      (total_ + 255) / 256);
+    const auto first_after = [&](std::uint64_t stride) {
+      return (resumed_at_ / stride + 1) * stride;
+    };
+    std::uint64_t next_probe =
+        !config_.checkpoint_path.empty() || config_.stop != nullptr
+            ? first_after(probe_stride)
+            : kNever;
+    std::uint64_t next_progress =
+        config_.progress_every > 0 && config_.progress
+            ? first_after(progress_stride)
+            : kNever;
+
+    // A dedicated pool sized to the run; shards >> threads gives the static
+    // partition slack to balance uneven shard masses.
+    std::optional<util::ThreadPool> pool;
+    if (shards_.size() > 1) {
+      pool.emplace(std::min(shape_.threads, shards_.size()));
+    }
+    run_start_ = Clock::now();
+    last_checkpoint_time_ = run_start_;
+    for (;;) {
+      const std::uint64_t at = std::min({total_, next_probe, next_progress});
+      if (pool) {
+        util::parallel_for(*pool, 0, shards_.size(),
+                           [&](std::size_t s) { advance(s, at); });
+      } else {
+        advance(0, at);
+      }
+      obs::ScopedSpan barrier_span(pool ? spans_ : nullptr, sp_barrier_,
+                                   "sim");
+      std::uint64_t done = 0;
+      // A worker that saw the stop flag returned short of its target; the
+      // probe then checkpoints where the shards are and throws.
+      bool stopped_short = false;
+      for (const Shard& sh : shards_) {
+        done += sh.t;
+        stopped_short = stopped_short || sh.t < target(sh, at);
+      }
+      const bool probe_due = at >= next_probe;
+      if (probe_due) next_probe += probe_stride;
+      if (probe_due || stopped_short) probe(done);
+      if (at >= next_progress) {
+        next_progress += progress_stride;
+        config_.progress(snapshot(done));
+      }
+      if (done == total_) break;
+    }
+  }
+
+  /// Deterministic merge in shard-index order, then the report and the
+  /// registry metrics.
+  SimulationReport merge() {
+    obs::ScopedSpan merge_span(spans_, sp_merge_, "sim");
+    SimulationReport report;
+    report.total_requests = total_;
+    report.measured_requests = measured_total_;
+    report.shards_used = shards_.size();
+    // The reference run's exact samples move: at 10^7 requests a copy
+    // would double the run's peak memory.
+    if (shape_.reference) {
+      report.latency_cdf = std::move(shards_[0].latency);
+    } else {
+      report.latency_cdf.use_sketch(config_.latency_sketch_error);
+    }
+    double hop_sum = 0.0;
+    std::uint64_t local = 0;
+    std::uint64_t eligible = 0;
+    std::uint64_t eligible_hits = 0;
+    std::uint64_t slo_violations = 0;
+    std::array<std::uint64_t, obs::kEventCauseCount> causes{};
+    std::vector<WindowAccumulator> windows(window_count_);
+    for (const Shard& sh : shards_) {
+      if (sh.total == 0) continue;
+      if (!shape_.reference) report.latency_cdf.merge(sh.latency);
+      hop_sum += sh.hop_sum;
+      local += sh.local;
+      eligible += sh.eligible;
+      eligible_hits += sh.eligible_hits;
+      slo_violations += sh.slo_violations;
+      report.failed_requests += sh.failed;
+      report.failover_requests += sh.failover;
+      report.retry_attempts += sh.retries;
+      report.cold_restarts += sh.cold_restarts;
+      for (std::size_t c = 0; c < causes.size(); ++c) causes[c] += sh.causes[c];
+      for (std::size_t w = 0; w < window_count_; ++w) {
+        windows[w] += sh.windows[w];
+      }
+    }
+    // Fleet totals in global server order.
+    report.server_cache_stats.reserve(caches_.size());
+    for (const auto& c : caches_) {
+      report.server_cache_stats.push_back(c->stats());
+      report.cache_totals.merge(c->stats());
+    }
+    merge_span.stop();
+
+    const double measured = static_cast<double>(measured_total_);
+    report.mean_latency_ms =
+        report.latency_cdf.empty() ? 0.0 : report.latency_cdf.mean();
+    report.mean_cost_hops = hop_sum / measured;
+    report.local_ratio = static_cast<double>(local) / measured;
+    report.cache_hit_ratio =
+        eligible ? static_cast<double>(eligible_hits) /
+                       static_cast<double>(eligible)
+                 : 0.0;
+    report.availability =
+        1.0 - static_cast<double>(report.failed_requests) / measured;
+    report.slo_violation_fraction =
+        slo_active_ ? static_cast<double>(slo_violations) / measured : 0.0;
+    if (timeline_) report.fault_transitions = timeline_->transitions();
+    if (config_.metrics != nullptr) publish(report, causes, windows);
+    return report;
+  }
+
+ private:
+  /// A shard's share of global request `at`: proportional progress, exact
+  /// at the end of the run.
+  std::uint64_t target(const Shard& sh, std::uint64_t at) const {
+    return at >= total_ ? sh.total : scale(sh.total, at, total_);
+  }
+
+  /// Advances shard s to its target for global request `at`.
+  void advance(std::size_t s, std::uint64_t at) {
+    Shard& sh = shards_[s];
+    const std::uint64_t end = target(sh, at);
+    if (sh.t >= end) return;  // zero-demand shard, or past it on resume
+    obs::ScopedSpan shard_span(shards_.size() > 1 ? spans_ : nullptr,
+                               sp_shard_, "sim");
+    shard_span.arg("shard", static_cast<double>(s));
+    const std::uint64_t measured = sh.total - sh.warmup;
+    workload::RequestBatch batch;
+    // Chunked loop (docs/PERFORMANCE.md): a chunk ends at the next chunk
+    // multiple, the warm-up edge or the next window boundary, so the
+    // request bodies carry no boundary compares.
+    while (sh.t < end) {
+      const std::uint64_t t = sh.t;
+      // t == 0 is exempt so even a pre-set flag checkpoints progress.
+      if (poll_stop_ && t % kChunk == 0 && t != 0 &&
+          config_.stop->load(std::memory_order_relaxed)) {
+        return;
+      }
+      if (t == sh.warmup) {
+        for (const workload::ServerId server : plan_.servers[s]) {
+          caches_[server]->reset_stats();
+        }
+      }
+      std::uint64_t chunk_end = std::min(end, (t / kChunk + 1) * kChunk);
+      if (t < sh.warmup) chunk_end = std::min(chunk_end, sh.warmup);
+      WindowAccumulator* win = nullptr;
+      if (t >= sh.warmup && window_count_ > 0) {
+        const std::uint64_t k =
+            window_of(t - sh.warmup, measured, window_count_);
+        win = &sh.windows[k];
+        chunk_end = std::min(chunk_end,
+                             sh.warmup + scale(k + 1, measured, window_count_));
+      }
+      if (per_request_) {
+        request_chunk(sh, t, chunk_end, win);
+      } else {
+        healthy_chunk(sh, batch, t, chunk_end, win);
+      }
+      sh.t = chunk_end;
+    }
+  }
+
+  /// The batched healthy body: requests are generated in SoA batches and
+  /// served by healthy_step.  Accounting accumulates per request in stream
+  /// order, floating-point sums included, so the report does not depend on
+  /// where chunks end (sim_batch_parity_test replays the same stream
+  /// through request_chunk).
+  void healthy_chunk(Shard& sh, workload::RequestBatch& batch,
+                     std::uint64_t t, std::uint64_t end,
+                     WindowAccumulator* win) {
+    const bool measured = t >= sh.warmup;
+    const auto count = static_cast<std::size_t>(end - t);
+    sh.stream->next_batch(batch, count);
+    for (std::size_t i = 0; i < count; ++i) {
+      const workload::ServerId server = batch.server[i];
+      const workload::SiteId site = batch.site[i];
+      const std::uint32_t rank = batch.rank[i];
+      const Outcome o = healthy_step(sh.lambda_rng, server, site, rank);
+      const double latency_ms = config_.latency.latency_ms(o.hops);
+      if (measured) record(sh, win, server, o, latency_ms);
+      if (sink_ != nullptr && sink_->should_sample()) {
+        trace(t + i, server, site, rank, o, latency_ms, measured);
+      }
+    }
+  }
+
+  /// The per-request body of fault schedules and trace replay: requests
+  /// come one at a time from the trace or the stream, on the global clock
+  /// the fault timeline runs on.
+  void request_chunk(Shard& sh, std::uint64_t t, std::uint64_t end,
+                     WindowAccumulator* win) {
+    const bool measured = t >= sh.warmup;
+    for (; t < end; ++t) {
+      if (timeline_ && timeline_->advance(t)) {
+        // A recovered server restarts with a COLD cache: whatever it held
+        // when it crashed is gone.  Its statistics survive (clear() keeps
+        // them) so fleet totals stay consistent.
+        for (const std::uint32_t s : timeline_->just_recovered()) {
+          caches_[s]->clear();
+          ++sh.cold_restarts;
+        }
+        if (spans_ != nullptr) {
+          spans_->instant(sp_fault_, "fault", "request",
+                          static_cast<double>(t));
+        }
+      }
+      workload::Request req = config_.trace != nullptr ? (*config_.trace)[t]
+                                                       : sh.stream->next();
+      if (timeline_ && config_.trace == nullptr &&
+          timeline_->any_surge_active()) {
+        // Flash-crowd reshaping: accept a drawn request with probability
+        // proportional to its site's surge multiplier (rejection sampling
+        // against the current max), which samples site j with probability
+        // ∝ p_j * mult_j without touching the demand matrix.
+        const double bound = timeline_->max_demand_multiplier();
+        while (sh.surge_rng.uniform() * bound >
+               timeline_->demand_multiplier(req.site)) {
+          req = sh.stream->next();
+        }
+      }
+      Outcome o;
+      double latency_ms;
+      if (!timeline_) {
+        o = healthy_step(sh.lambda_rng, req.server, req.site, req.rank);
+        latency_ms = config_.latency.latency_ms(o.hops);
+      } else {
+        o = fault_step(sh.lambda_rng, req);
+        // A failed request's wasted time is reported in the trace but
+        // excluded from the latency CDF (the request never completed).
+        latency_ms = o.failed ? config_.latency.retry_penalty_ms(o.attempts)
+                              : config_.latency.failover_latency_ms(
+                                    o.hops * timeline_->latency_multiplier(
+                                                 req.server),
+                                    o.attempts);
+      }
+      if (measured) record(sh, win, req.server, o, latency_ms);
+      if (sink_ != nullptr && sink_->should_sample()) {
+        trace(t, req.server, req.site, req.rank, o, latency_ms, measured);
+      }
+    }
+  }
+
+  /// Serves one request when every server is up: a replicated site or a
+  /// cache hit stays local, anything else pays the precomputed redirect
+  /// cost.  The RNG draw order (one bernoulli per non-replicated request,
+  /// nothing for replicated ones) is the contract that keeps the reference
+  /// run bit-identical and the shard decomposition exact.
+  Outcome healthy_step(util::Rng& lambda_rng, workload::ServerId server,
+                       workload::SiteId site, std::uint32_t rank) const {
+    Outcome o;
+    if (result_.placement.is_replicated(server, site)) {
+      // Replicas are always consistent (the CDN pushes invalidations to
+      // them); even flagged requests are served locally.
+      o.served_locally = true;
+      return o;
+    }
+    const bool flagged = lambda_rng.bernoulli(site_lambda_[site]);
+    const cache::ObjectKey key = catalog_.object_id(site, rank);
+    const std::uint64_t bytes = catalog_.object_bytes(site, rank);
+    cache::CachePolicy& cache = *caches_[server];
+    if (flagged && uncacheable_mode_) {
+      // Never cached; straight to the nearest copy.
+      o.hops = result_.nearest.cost(server, site);
+      o.cause = obs::EventCause::kUncacheable;
+    } else if (flagged) {
+      // kRefresh: must touch the remote copy; the (re-)fetched object stays
+      // cached with updated recency.
+      cache.access(key, bytes);
+      o.hops = result_.nearest.cost(server, site);
+      o.cause = obs::EventCause::kStaleRefresh;
+    } else {
+      o.cache_eligible = true;
+      o.cache_hit = cache.access(key, bytes);
+      if (o.cache_hit) {
+        o.served_locally = true;
+        o.cause = obs::EventCause::kCacheHit;
+      } else {
+        o.hops = result_.nearest.cost(server, site);
+        o.cause = obs::EventCause::kCacheMiss;
+      }
+    }
+    return o;
+  }
+
+  /// Serves one request against the fault timeline's current state.
+  Outcome fault_step(util::Rng& lambda_rng,
+                     const workload::Request& req) const {
+    const fault::FaultTimeline& timeline = *timeline_;
+    const sys::ServerIndex server = req.server;
+    const sys::SiteIndex site = req.site;
+    Outcome o;
+    // Cheapest live holder after a failed attempt on the precomputed
+    // target (or on the first-hop server itself).
+    const auto find_live = [&] {
+      return result_.nearest.nearest_live(server, site, holders_[site],
+                                          timeline.server_up_mask(),
+                                          timeline.origin_up(site));
+    };
+    const auto redirect_to = [&](const std::optional<sys::NearestCopy>& live,
+                                 obs::EventCause healthy_cause) {
+      if (live) {
+        o.hops = live->cost;
+        o.cause = o.attempts > 0 ? obs::EventCause::kFailover : healthy_cause;
+        o.served_by =
+            live->at_primary ? -1 : static_cast<std::int32_t>(live->server);
+      } else {
+        o.failed = true;
+        o.cause = obs::EventCause::kFailed;
+      }
+    };
+    if (!timeline.server_up(server)) {
+      // First-hop crash: the client's connection times out and the
+      // redirector re-routes it to the nearest live copy.  The dead
+      // server's warm cache and its replicas are unreachable.
+      o.attempts = 1;
+      redirect_to(find_live(), obs::EventCause::kFailover);
+      return o;
+    }
+    if (result_.placement.is_replicated(server, site)) {
+      // Replicas are always consistent; even flagged requests stay local.
+      o.served_locally = true;
+      return o;
+    }
+    const bool flagged = lambda_rng.bernoulli(site_lambda_[site]);
+    cache::CachePolicy& cache = *caches_[server];
+    const cache::ObjectKey key = catalog_.object_id(site, req.rank);
+    const std::uint64_t bytes = catalog_.object_bytes(site, req.rank);
+    // Fault-aware redirection: the precomputed nearest copy may be dead;
+    // trying it costs one failed attempt before the health-masked re-route.
+    // No live copy at all fails the request.
+    const auto resolve = [&]() -> std::optional<sys::NearestCopy> {
+      const sys::NearestCopy& pre = result_.nearest.nearest(server, site);
+      const bool pre_live = pre.at_primary ? timeline.origin_up(site)
+                                           : timeline.server_up(pre.server);
+      if (pre_live) return pre;
+      ++o.attempts;
+      return find_live();
+    };
+    if (flagged && uncacheable_mode_) {
+      redirect_to(resolve(), obs::EventCause::kUncacheable);
+    } else if (flagged) {
+      const auto live = resolve();
+      if (live) cache.access(key, bytes);  // refreshed copy stays cached
+      redirect_to(live, obs::EventCause::kStaleRefresh);
+    } else {
+      o.cache_eligible = true;
+      // A hit never leaves the server, so no liveness check; a miss only
+      // admits the object when a live source exists to fetch from.
+      o.cache_hit = cache.access_no_admit(key, bytes);
+      if (o.cache_hit) {
+        o.served_locally = true;
+        o.cause = obs::EventCause::kCacheHit;
+      } else {
+        const auto live = resolve();
+        if (live) cache.admit(key, bytes);
+        redirect_to(live, obs::EventCause::kCacheMiss);
+      }
+    }
+    return o;
+  }
+
+  /// Books one measured request into its shard.  Failed requests never
+  /// complete, so they stay out of every latency sum.
+  void record(Shard& sh, WindowAccumulator* win,
+              workload::ServerId server, const Outcome& o,
+              double latency_ms) const {
+    if (o.failed) {
+      ++sh.failed;
+    } else {
+      sh.latency.add(latency_ms);
+    }
+    sh.hop_sum += o.hops;
+    if (o.served_locally) ++sh.local;
+    if (o.cache_eligible) {
+      ++sh.eligible;
+      if (o.cache_hit) ++sh.eligible_hits;
+    }
+    const bool failed_over = o.attempts > 0 && !o.failed;
+    if (failed_over) ++sh.failover;
+    sh.retries += o.attempts;
+    if (slo_active_ && (o.failed || latency_ms > config_.slo_ms)) {
+      ++sh.slo_violations;
+    }
+    ++sh.causes[static_cast<std::size_t>(o.cause)];
+    if (!sh.server_latency.empty() && !o.failed) {
+      // Round-robin ownership makes the local index a division.
+      sh.server_latency[server / shards_.size()].observe(latency_ms);
+    }
+    if (win == nullptr) return;
+    ++win->requests;
+    win->hops += o.hops;
+    if (!o.failed) win->latency_ms += latency_ms;
+    if (o.served_locally) ++win->local;
+    if (o.cache_eligible) {
+      ++win->eligible;
+      if (o.cache_hit) ++win->eligible_hits;
+    }
+    if (o.failed) ++win->failed;
+    if (failed_over) {
+      ++win->failover;
+      win->degraded_latency_ms += latency_ms;
+    }
+  }
+
+  void trace(std::uint64_t t, workload::ServerId server,
+             workload::SiteId site, std::uint32_t rank, const Outcome& o,
+             double latency_ms, bool measured) const {
+    obs::TraceEvent event;
+    event.t = t;
+    event.server = server;
+    event.site = site;
+    event.rank = rank;
+    event.cause = o.cause;
+    event.measured = measured;
+    event.hops = o.hops;
+    event.latency_ms = latency_ms;
+    if (o.served_locally) {
+      event.served_by = static_cast<std::int32_t>(server);
+    } else if (timeline_) {
+      event.served_by = o.served_by;  // -2 when the request failed
+    } else {
+      const sys::NearestCopy& copy = result_.nearest.nearest(server, site);
+      event.served_by =
+          copy.at_primary ? -1 : static_cast<std::int32_t>(copy.server);
+    }
+    sink_->record(event);
+  }
+
+  /// The checkpoint payload: per shard its position, stream, RNGs, caches,
+  /// accumulators, latency, windows and histograms; then the trace sink.
+  void save(util::ByteWriter& w) const {
+    w.u64(shards_.size());
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      const Shard& sh = shards_[s];
+      if (sh.total == 0) continue;
+      w.u64(sh.t);
+      sh.stream->save_state(w);
+      save_rng(w, sh.lambda_rng);
+      save_rng(w, sh.surge_rng);
+      w.u64(plan_.servers[s].size());
+      for (const workload::ServerId server : plan_.servers[s]) {
+        caches_[server]->save_state(w);
+      }
+      w.f64(sh.hop_sum);
+      w.u64(sh.local);
+      w.u64(sh.eligible);
+      w.u64(sh.eligible_hits);
+      w.u64(sh.slo_violations);
+      w.u64(sh.failed);
+      w.u64(sh.failover);
+      w.u64(sh.retries);
+      w.u64(sh.cold_restarts);
+      sh.latency.save_state(w);
+      for (const std::uint64_t c : sh.causes) w.u64(c);
+      w.u64(sh.windows.size());
+      for (const auto& win : sh.windows) save_window(w, win);
+      w.u64(sh.server_latency.size());
+      for (const obs::Histogram& h : sh.server_latency) h.save_state(w);
+    }
+    w.u8(sink_ != nullptr ? 1 : 0);
+    if (sink_ != nullptr) sink_->save_state(w);
+  }
+
+  void restore(util::ByteReader& r) {
+    CDN_EXPECT(r.u64() == shards_.size(), "checkpoint shard count mismatch");
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      Shard& sh = shards_[s];
+      if (sh.total == 0) continue;
+      sh.t = r.u64();
+      CDN_EXPECT(sh.t <= sh.total,
+                 "checkpoint shard request index exceeds the shard's plan");
+      sh.stream->restore_state(r);
+      restore_rng(r, sh.lambda_rng);
+      restore_rng(r, sh.surge_rng);
+      CDN_EXPECT(r.u64() == plan_.servers[s].size(),
+                 "checkpoint shard cache count mismatch");
+      for (const workload::ServerId server : plan_.servers[s]) {
+        caches_[server]->restore_state(r);
+      }
+      sh.hop_sum = r.f64();
+      sh.local = r.u64();
+      sh.eligible = r.u64();
+      sh.eligible_hits = r.u64();
+      sh.slo_violations = r.u64();
+      sh.failed = r.u64();
+      sh.failover = r.u64();
+      sh.retries = r.u64();
+      sh.cold_restarts = r.u64();
+      sh.latency.restore_state(r);
+      for (std::uint64_t& c : sh.causes) c = r.u64();
+      CDN_EXPECT(r.u64() == sh.windows.size(),
+                 "checkpoint shard window count mismatch");
+      for (auto& win : sh.windows) restore_window(r, win);
+      CDN_EXPECT(r.u64() == sh.server_latency.size(),
+                 "checkpoint shard histogram count mismatch");
+      for (obs::Histogram& h : sh.server_latency) h.restore_state(r);
+    }
+    const bool had_sink = r.u8() != 0;
+    CDN_EXPECT(had_sink == (sink_ != nullptr),
+               "checkpoint trace sink presence mismatch");
+    if (sink_ != nullptr) sink_->restore_state(r);
+    CDN_EXPECT(r.done(), "checkpoint payload has trailing bytes");
+  }
+
+  void resume() {
+    obs::ScopedSpan resume_span(spans_, sp_resume_, "recover");
+    const recover::Checkpoint ckpt = recover::read_file(config_.resume_path);
+    recover::check_fingerprint(ckpt, fingerprint_);
+    util::ByteReader reader(ckpt.payload);
+    restore(reader);
+    for (const Shard& sh : shards_) resumed_at_ += sh.t;
+    written_at_ = resumed_at_;
+    // The fault timeline is a pure function of (schedule, t): one advance
+    // re-derives the stepper position, depth counters and transition count.
+    // Cold restarts up to the resume point are already in the restored
+    // caches, so just_recovered() is deliberately ignored here.
+    if (timeline_ && resumed_at_ > 0) timeline_->advance(resumed_at_ - 1);
+    if (config_.metrics != nullptr) {
+      const std::string& prefix = config_.metrics_prefix;
+      config_.metrics->gauge(prefix + "recover/resumed").set(1.0);
+      config_.metrics->gauge(prefix + "recover/resume_request_index")
+          .set(static_cast<double>(resumed_at_));
+    }
+    resume_span.arg("request", static_cast<double>(resumed_at_));
+  }
+
+  /// The stop and checkpoint probe: writes a checkpoint when the request or
+  /// seconds cadence is due or a stop was requested, then honours the stop.
+  void probe(std::uint64_t done) {
+    const bool stop_requested =
+        config_.stop != nullptr &&
+        config_.stop->load(std::memory_order_relaxed);
+    const std::string& path = config_.checkpoint_path;
+    bool write = !path.empty() &&
+                 (config_.checkpoint_every_requests > 0 || stop_requested);
+    if (!write && !path.empty() && config_.checkpoint_every_seconds > 0.0) {
+      write = std::chrono::duration<double>(Clock::now() -
+                                            last_checkpoint_time_)
+                  .count() >= config_.checkpoint_every_seconds;
+    }
+    if (write && done > written_at_) write_checkpoint(done);
+    if (stop_requested) throw recover::Interrupted(done, path);
+  }
+
+  void write_checkpoint(std::uint64_t done) {
+    obs::ScopedSpan ckpt_span(spans_, sp_checkpoint_, "recover");
+    ckpt_span.arg("request", static_cast<double>(done));
+    const auto write_start = Clock::now();
+    recover::Checkpoint ckpt;
+    ckpt.fingerprint = fingerprint_;
+    util::ByteWriter w;
+    save(w);
+    ckpt.payload = w.buffer();
+    const std::uint64_t bytes =
+        recover::write_file(config_.checkpoint_path, ckpt);
+    last_checkpoint_time_ = Clock::now();
+    written_at_ = done;
+    ++checkpoints_written_;
+    if (rc_written_ != nullptr) {
+      rc_written_->add();
+      rc_bytes_->add(bytes);
+      rc_last_ms_->set(std::chrono::duration<double, std::milli>(
+                           last_checkpoint_time_ - write_start)
+                           .count());
+    }
+  }
+
+  SimulationProgress snapshot(std::uint64_t done) const {
+    SimulationProgress p;
+    p.completed = done;
+    p.total = total_;
+    p.warming_up = done <= warmup_total_;
+    std::uint64_t eligible = 0;
+    std::uint64_t eligible_hits = 0;
+    for (const Shard& sh : shards_) {
+      eligible += sh.eligible;
+      eligible_hits += sh.eligible_hits;
+    }
+    p.hit_ratio_known = done > warmup_total_ && eligible > 0;
+    if (p.hit_ratio_known) {
+      p.hit_ratio = static_cast<double>(eligible_hits) /
+                    static_cast<double>(eligible);
+    }
+    const double elapsed =
+        std::chrono::duration<double>(Clock::now() - run_start_).count();
+    if (elapsed > 0.0 && done > resumed_at_) {
+      p.requests_per_sec = static_cast<double>(done - resumed_at_) / elapsed;
+      p.eta_seconds = static_cast<double>(total_ - done) / p.requests_per_sec;
+    }
+    p.checkpoints_written = checkpoints_written_;
+    p.last_checkpoint_request = checkpoints_written_ > 0 ? written_at_ : 0;
+    return p;
+  }
+
+  void publish(const SimulationReport& report,
+               const std::array<std::uint64_t, obs::kEventCauseCount>& causes,
+               const std::vector<WindowAccumulator>& windows) const {
+    obs::Registry& metrics = *config_.metrics;
+    const std::string& prefix = config_.metrics_prefix;
+    const bool faults_active = timeline_.has_value();
+    WindowSeries series;
+    series.resolve(metrics, prefix, faults_active);
+    for (const WindowAccumulator& win : windows) {
+      if (win.requests > 0) series.flush(win);
+    }
+    // Fault causes only exist when a schedule is active, so healthy
+    // snapshots keep their layout.
+    for (std::size_t c = 0; c < causes.size(); ++c) {
+      const auto cause = static_cast<obs::EventCause>(c);
+      if (!faults_active && (cause == obs::EventCause::kFailover ||
+                             cause == obs::EventCause::kFailed)) {
+        continue;
+      }
+      metrics.counter(prefix + "cause/" + obs::to_string(cause)).add(causes[c]);
+    }
+    if (faults_active) {
+      metrics.counter(prefix + "fault/retries").add(report.retry_attempts);
+    }
+    if (per_server_) {
+      // Global server order, one histogram per server even when its shard
+      // saw no traffic.
+      const std::size_t shard_count = shards_.size();
+      for (std::size_t i = 0; i < caches_.size(); ++i) {
+        obs::Histogram& h = metrics.histogram(
+            prefix + "server/" + std::to_string(i) + "/latency_ms",
+            obs::default_latency_bounds_ms());
+        const Shard& sh = shards_[i % shard_count];
+        if (sh.total > 0) h.merge(sh.server_latency[i / shard_count]);
+      }
+    }
+    if (!shape_.reference) {
+      metrics.gauge(prefix + "parallel/threads")
+          .set(static_cast<double>(shape_.threads));
+      metrics.gauge(prefix + "parallel/shards")
+          .set(static_cast<double>(shards_.size()));
+      for (std::size_t s = 0; s < shards_.size(); ++s) {
+        metrics.counter(prefix + "shard/" + std::to_string(s) + "/requests")
+            .add(plan_.requests[s]);
+      }
+    }
+    detail::publish_summary_metrics(metrics, prefix, config_, report,
+                                    slo_active_, faults_active);
+  }
+
+  const workload::SiteCatalog& catalog_;
+  const placement::PlacementResult& result_;
+  const SimulationConfig& config_;
+  const EventShape shape_;
+  const bool per_request_;  // fault schedule or trace replay
+  const bool poll_stop_;
+  const bool slo_active_;
+  const bool uncacheable_mode_;
+  obs::TraceSink* const sink_;
+  obs::SpanTracer* const spans_;
+  const char* sp_shard_ = nullptr;
+  const char* sp_barrier_ = nullptr;
+  const char* sp_merge_ = nullptr;
+  const char* sp_checkpoint_ = nullptr;
+  const char* sp_resume_ = nullptr;
+  const char* sp_fault_ = nullptr;
+
+  ShardPlan plan_;
+  std::uint64_t total_ = 0;
+  std::uint64_t warmup_total_ = 0;
+  std::uint64_t measured_total_ = 0;
+  std::size_t window_count_ = 0;
+  bool per_server_ = false;
+  std::vector<double> site_lambda_;  // uncacheable_fraction per site
+  std::vector<std::unique_ptr<cache::CachePolicy>> caches_;  // by server
+  std::vector<Shard> shards_;
+  // Fault schedule state (reference runs only).
+  std::optional<fault::FaultTimeline> timeline_;
+  std::vector<std::vector<sys::ServerIndex>> holders_;
+
+  std::vector<recover::FingerprintSection> fingerprint_;
+  obs::Counter* rc_written_ = nullptr;
+  obs::Counter* rc_bytes_ = nullptr;
+  obs::Gauge* rc_last_ms_ = nullptr;
+  Clock::time_point run_start_;
+  Clock::time_point last_checkpoint_time_;
+  std::uint64_t resumed_at_ = 0;  // requests done when the run (re)started
+  // Requests the newest checkpoint covers: this process's last write, else
+  // the checkpoint it resumed from.
+  std::uint64_t written_at_ = 0;
+  std::uint64_t checkpoints_written_ = 0;  // by this process
+};
 
 }  // namespace
 
@@ -94,20 +1111,34 @@ ShardPlan plan_shards(const workload::DemandMatrix& demand,
   // masses.  O(total) with an alias table — a percent or two of the run —
   // and deterministic in (seed, shards) alone.
   util::AliasSampler sampler(mass);
-  util::Rng rng(detail::substream_seed(seed, 0, kPlanSalt));
+  util::Rng rng(substream_seed(seed, 0, kPlanSalt));
   for (std::uint64_t t = 0; t < total; ++t) {
     ++plan.requests[sampler.sample(rng)];
   }
   return plan;
 }
 
-SimulationReport simulate_parallel(const sys::CdnSystem& system,
-                                   const placement::PlacementResult& result,
-                                   const SimulationConfig& config,
-                                   std::size_t threads) {
-  const auto& catalog = system.catalog();
-  const std::size_t n = system.server_count();
+EventShape event_shape(const SimulationConfig& config,
+                       std::size_t server_count) {
+  EventShape shape;
+  shape.threads =
+      config.threads != 0
+          ? config.threads
+          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const bool faults_active =
+      config.faults != nullptr && !config.faults->empty();
+  shape.reference = shape.threads == 1 || faults_active ||
+                    config.trace != nullptr || config.trace_sink != nullptr;
+  shape.shards = shape.reference ? 1
+                                 : resolve_shard_count(config.shards,
+                                                       shape.threads,
+                                                       server_count);
+  return shape;
+}
 
+SimulationReport simulate_events(const sys::CdnSystem& system,
+                                 const placement::PlacementResult& result,
+                                 const SimulationConfig& config) {
   obs::Registry* const metrics = config.metrics;
   const std::string& prefix = config.metrics_prefix;
   obs::TimerStat* const t_setup =
@@ -116,541 +1147,27 @@ SimulationReport simulate_parallel(const sys::CdnSystem& system,
       metrics ? &metrics->timer(prefix + "phase/run") : nullptr;
   obs::TimerStat* const t_report =
       metrics ? &metrics->timer(prefix + "phase/report") : nullptr;
-
-  // Span names are interned once; workers then record per-interval shard
-  // spans lock-free into their own thread buffers.
+  // Span names are interned once; the request loop never records a span.
   obs::SpanTracer* const spans = config.spans;
-  const char* sp_setup = nullptr;
-  const char* sp_run = nullptr;
-  const char* sp_report = nullptr;
-  const char* sp_shard = nullptr;
-  const char* sp_barrier = nullptr;
-  const char* sp_merge = nullptr;
-  const char* sp_checkpoint = nullptr;
-  const char* sp_resume = nullptr;
-  if (spans != nullptr) {
-    sp_setup = spans->intern(prefix + "setup");
-    sp_run = spans->intern(prefix + "run");
-    sp_report = spans->intern(prefix + "report");
-    sp_shard = spans->intern(prefix + "shard/run");
-    sp_barrier = spans->intern(prefix + "barrier");
-    sp_merge = spans->intern(prefix + "merge");
-    sp_checkpoint = spans->intern(prefix + "checkpoint/write");
-    sp_resume = spans->intern(prefix + "checkpoint/resume");
-  }
+  const auto span_name = [&](const char* name) {
+    return spans != nullptr ? spans->intern(prefix + name) : nullptr;
+  };
 
   obs::ScopedTimer setup_timer(t_setup);
-  obs::ScopedSpan setup_span(spans, sp_setup, "sim");
-
-  const std::size_t shards = resolve_shard_count(config.shards, threads, n);
-  const std::uint64_t total = config.total_requests;
-  const ShardPlan plan =
-      plan_shards(system.demand(), total, shards, config.seed);
-
-  // Per-shard warm-up mirrors the sequential engine's fraction; summing the
-  // per-shard measured counts gives the run's measured total.
-  std::vector<std::uint64_t> shard_warmup(shards, 0);
-  std::uint64_t measured_total = 0;
-  for (std::size_t s = 0; s < shards; ++s) {
-    shard_warmup[s] = static_cast<std::uint64_t>(
-        config.warmup_fraction * static_cast<double>(plan.requests[s]));
-    measured_total += plan.requests[s] - shard_warmup[s];
-  }
-  CDN_CHECK(measured_total > 0, "warm-up consumed every request");
-
-  const bool instrumented = metrics != nullptr;
-  const bool slo_active = config.slo_ms > 0.0;
-  // Same window count rule as the sequential engine; every shard uses the
-  // same count so window indices align in the merge.
-  const std::size_t window_count =
-      instrumented ? std::max<std::size_t>(
-                         1, std::min<std::size_t>(config.metrics_windows,
-                                                  measured_total))
-                   : 0;
-  const bool per_server = instrumented && config.per_server_metrics;
-
-  // Hoisted per-site lambda lookups for the batched hot loop below — the
-  // exact doubles uncacheable_fraction returns, so the per-shard bernoulli
-  // draws stay bit-identical to healthy_step's.
-  std::vector<double> site_lambda(system.site_count());
-  for (std::size_t j = 0; j < site_lambda.size(); ++j) {
-    site_lambda[j] =
-        catalog.uncacheable_fraction(static_cast<workload::SiteId>(j));
-  }
-  const bool uncacheable_mode =
-      config.staleness == StalenessMode::kUncacheable;
-
-  std::vector<ShardResult> results(shards);
-  std::vector<ShardState> states(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    if (plan.requests[s] == 0) continue;  // zero-demand shard: nothing to do
-    const std::vector<workload::ServerId>& owned = plan.servers[s];
-    ShardResult& out = results[s];
-    out.latency.use_sketch(config.latency_sketch_error);
-    if (window_count > 0) out.windows.resize(window_count);
-    if (per_server) {
-      out.server_latency.reserve(owned.size());
-      for (std::size_t l = 0; l < owned.size(); ++l) {
-        out.server_latency.emplace_back(obs::default_latency_bounds_ms());
-      }
-    }
-    ShardState& st = states[s];
-    st.caches.reserve(owned.size());
-    for (const workload::ServerId server : owned) {
-      st.caches.push_back(cache::make_cache(
-          config.policy,
-          result.cache_bytes(static_cast<sys::ServerIndex>(server))));
-    }
-    // The shard stream samples the conditional cell distribution given
-    // "first hop in this shard" — together with the multinomial split this
-    // reproduces the full i.i.d. stream's law exactly.
-    st.stream.emplace(catalog, system.demand(),
-                      detail::substream_seed(config.seed, s, kStreamSalt),
-                      config.stream_locality, 256, owned);
-    st.lambda_rng =
-        util::Rng(detail::substream_seed(config.seed, s, kLambdaSalt));
-  }
-
-  // --- Crash safety (see docs/RECOVERY.md).  Checkpoints are taken at
-  // shard-merge barriers: the interval loop below pauses every worker,
-  // serialises each shard's state on the main thread, then resumes. ---
-  const bool recovery_active = !config.checkpoint_path.empty() ||
-                               !config.resume_path.empty() ||
-                               config.stop != nullptr;
-  std::vector<recover::FingerprintSection> fingerprint;
-  if (recovery_active) {
-    fingerprint = detail::checkpoint_fingerprint(
-        system, result, config, detail::EngineKind::kParallel, shards);
-  }
-
-  const auto save_engine_state = [&](util::ByteWriter& w) {
-    w.u64(shards);
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (plan.requests[s] == 0) continue;
-      const ShardState& st = states[s];
-      const ShardResult& out = results[s];
-      w.u64(st.t);
-      st.stream->save_state(w);
-      detail::save_rng(w, st.lambda_rng);
-      w.u64(st.caches.size());
-      for (const auto& c : st.caches) c->save_state(w);
-      w.f64(out.hop_sum);
-      w.u64(out.local);
-      w.u64(out.eligible);
-      w.u64(out.eligible_hits);
-      w.u64(out.slo_violations);
-      out.latency.save_state(w);
-      for (const std::uint64_t c : out.causes) w.u64(c);
-      w.u64(out.windows.size());
-      for (const auto& win : out.windows) detail::save_window(w, win);
-      w.u64(out.server_latency.size());
-      for (const obs::Histogram& h : out.server_latency) h.save_state(w);
-    }
-  };
-
-  const auto restore_engine_state = [&](util::ByteReader& r) {
-    CDN_EXPECT(r.u64() == shards, "checkpoint shard count mismatch");
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (plan.requests[s] == 0) continue;
-      ShardState& st = states[s];
-      ShardResult& out = results[s];
-      st.t = r.u64();
-      CDN_EXPECT(st.t <= plan.requests[s],
-                 "checkpoint shard request index exceeds the shard's plan");
-      st.stream->restore_state(r);
-      detail::restore_rng(r, st.lambda_rng);
-      CDN_EXPECT(r.u64() == st.caches.size(),
-                 "checkpoint shard cache count mismatch");
-      for (auto& c : st.caches) c->restore_state(r);
-      out.hop_sum = r.f64();
-      out.local = r.u64();
-      out.eligible = r.u64();
-      out.eligible_hits = r.u64();
-      out.slo_violations = r.u64();
-      out.latency.restore_state(r);
-      for (std::uint64_t& c : out.causes) c = r.u64();
-      CDN_EXPECT(r.u64() == out.windows.size(),
-                 "checkpoint shard window count mismatch");
-      for (auto& win : out.windows) detail::restore_window(r, win);
-      CDN_EXPECT(r.u64() == out.server_latency.size(),
-                 "checkpoint per-shard histogram count mismatch");
-      for (obs::Histogram& h : out.server_latency) h.restore_state(r);
-    }
-    CDN_EXPECT(r.done(), "checkpoint payload has trailing bytes");
-  };
-
-  obs::Counter* rc_written = nullptr;
-  obs::Counter* rc_bytes = nullptr;
-  obs::Gauge* rc_last_ms = nullptr;
-  if (instrumented && recovery_active) {
-    rc_written = &metrics->counter(prefix + "recover/checkpoints_written");
-    rc_bytes = &metrics->counter(prefix + "recover/bytes");
-    rc_last_ms = &metrics->gauge(prefix + "recover/last_checkpoint_ms");
-  }
-  auto last_checkpoint_time = std::chrono::steady_clock::now();
-  const auto write_checkpoint = [&] {
-    obs::ScopedSpan ckpt_span(spans, sp_checkpoint, "recover");
-    const auto write_start = std::chrono::steady_clock::now();
-    recover::Checkpoint ckpt;
-    ckpt.fingerprint = fingerprint;
-    util::ByteWriter w;
-    save_engine_state(w);
-    ckpt.payload = w.buffer();
-    const std::uint64_t bytes =
-        recover::write_file(config.checkpoint_path, ckpt);
-    last_checkpoint_time = std::chrono::steady_clock::now();
-    if (rc_written != nullptr) {
-      rc_written->add();
-      rc_bytes->add(bytes);
-      rc_last_ms->set(std::chrono::duration<double, std::milli>(
-                          last_checkpoint_time - write_start)
-                          .count());
-    }
-  };
-
-  std::uint64_t last_written_done = 0;
-  if (!config.resume_path.empty()) {
-    obs::ScopedSpan resume_span(spans, sp_resume, "recover");
-    const recover::Checkpoint ckpt = recover::read_file(config.resume_path);
-    recover::check_fingerprint(ckpt, fingerprint);
-    util::ByteReader reader(ckpt.payload);
-    restore_engine_state(reader);
-    for (const ShardState& st : states) last_written_done += st.t;
-    if (instrumented) {
-      metrics->gauge(prefix + "recover/resumed").set(1.0);
-      metrics->gauge(prefix + "recover/resume_request_index")
-          .set(static_cast<double>(last_written_done));
-    }
-    resume_span.arg("request", static_cast<double>(last_written_done));
-  }
-
-  // One barrier per checkpoint cadence; 64 give a stop flag or a time
-  // cadence reasonable latency; a plain run keeps today's single pass.
-  // Progress reporting also needs barriers to observe the shard clocks,
-  // but is capped so a tight cadence cannot drown the run in joins.
-  const bool progress_active =
-      config.progress_every > 0 && config.progress != nullptr;
-  std::size_t intervals =
-      config.checkpoint_every_requests > 0
-          ? static_cast<std::size_t>((total + config.checkpoint_every_requests -
-                                      1) /
-                                     config.checkpoint_every_requests)
-          : (recovery_active ? std::size_t{64} : std::size_t{1});
-  if (progress_active) {
-    const std::size_t wanted = static_cast<std::size_t>(
-        std::min<std::uint64_t>(256, total / config.progress_every));
-    intervals = std::max<std::size_t>(intervals, std::max<std::size_t>(
-                                                     1, wanted));
-  }
-  const bool poll_stop = config.stop != nullptr;
-  std::uint64_t warmup_total = 0;
-  for (const std::uint64_t w : shard_warmup) warmup_total += w;
-  const std::uint64_t resume_base = last_written_done;
-  std::uint64_t next_progress =
-      progress_active ? resume_base + config.progress_every
-                      : std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t checkpoints_written = 0;
-  std::uint64_t last_checkpoint_request = 0;
-
+  obs::ScopedSpan setup_span(spans, span_name("setup"), "sim");
+  EventRun run(system, result, config);
   setup_timer.stop();
   setup_span.stop();
+
   obs::ScopedTimer run_timer(t_run);
-  obs::ScopedSpan run_span(spans, sp_run, "sim");
-  const auto run_start = std::chrono::steady_clock::now();
-
-  {
-    // A dedicated pool sized to the run; shards >> threads gives the static
-    // partition slack to balance uneven shard masses.
-    util::ThreadPool pool(std::min(threads, shards));
-    for (std::size_t interval = 0; interval < intervals; ++interval) {
-      const auto run_interval = [&](std::size_t s) {
-        const std::uint64_t shard_total = plan.requests[s];
-        if (shard_total == 0) return;
-        const std::uint64_t end =
-            interval_target(shard_total, interval, intervals);
-        ShardState& st = states[s];
-        if (st.t >= end) return;  // already past this barrier (resume)
-        obs::ScopedSpan shard_span(spans, sp_shard, "sim");
-        shard_span.arg("shard", static_cast<double>(s));
-        ShardResult& out = results[s];
-        workload::RequestStream& stream = *st.stream;
-        const std::uint64_t warmup = shard_warmup[s];
-        const std::uint64_t measured = shard_total - warmup;
-        // Data-oriented chunked loop (docs/PERFORMANCE.md): SoA request
-        // batches served by a tight loop with the rare-event boundaries —
-        // stop-poll points, the warm-up edge, window-index changes —
-        // hoisted into the chunking, so the per-request path carries no
-        // boundary compares.  Accounting accumulates per request in the
-        // reference order (floating-point sums included); the sequential
-        // digest-equality tests transitively pin this loop bit-identical.
-        workload::RequestBatch batch;
-        std::uint64_t t = st.t;
-        while (t < end) {
-          // Shutdown probe at the same 4096-aligned points as the old
-          // per-request loop: a worker may bail mid-interval; the per-shard
-          // position is saved individually, so determinism holds.  t == 0
-          // is exempt so even a pre-set flag checkpoints progress.
-          if (poll_stop && (t & 0xfffu) == 0 && t != 0 &&
-              config.stop->load(std::memory_order_relaxed)) {
-            break;
-          }
-          if (t == warmup) {
-            for (auto& c : st.caches) c->reset_stats();
-          }
-          // Chunk end: the next poll point, the warm-up edge, or the next
-          // measured-window boundary, whichever comes first.
-          std::uint64_t cend =
-              std::min(end, static_cast<std::uint64_t>((t | 0xfff) + 1));
-          if (t < warmup) cend = std::min(cend, warmup);
-          detail::WindowAccumulator* win = nullptr;
-          if (t >= warmup && window_count > 0) {
-            const std::uint64_t widx = (t - warmup) * window_count / measured;
-            win = &out.windows[static_cast<std::size_t>(widx)];
-            const auto next_k = static_cast<std::uint64_t>(
-                ((static_cast<unsigned __int128>(widx) + 1) * measured +
-                 window_count - 1) /
-                window_count);
-            cend = std::min(cend, warmup + next_k);
-          }
-          const auto count = static_cast<std::size_t>(cend - t);
-          stream.next_batch(batch, count);
-          const bool measured_chunk = t >= warmup;
-          for (std::size_t i = 0; i < count; ++i) {
-            const workload::ServerId sid = batch.server[i];
-            const workload::SiteId site_id = batch.site[i];
-            const std::uint32_t rank = batch.rank[i];
-            const auto server = static_cast<sys::ServerIndex>(sid);
-            const auto site = static_cast<sys::SiteIndex>(site_id);
-            double hops = 0.0;
-            bool served_locally = false;
-            bool cache_eligible = false;
-            bool cache_hit = false;
-            auto cause = obs::EventCause::kReplica;
-            if (result.placement.is_replicated(server, site)) {
-              served_locally = true;
-            } else {
-              // Same draw order as healthy_step: one bernoulli per
-              // non-replicated request.
-              const bool flagged =
-                  st.lambda_rng.bernoulli(site_lambda[site_id]);
-              const cache::ObjectKey key = catalog.object_id(site_id, rank);
-              const std::uint64_t bytes =
-                  catalog.object_bytes(site_id, rank);
-              // Round-robin ownership makes the cache index a division.
-              cache::CachePolicy& cache = *st.caches[sid / shards];
-              if (flagged && uncacheable_mode) {
-                hops = result.nearest.cost(server, site);
-                cause = obs::EventCause::kUncacheable;
-              } else if (flagged) {
-                cache.access(key, bytes);  // refreshed copy stays cached
-                hops = result.nearest.cost(server, site);
-                cause = obs::EventCause::kStaleRefresh;
-              } else {
-                cache_eligible = true;
-                cache_hit = cache.access(key, bytes);
-                if (cache_hit) {
-                  served_locally = true;
-                  cause = obs::EventCause::kCacheHit;
-                } else {
-                  hops = result.nearest.cost(server, site);
-                  cause = obs::EventCause::kCacheMiss;
-                }
-              }
-            }
-            if (!measured_chunk) continue;
-
-            const double latency_ms = config.latency.latency_ms(hops);
-            out.latency.add(latency_ms);
-            out.hop_sum += hops;
-            if (served_locally) ++out.local;
-            if (cache_eligible) {
-              ++out.eligible;
-              if (cache_hit) ++out.eligible_hits;
-            }
-            if (slo_active && latency_ms > config.slo_ms) {
-              ++out.slo_violations;
-            }
-            ++out.causes[static_cast<std::size_t>(cause)];
-            if (win != nullptr) {
-              ++win->requests;
-              win->hops += hops;
-              win->latency_ms += latency_ms;
-              if (served_locally) ++win->local;
-              if (cache_eligible) {
-                ++win->eligible;
-                if (cache_hit) ++win->eligible_hits;
-              }
-            }
-            if (per_server) {
-              out.server_latency[sid / shards].observe(latency_ms);
-            }
-          }
-          t = cend;
-        }
-        st.t = t;
-      };
-      util::parallel_for(pool, 0, shards, run_interval);
-
-      if (!recovery_active && !progress_active) continue;
-      obs::ScopedSpan barrier_span(spans, sp_barrier, "sim");
-      std::uint64_t done = 0;
-      for (const ShardState& st : states) done += st.t;
-      if (recovery_active) {
-        const bool stop_requested =
-            poll_stop && config.stop->load(std::memory_order_relaxed);
-        bool write = !config.checkpoint_path.empty() &&
-                     (config.checkpoint_every_requests > 0 || stop_requested);
-        if (!write && !config.checkpoint_path.empty() &&
-            config.checkpoint_every_seconds > 0.0) {
-          write =
-              std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            last_checkpoint_time)
-                  .count() >= config.checkpoint_every_seconds;
-        }
-        if (write && done > last_written_done) {
-          write_checkpoint();
-          last_written_done = done;
-          ++checkpoints_written;
-          last_checkpoint_request = done;
-        }
-        if (stop_requested) {
-          throw recover::Interrupted(done, config.checkpoint_path);
-        }
-      }
-      if (progress_active && done >= next_progress) {
-        next_progress = done + config.progress_every;
-        SimulationProgress p;
-        p.completed = done;
-        p.total = total;
-        p.warming_up = done < warmup_total;
-        std::uint64_t el = 0;
-        std::uint64_t el_hits = 0;
-        for (const ShardResult& r : results) {
-          el += r.eligible;
-          el_hits += r.eligible_hits;
-        }
-        p.hit_ratio_known = el > 0;
-        if (p.hit_ratio_known) {
-          p.hit_ratio =
-              static_cast<double>(el_hits) / static_cast<double>(el);
-        }
-        const double elapsed =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          run_start)
-                .count();
-        if (elapsed > 0.0 && done > resume_base) {
-          p.requests_per_sec =
-              static_cast<double>(done - resume_base) / elapsed;
-          p.eta_seconds =
-              static_cast<double>(total - done) / p.requests_per_sec;
-        }
-        p.checkpoints_written = checkpoints_written;
-        p.last_checkpoint_request = last_checkpoint_request;
-        config.progress(p);
-      }
-    }
-  }
-
-  for (std::size_t s = 0; s < shards; ++s) {
-    if (plan.requests[s] == 0) continue;
-    ShardResult& out = results[s];
-    out.measured = plan.requests[s] - shard_warmup[s];
-    out.cache_stats.reserve(states[s].caches.size());
-    for (const auto& c : states[s].caches) out.cache_stats.push_back(c->stats());
-  }
-
+  obs::ScopedSpan run_span(spans, span_name("run"), "sim");
+  run.run();
   run_timer.stop();
   run_span.stop();
+
   obs::ScopedTimer report_timer(t_report);
-  obs::ScopedSpan report_span(spans, sp_report, "sim");
-  obs::ScopedSpan merge_span(spans, sp_merge, "sim");
-
-  // --- Deterministic merge, fixed shard-index order 0..S-1. ---
-  SimulationReport report;
-  report.total_requests = total;
-  report.shards_used = shards;
-  report.latency_cdf.use_sketch(config.latency_sketch_error);
-
-  double hop_sum = 0.0;
-  std::uint64_t local = 0;
-  std::uint64_t eligible = 0;
-  std::uint64_t eligible_hits = 0;
-  std::uint64_t slo_violations = 0;
-  std::array<std::uint64_t, obs::kEventCauseCount> causes{};
-  std::vector<detail::WindowAccumulator> windows(window_count);
-  report.server_cache_stats.resize(n);
-  for (std::size_t s = 0; s < shards; ++s) {
-    const ShardResult& r = results[s];
-    if (plan.requests[s] == 0) continue;
-    report.measured_requests += r.measured;
-    report.latency_cdf.merge(r.latency);
-    hop_sum += r.hop_sum;
-    local += r.local;
-    eligible += r.eligible;
-    eligible_hits += r.eligible_hits;
-    slo_violations += r.slo_violations;
-    for (std::size_t c = 0; c < causes.size(); ++c) causes[c] += r.causes[c];
-    for (std::size_t w = 0; w < window_count; ++w) windows[w] += r.windows[w];
-    for (std::size_t l = 0; l < plan.servers[s].size(); ++l) {
-      report.server_cache_stats[plan.servers[s][l]] = r.cache_stats[l];
-    }
-  }
-  // Fleet totals in global server order, matching the sequential engine.
-  for (const cache::CacheStats& stats : report.server_cache_stats) {
-    report.cache_totals.merge(stats);
-  }
-  merge_span.stop();
-
-  const double measured = static_cast<double>(report.measured_requests);
-  report.mean_latency_ms =
-      report.latency_cdf.empty() ? 0.0 : report.latency_cdf.mean();
-  report.mean_cost_hops = hop_sum / measured;
-  report.local_ratio = static_cast<double>(local) / measured;
-  report.cache_hit_ratio =
-      eligible ? static_cast<double>(eligible_hits) /
-                     static_cast<double>(eligible)
-               : 0.0;
-  report.slo_violation_fraction =
-      slo_active ? static_cast<double>(slo_violations) / measured : 0.0;
-
-  if (instrumented) {
-    detail::WindowSeries win_series;
-    win_series.resolve(*metrics, prefix);
-    for (const detail::WindowAccumulator& win : windows) {
-      if (win.requests > 0) win_series.flush(win);
-    }
-    for (const auto cause :
-         {obs::EventCause::kReplica, obs::EventCause::kCacheHit,
-          obs::EventCause::kCacheMiss, obs::EventCause::kStaleRefresh,
-          obs::EventCause::kUncacheable}) {
-      metrics->counter(prefix + "cause/" + obs::to_string(cause))
-          .add(causes[static_cast<std::size_t>(cause)]);
-    }
-    if (per_server) {
-      // Global server order, one histogram per server even when its shard
-      // saw no traffic — the same snapshot layout as the sequential engine.
-      for (std::size_t i = 0; i < n; ++i) {
-        obs::Histogram& h = metrics->histogram(
-            prefix + "server/" + std::to_string(i) + "/latency_ms",
-            obs::default_latency_bounds_ms());
-        const std::size_t s = i % shards;
-        if (plan.requests[s] > 0) {
-          h.merge(results[s].server_latency[i / shards]);
-        }
-      }
-    }
-    metrics->gauge(prefix + "parallel/threads")
-        .set(static_cast<double>(threads));
-    metrics->gauge(prefix + "parallel/shards")
-        .set(static_cast<double>(shards));
-    for (std::size_t s = 0; s < shards; ++s) {
-      metrics->counter(prefix + "shard/" + std::to_string(s) + "/requests")
-          .add(plan.requests[s]);
-    }
-    detail::publish_summary_metrics(*metrics, prefix, config, report,
-                                    slo_active, /*faults_active=*/false);
-  }
-  return report;
+  obs::ScopedSpan report_span(spans, span_name("report"), "sim");
+  return run.merge();
 }
 
 }  // namespace cdn::sim

@@ -1,4 +1,4 @@
-// Parallel sharded simulation engine.
+// The event engine: every per-request simulation runs here.
 //
 // The reference stream is i.i.d. (Section 3.2), so it decomposes exactly by
 // first-hop server: partition the servers into S shards, split the total
@@ -9,9 +9,12 @@
 // deterministic function of (seed, shards) — the thread count only changes
 // the execution schedule, never a result bit.
 //
-// Healthy synthetic runs only: a fault schedule, trace replay or a trace
-// sink needs the global request clock and stays on the sequential engine
-// (simulate() dispatches).
+// The one-shard case is the reference run.  One shard owns every server and
+// the whole stream, runs on the calling thread, is seeded from the plain
+// config seed and keeps exact latency samples; a multi-shard run is
+// statistically equivalent to it.  Runs with one thread take it, and so do
+// fault schedules, trace replay and trace sinks, which need the global
+// request clock.
 
 #pragma once
 
@@ -23,7 +26,7 @@
 
 namespace cdn::sim {
 
-/// First-hop partition of one parallel run.
+/// First-hop partition of one sharded run.
 struct ShardPlan {
   /// servers[s] = ascending global ids owned by shard s (round-robin:
   /// server i belongs to shard i % S, so the local index is i / S).
@@ -45,11 +48,23 @@ ShardPlan plan_shards(const workload::DemandMatrix& demand,
 std::size_t resolve_shard_count(std::size_t configured, std::size_t threads,
                                 std::size_t server_count);
 
-/// Runs the sharded engine.  Called by simulate() when threads > 1 and the
-/// run is healthy + synthetic; not part of the public API.
-SimulationReport simulate_parallel(const sys::CdnSystem& system,
-                                   const placement::PlacementResult& result,
-                                   const SimulationConfig& config,
-                                   std::size_t threads);
+/// How simulate() splits an event run.
+struct EventShape {
+  /// The one-shard reference run (see the file comment).
+  bool reference = true;
+  /// Resolved worker threads (0 in the config = one per hardware thread).
+  std::size_t threads = 1;
+  std::size_t shards = 1;
+};
+
+/// The shape of `config`'s event run over `server_count` servers.
+EventShape event_shape(const SimulationConfig& config,
+                       std::size_t server_count);
+
+/// Runs the event engine.  Called by simulate() for SimEngine::kEvent; not
+/// part of the public API.
+SimulationReport simulate_events(const sys::CdnSystem& system,
+                                 const placement::PlacementResult& result,
+                                 const SimulationConfig& config);
 
 }  // namespace cdn::sim

@@ -4,6 +4,7 @@
 
 #include "src/cdn/system.h"
 #include "src/fault/fault_schedule.h"
+#include "src/sim/shard_engine.h"
 #include "src/workload/trace_io.h"
 
 namespace cdn::sim {
@@ -137,10 +138,12 @@ std::uint64_t faults_hash(const SimulationConfig& config) {
   return util::fnv1a(text.data(), text.size());
 }
 
-std::uint64_t engine_hash(EngineKind engine, std::size_t shards) {
+std::uint64_t engine_hash(const sys::CdnSystem& system,
+                          const SimulationConfig& config) {
+  const EventShape shape = event_shape(config, system.server_count());
   util::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(engine));
-  w.u64(shards);
+  w.u8(shape.reference ? 0 : 1);
+  w.u64(shape.shards);
   return hash_of(w);
 }
 
@@ -148,13 +151,13 @@ std::uint64_t engine_hash(EngineKind engine, std::size_t shards) {
 
 std::vector<recover::FingerprintSection> checkpoint_fingerprint(
     const sys::CdnSystem& system, const placement::PlacementResult& result,
-    const SimulationConfig& config, EngineKind engine, std::size_t shards) {
+    const SimulationConfig& config) {
   return {
       {"config", config_hash(config)},
       {"system", system_hash(system)},
       {"placement", placement_hash(system, result)},
       {"faults", faults_hash(config)},
-      {"engine", engine_hash(engine, shards)},
+      {"engine", engine_hash(system, config)},
   };
 }
 

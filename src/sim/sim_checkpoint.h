@@ -1,7 +1,7 @@
-// Checkpoint support of the simulation engines (see docs/RECOVERY.md):
-// the fingerprint of a run's immutable inputs, shared state-serialisation
-// helpers, and the canonical byte form of a SimulationReport used by the
-// byte-identity tests and the CI kill-and-resume diff.
+// Checkpoint support of the event engine (see docs/RECOVERY.md): the
+// fingerprint of a run's immutable inputs, and the canonical byte form of a
+// SimulationReport used by the byte-identity tests and the CI
+// kill-and-resume diff.
 
 #pragma once
 
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/recover/checkpoint.h"
-#include "src/sim/sim_internal.h"
 #include "src/sim/simulator.h"
 
 namespace cdn::sim {
@@ -24,52 +23,14 @@ std::uint64_t report_digest(const SimulationReport& report);
 
 namespace detail {
 
-/// Which engine wrote a checkpoint.  Part of the fingerprint: a sequential
-/// checkpoint cannot resume a parallel run or vice versa, and the parallel
-/// shard count must match exactly (the thread count may differ — it never
-/// affects a result bit).
-enum class EngineKind : std::uint8_t { kSequential = 0, kParallel = 1 };
-
 /// Computes the named fingerprint sections of one run: "config", "system",
-/// "placement", "faults" and "engine".  Resume recomputes these and lets
+/// "placement", "faults" and "engine" (the event_shape: one reference shard
+/// or S substream shards — the thread count never affects a result bit,
+/// so it is left out).  Resume recomputes these and lets
 /// recover::check_fingerprint diff them against the file's.
 std::vector<recover::FingerprintSection> checkpoint_fingerprint(
     const sys::CdnSystem& system, const placement::PlacementResult& result,
-    const SimulationConfig& config, EngineKind engine, std::size_t shards);
-
-inline void save_rng(util::ByteWriter& w, const util::Rng& rng) {
-  for (const std::uint64_t word : rng.state()) w.u64(word);
-}
-
-inline void restore_rng(util::ByteReader& r, util::Rng& rng) {
-  std::array<std::uint64_t, 4> state;
-  for (auto& word : state) word = r.u64();
-  rng.set_state(state);
-}
-
-inline void save_window(util::ByteWriter& w, const WindowAccumulator& win) {
-  w.u64(win.requests);
-  w.u64(win.local);
-  w.u64(win.eligible);
-  w.u64(win.eligible_hits);
-  w.f64(win.hops);
-  w.f64(win.latency_ms);
-  w.u64(win.failed);
-  w.u64(win.failover);
-  w.f64(win.degraded_latency_ms);
-}
-
-inline void restore_window(util::ByteReader& r, WindowAccumulator& win) {
-  win.requests = r.u64();
-  win.local = r.u64();
-  win.eligible = r.u64();
-  win.eligible_hits = r.u64();
-  win.hops = r.f64();
-  win.latency_ms = r.f64();
-  win.failed = r.u64();
-  win.failover = r.u64();
-  win.degraded_latency_ms = r.f64();
-}
+    const SimulationConfig& config);
 
 }  // namespace detail
 }  // namespace cdn::sim

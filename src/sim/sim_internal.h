@@ -1,175 +1,18 @@
-// Internals shared by the sequential simulator (simulator.cpp) and the
-// parallel sharded engine (shard_engine.cpp): the measured-window
-// accumulator and its series flush, the healthy-mode per-request step, the
-// end-of-run metric publication, and the seed derivation of per-shard RNG
-// substreams.  Not part of the public sim API.
+// The end-of-run summary metrics the event engine (shard_engine.cpp) and
+// the flow engine (flow_engine.cpp) both publish.  Not part of the public
+// sim API.
 
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <thread>
 
-#include "src/cache/cache_policy.h"
 #include "src/obs/registry.h"
-#include "src/obs/trace.h"
-#include "src/placement/placement_result.h"
 #include "src/sim/simulator.h"
-#include "src/util/rng.h"
-#include "src/workload/request_stream.h"
-#include "src/workload/site_catalog.h"
 
 namespace cdn::sim::detail {
 
-/// Measured-window accumulator, flushed into the registry's per-window
-/// series every measured/metrics_windows requests.  The parallel engine
-/// keeps one vector of these per shard and sums them per window index.
-struct WindowAccumulator {
-  std::uint64_t requests = 0;
-  std::uint64_t local = 0;
-  std::uint64_t eligible = 0;
-  std::uint64_t eligible_hits = 0;
-  double hops = 0.0;
-  double latency_ms = 0.0;
-  // Degraded-mode extras (stay zero on a healthy run).
-  std::uint64_t failed = 0;
-  std::uint64_t failover = 0;
-  double degraded_latency_ms = 0.0;  // latency sum of failover requests
-
-  WindowAccumulator& operator+=(const WindowAccumulator& o) {
-    requests += o.requests;
-    local += o.local;
-    eligible += o.eligible;
-    eligible_hits += o.eligible_hits;
-    hops += o.hops;
-    latency_ms += o.latency_ms;
-    failed += o.failed;
-    failover += o.failover;
-    degraded_latency_ms += o.degraded_latency_ms;
-    return *this;
-  }
-};
-
-/// Resolved series pointers of the per-window time series (all null when
-/// metrics are disabled; the fault series are additionally null when no
-/// fault schedule is active, keeping healthy snapshots unchanged).
-struct WindowSeries {
-  obs::Series* requests = nullptr;
-  obs::Series* local = nullptr;
-  obs::Series* eligible = nullptr;
-  obs::Series* eligible_hits = nullptr;
-  obs::Series* hops = nullptr;
-  obs::Series* hit_ratio = nullptr;
-  obs::Series* local_ratio = nullptr;
-  obs::Series* mean_hops = nullptr;
-  obs::Series* mean_latency_ms = nullptr;
-  obs::Series* failed = nullptr;
-  obs::Series* failover = nullptr;
-  obs::Series* availability = nullptr;
-  obs::Series* degraded_mean_latency_ms = nullptr;
-
-  /// Resolves the healthy-run series under `prefix` in `metrics`.
-  void resolve(obs::Registry& metrics, const std::string& prefix) {
-    requests = &metrics.series(prefix + "window/requests");
-    local = &metrics.series(prefix + "window/local");
-    eligible = &metrics.series(prefix + "window/eligible");
-    eligible_hits = &metrics.series(prefix + "window/eligible_hits");
-    hops = &metrics.series(prefix + "window/hops");
-    hit_ratio = &metrics.series(prefix + "window/hit_ratio");
-    local_ratio = &metrics.series(prefix + "window/local_ratio");
-    mean_hops = &metrics.series(prefix + "window/mean_hops");
-    mean_latency_ms = &metrics.series(prefix + "window/mean_latency_ms");
-  }
-
-  void flush(const WindowAccumulator& win) const {
-    const double n = static_cast<double>(win.requests);
-    // Failed requests never complete, so they are excluded from the mean
-    // latency (they are 0 on a healthy run, keeping the division intact).
-    const double completed = static_cast<double>(win.requests - win.failed);
-    requests->push(n);
-    local->push(static_cast<double>(win.local));
-    eligible->push(static_cast<double>(win.eligible));
-    eligible_hits->push(static_cast<double>(win.eligible_hits));
-    hops->push(win.hops);
-    hit_ratio->push(win.eligible ? static_cast<double>(win.eligible_hits) /
-                                       static_cast<double>(win.eligible)
-                                 : 0.0);
-    local_ratio->push(win.requests ? static_cast<double>(win.local) / n : 0.0);
-    mean_hops->push(win.requests ? win.hops / n : 0.0);
-    mean_latency_ms->push(completed > 0.0 ? win.latency_ms / completed : 0.0);
-    if (failed != nullptr) {
-      failed->push(static_cast<double>(win.failed));
-      failover->push(static_cast<double>(win.failover));
-      availability->push(
-          win.requests ? 1.0 - static_cast<double>(win.failed) / n : 1.0);
-      degraded_mean_latency_ms->push(
-          win.failover ? win.degraded_latency_ms /
-                             static_cast<double>(win.failover)
-                       : 0.0);
-    }
-  }
-};
-
-/// Outcome of one healthy-mode (no faults) request.
-struct HealthyOutcome {
-  double hops = 0.0;
-  bool served_locally = false;
-  bool cache_eligible = false;
-  bool cache_hit = false;
-  obs::EventCause cause = obs::EventCause::kReplica;
-};
-
-/// Serves one request when every server is up: a replicated site or a cache
-/// hit stays local, anything else pays the precomputed redirect cost.  The
-/// RNG draw order (one bernoulli per non-replicated request, nothing for
-/// replicated ones) is the contract that keeps the sequential path
-/// bit-identical and the shard decomposition exact.
-inline HealthyOutcome healthy_step(const workload::SiteCatalog& catalog,
-                                   const placement::PlacementResult& result,
-                                   cache::CachePolicy& cache,
-                                   util::Rng& lambda_rng,
-                                   const workload::Request& req,
-                                   StalenessMode staleness) {
-  const auto server = static_cast<sys::ServerIndex>(req.server);
-  const auto site = static_cast<sys::SiteIndex>(req.site);
-  HealthyOutcome o;
-  if (result.placement.is_replicated(server, site)) {
-    // Replicas are always consistent (the CDN pushes invalidations to
-    // them); even flagged requests are served locally.
-    o.served_locally = true;
-    return o;
-  }
-  const bool flagged =
-      lambda_rng.bernoulli(catalog.uncacheable_fraction(req.site));
-  const cache::ObjectKey key = catalog.object_id(req.site, req.rank);
-  const std::uint64_t bytes = catalog.object_bytes(req.site, req.rank);
-  const double redirect = result.nearest.cost(server, site);
-  if (flagged && staleness == StalenessMode::kUncacheable) {
-    // Never cached; straight to the nearest copy.
-    o.hops = redirect;
-    o.cause = obs::EventCause::kUncacheable;
-  } else if (flagged) {
-    // kRefresh: must touch the remote copy; the (re-)fetched object stays
-    // cached with updated recency.
-    cache.access(key, bytes);
-    o.hops = redirect;
-    o.cause = obs::EventCause::kStaleRefresh;
-  } else {
-    o.cache_eligible = true;
-    o.cache_hit = cache.access(key, bytes);
-    if (o.cache_hit) {
-      o.served_locally = true;
-      o.cause = obs::EventCause::kCacheHit;
-    } else {
-      o.hops = redirect;
-      o.cause = obs::EventCause::kCacheMiss;
-    }
-  }
-  return o;
-}
-
-/// End-of-run summary metrics, shared verbatim by both engines so a
-/// parallel snapshot has the same layout as a sequential one.
+/// End-of-run summary metrics, shared verbatim by the event and flow
+/// engines so their snapshots have the same layout.
 inline void publish_summary_metrics(obs::Registry& metrics,
                                     const std::string& prefix,
                                     const SimulationConfig& config,
@@ -207,21 +50,6 @@ inline void publish_summary_metrics(obs::Registry& metrics,
           .set(report.server_cache_stats[i].hit_ratio());
     }
   }
-}
-
-/// Resolves the configured thread count (0 = one per hardware thread).
-inline std::size_t resolve_threads(std::size_t configured) {
-  if (configured != 0) return configured;
-  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
-}
-
-/// Independent substream seed for (seed, shard, salt) — SplitMix64 over a
-/// salted mix, the same construction as util::Rng::fork but reproducible
-/// from the plain config seed.
-inline std::uint64_t substream_seed(std::uint64_t seed, std::uint64_t stream,
-                                    std::uint64_t salt) noexcept {
-  std::uint64_t mix = seed ^ (salt * (stream + 1));
-  return util::splitmix64(mix);
 }
 
 }  // namespace cdn::sim::detail

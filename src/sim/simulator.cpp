@@ -1,20 +1,10 @@
 #include "src/sim/simulator.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <limits>
-#include <optional>
 
-#include "src/obs/scoped_timer.h"
-#include "src/recover/checkpoint.h"
 #include "src/sim/flow_engine.h"
 #include "src/sim/shard_engine.h"
-#include "src/sim/sim_checkpoint.h"
-#include "src/sim/sim_internal.h"
 #include "src/util/error.h"
-#include "src/util/rng.h"
-#include "src/workload/request_stream.h"
 
 namespace cdn::sim {
 
@@ -72,843 +62,10 @@ SimulationReport simulate(const sys::CdnSystem& system,
                           const placement::PlacementResult& result,
                           const SimulationConfig& config) {
   config.validate();
-
   if (config.engine == SimEngine::kFlow) {
     return simulate_flow(system, result, config);
   }
-
-  // Healthy synthetic runs may shard; a fault schedule, trace replay or a
-  // trace sink needs the global request clock and keeps the sequential
-  // reference engine below.
-  const bool faults_active =
-      config.faults != nullptr && !config.faults->empty();
-  const std::size_t threads = detail::resolve_threads(config.threads);
-  if (threads > 1 && config.trace == nullptr && !faults_active &&
-      config.trace_sink == nullptr) {
-    return simulate_parallel(system, result, config, threads);
-  }
-
-  const auto& catalog = system.catalog();
-  const std::size_t n = system.server_count();
-  const std::size_t m = system.site_count();
-
-  obs::Registry* const metrics = config.metrics;
-  const std::string& prefix = config.metrics_prefix;
-  obs::TimerStat* const t_setup =
-      metrics ? &metrics->timer(prefix + "phase/setup") : nullptr;
-  obs::TimerStat* const t_run =
-      metrics ? &metrics->timer(prefix + "phase/run") : nullptr;
-  obs::TimerStat* const t_report =
-      metrics ? &metrics->timer(prefix + "phase/report") : nullptr;
-
-  // Span names are interned once here; the loop only ever records on rare
-  // events (checkpoint writes, fault transitions), never per request.
-  obs::SpanTracer* const spans = config.spans;
-  const char* sp_setup = nullptr;
-  const char* sp_run = nullptr;
-  const char* sp_report = nullptr;
-  const char* sp_checkpoint = nullptr;
-  const char* sp_resume = nullptr;
-  const char* sp_fault = nullptr;
-  if (spans != nullptr) {
-    sp_setup = spans->intern(prefix + "setup");
-    sp_run = spans->intern(prefix + "run");
-    sp_report = spans->intern(prefix + "report");
-    sp_checkpoint = spans->intern(prefix + "checkpoint/write");
-    sp_resume = spans->intern(prefix + "checkpoint/resume");
-    sp_fault = spans->intern(prefix + "fault/transition");
-  }
-
-  obs::ScopedTimer setup_timer(t_setup);
-  obs::ScopedSpan setup_span(spans, sp_setup, "sim");
-
-  // One cache per server, sized by what the placement left free.
-  std::vector<std::unique_ptr<cache::CachePolicy>> caches;
-  caches.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    caches.push_back(cache::make_cache(
-        config.policy,
-        result.cache_bytes(static_cast<sys::ServerIndex>(i))));
-  }
-
-  workload::RequestStream stream(catalog, system.demand(), config.seed,
-                                 config.stream_locality);
-  util::Rng lambda_rng(config.seed ^ 0x5bd1e995u);
-
-  std::uint64_t total = config.total_requests;
-  if (config.trace != nullptr) {
-    config.trace->validate(n, catalog.site_count(),
-                           catalog.objects_per_site());
-    total = config.trace->size();
-  }
-  const std::uint64_t warmup = static_cast<std::uint64_t>(
-      config.warmup_fraction * static_cast<double>(total));
-  const std::uint64_t measured_total = total - warmup;
-  CDN_CHECK(measured_total > 0, "warm-up consumed every request");
-
-  // --- Fault-injection state (inactive = the healthy fast path). ---
-  std::optional<fault::FaultTimeline> timeline;
-  std::vector<std::vector<sys::ServerIndex>> holders;
-  util::Rng surge_rng(config.seed ^ 0x9e3779b9u);
-  if (faults_active) {
-    timeline.emplace(*config.faults, n, m);
-    holders.resize(m);
-    for (std::size_t j = 0; j < m; ++j) {
-      holders[j] =
-          result.placement.replicators(static_cast<sys::SiteIndex>(j));
-    }
-  }
-  const bool slo_active = config.slo_ms > 0.0;
-
-  SimulationReport report;
-  report.total_requests = total;
-  report.latency_cdf.reserve(measured_total);
-
-  // --- Resolve every metric ONCE; the request loop only dereferences. ---
-  const bool instrumented = metrics != nullptr;
-  detail::WindowSeries win_series;
-  obs::Counter* cause_counter[obs::kEventCauseCount] = {};
-  obs::Counter* c_retries = nullptr;
-  std::vector<obs::Histogram*> server_latency;
-  std::uint64_t next_window_flush = total;  // sentinel: never inside the loop
-  std::uint64_t window_index = 0;
-  const std::size_t window_count =
-      instrumented
-          ? std::max<std::size_t>(
-                1, std::min<std::size_t>(config.metrics_windows,
-                                         measured_total))
-          : 0;
-  if (instrumented) {
-    win_series.resolve(*metrics, prefix);
-    for (const auto cause :
-         {obs::EventCause::kReplica, obs::EventCause::kCacheHit,
-          obs::EventCause::kCacheMiss, obs::EventCause::kStaleRefresh,
-          obs::EventCause::kUncacheable}) {
-      cause_counter[static_cast<std::size_t>(cause)] = &metrics->counter(
-          prefix + "cause/" + obs::to_string(cause));
-    }
-    if (faults_active) {
-      // Fault metrics only exist when a schedule is active, so healthy
-      // snapshots stay byte-identical to the pre-fault simulator's.
-      for (const auto cause :
-           {obs::EventCause::kFailover, obs::EventCause::kFailed}) {
-        cause_counter[static_cast<std::size_t>(cause)] = &metrics->counter(
-            prefix + "cause/" + obs::to_string(cause));
-      }
-      c_retries = &metrics->counter(prefix + "fault/retries");
-      win_series.failed = &metrics->series(prefix + "window/failed");
-      win_series.failover = &metrics->series(prefix + "window/failover");
-      win_series.availability =
-          &metrics->series(prefix + "window/availability");
-      win_series.degraded_mean_latency_ms =
-          &metrics->series(prefix + "window/degraded_mean_latency_ms");
-    }
-    if (config.per_server_metrics) {
-      server_latency.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        server_latency[i] = &metrics->histogram(
-            prefix + "server/" + std::to_string(i) + "/latency_ms",
-            obs::default_latency_bounds_ms());
-      }
-    }
-    // Window w covers [warmup + w*M/W, warmup + (w+1)*M/W); the last
-    // boundary is exactly `total`, so every measured request lands in a
-    // window and the flushed series sum back to the aggregates.
-    next_window_flush = warmup + measured_total / window_count;
-  }
-  detail::WindowAccumulator win;
-
-  obs::TraceSink* const trace_sink = config.trace_sink;
-  std::uint64_t next_progress =
-      config.progress_every > 0 && config.progress
-          ? config.progress_every
-          : std::numeric_limits<std::uint64_t>::max();
-
-  setup_timer.stop();
-  setup_span.stop();
-  obs::ScopedTimer run_timer(t_run);
-  obs::ScopedSpan run_span(spans, sp_run, "sim");
-
-  double hop_sum = 0.0;
-  std::uint64_t local = 0;
-  std::uint64_t eligible = 0;
-  std::uint64_t eligible_hits = 0;
-  std::uint64_t failed_total = 0;
-  std::uint64_t failover_total = 0;
-  std::uint64_t retries_total = 0;
-  std::uint64_t slo_violations = 0;
-
-  // --- Crash safety (see docs/RECOVERY.md).  All of this is setup-time
-  // work; with no checkpoint path, resume path, or stop flag the request
-  // loop pays exactly one never-taken sentinel compare per request. ---
-  const bool recovery_active = !config.checkpoint_path.empty() ||
-                               !config.resume_path.empty() ||
-                               config.stop != nullptr;
-  std::vector<detail::WindowAccumulator> flushed_windows;
-  std::vector<recover::FingerprintSection> fingerprint;
-  if (recovery_active) {
-    fingerprint = detail::checkpoint_fingerprint(
-        system, result, config, detail::EngineKind::kSequential, 1);
-  }
-  obs::Counter* rc_written = nullptr;
-  obs::Counter* rc_bytes = nullptr;
-  obs::Gauge* rc_last_ms = nullptr;
-  if (instrumented && recovery_active) {
-    rc_written = &metrics->counter(prefix + "recover/checkpoints_written");
-    rc_bytes = &metrics->counter(prefix + "recover/bytes");
-    rc_last_ms = &metrics->gauge(prefix + "recover/last_checkpoint_ms");
-  }
-
-  const auto save_engine_state = [&](util::ByteWriter& w,
-                                     std::uint64_t next_t) {
-    w.u64(next_t);
-    stream.save_state(w);
-    detail::save_rng(w, lambda_rng);
-    detail::save_rng(w, surge_rng);
-    w.u64(report.cold_restarts);
-    w.f64(hop_sum);
-    w.u64(local);
-    w.u64(eligible);
-    w.u64(eligible_hits);
-    w.u64(failed_total);
-    w.u64(failover_total);
-    w.u64(retries_total);
-    w.u64(slo_violations);
-    w.u64(caches.size());
-    for (const auto& c : caches) c->save_state(w);
-    report.latency_cdf.save_state(w);
-    w.u8(instrumented ? 1 : 0);
-    if (instrumented) {
-      w.u64(window_index);
-      detail::save_window(w, win);
-      w.u64(flushed_windows.size());
-      for (const auto& fw : flushed_windows) detail::save_window(w, fw);
-      for (std::size_t c = 0; c < obs::kEventCauseCount; ++c) {
-        w.u64(cause_counter[c] != nullptr ? cause_counter[c]->value() : 0);
-      }
-      w.u64(c_retries != nullptr ? c_retries->value() : 0);
-      w.u8(server_latency.empty() ? 0 : 1);
-      if (!server_latency.empty()) {
-        w.u64(server_latency.size());
-        for (const obs::Histogram* h : server_latency) h->save_state(w);
-      }
-    }
-    w.u8(trace_sink != nullptr ? 1 : 0);
-    if (trace_sink != nullptr) trace_sink->save_state(w);
-  };
-
-  const auto restore_engine_state =
-      [&](util::ByteReader& r) -> std::uint64_t {
-    const std::uint64_t resumed_t = r.u64();
-    CDN_EXPECT(resumed_t <= total,
-               "checkpoint request index exceeds the run length");
-    stream.restore_state(r);
-    detail::restore_rng(r, lambda_rng);
-    detail::restore_rng(r, surge_rng);
-    report.cold_restarts = r.u64();
-    hop_sum = r.f64();
-    local = r.u64();
-    eligible = r.u64();
-    eligible_hits = r.u64();
-    failed_total = r.u64();
-    failover_total = r.u64();
-    retries_total = r.u64();
-    slo_violations = r.u64();
-    const std::uint64_t cache_count = r.u64();
-    CDN_EXPECT(cache_count == caches.size(),
-               "checkpoint server count mismatch");
-    for (auto& c : caches) c->restore_state(r);
-    report.latency_cdf.restore_state(r);
-    const bool had_metrics = r.u8() != 0;
-    CDN_EXPECT(had_metrics == instrumented,
-               "checkpoint metrics presence mismatch");
-    if (instrumented) {
-      window_index = r.u64();
-      detail::restore_window(r, win);
-      const std::uint64_t flushed = r.u64();
-      CDN_EXPECT(flushed <= window_count,
-                 "checkpoint flushed-window count exceeds the window count");
-      flushed_windows.clear();
-      for (std::uint64_t i = 0; i < flushed; ++i) {
-        detail::WindowAccumulator fw;
-        detail::restore_window(r, fw);
-        // Replay pre-kill flushes into the fresh registry so the final
-        // per-window series match an uninterrupted run's.
-        win_series.flush(fw);
-        flushed_windows.push_back(fw);
-      }
-      next_window_flush =
-          warmup + (window_index + 1) * measured_total / window_count;
-      for (std::size_t c = 0; c < obs::kEventCauseCount; ++c) {
-        const std::uint64_t v = r.u64();
-        if (cause_counter[c] != nullptr && v > 0) cause_counter[c]->add(v);
-      }
-      const std::uint64_t saved_retries = r.u64();
-      if (c_retries != nullptr && saved_retries > 0) {
-        c_retries->add(saved_retries);
-      }
-      const bool had_server = r.u8() != 0;
-      CDN_EXPECT(had_server == !server_latency.empty(),
-                 "checkpoint per-server metrics mismatch");
-      if (had_server) {
-        const std::uint64_t histograms = r.u64();
-        CDN_EXPECT(histograms == server_latency.size(),
-                   "checkpoint per-server histogram count mismatch");
-        for (obs::Histogram* h : server_latency) h->restore_state(r);
-      }
-    }
-    const bool had_sink = r.u8() != 0;
-    CDN_EXPECT(had_sink == (trace_sink != nullptr),
-               "checkpoint trace sink presence mismatch");
-    if (trace_sink != nullptr) trace_sink->restore_state(r);
-    CDN_EXPECT(r.done(), "checkpoint payload has trailing bytes");
-    return resumed_t;
-  };
-
-  auto last_checkpoint_time = std::chrono::steady_clock::now();
-  std::uint64_t checkpoints_written = 0;
-  std::uint64_t last_checkpoint_request = 0;
-  const auto write_checkpoint = [&](std::uint64_t next_t) {
-    obs::ScopedSpan ckpt_span(spans, sp_checkpoint, "recover");
-    ckpt_span.arg("request", static_cast<double>(next_t));
-    const auto write_start = std::chrono::steady_clock::now();
-    recover::Checkpoint ckpt;
-    ckpt.fingerprint = fingerprint;
-    util::ByteWriter w;
-    save_engine_state(w, next_t);
-    ckpt.payload = w.buffer();
-    const std::uint64_t bytes =
-        recover::write_file(config.checkpoint_path, ckpt);
-    last_checkpoint_time = std::chrono::steady_clock::now();
-    ++checkpoints_written;
-    last_checkpoint_request = next_t;
-    if (rc_written != nullptr) {
-      rc_written->add();
-      rc_bytes->add(bytes);
-      rc_last_ms->set(std::chrono::duration<double, std::milli>(
-                          last_checkpoint_time - write_start)
-                          .count());
-    }
-  };
-
-  std::uint64_t t0 = 0;
-  if (!config.resume_path.empty()) {
-    obs::ScopedSpan resume_span(spans, sp_resume, "recover");
-    const recover::Checkpoint ckpt = recover::read_file(config.resume_path);
-    recover::check_fingerprint(ckpt, fingerprint);
-    util::ByteReader reader(ckpt.payload);
-    t0 = restore_engine_state(reader);
-    // The fault timeline is a pure function of (schedule, t): one advance
-    // re-derives the stepper position, depth counters and transition count.
-    // Cold restarts up to t0 are already reflected in the restored caches,
-    // so just_recovered() is deliberately ignored here.
-    if (faults_active && t0 > 0) timeline->advance(t0 - 1);
-    if (next_progress != std::numeric_limits<std::uint64_t>::max() &&
-        t0 >= next_progress) {
-      next_progress = (t0 / config.progress_every + 1) * config.progress_every;
-    }
-    if (instrumented) {
-      metrics->gauge(prefix + "recover/resumed").set(1.0);
-      metrics->gauge(prefix + "recover/resume_request_index")
-          .set(static_cast<double>(t0));
-    }
-    resume_span.arg("request", static_cast<double>(t0));
-  }
-  const std::uint64_t probe_stride = config.checkpoint_every_requests > 0
-                                         ? config.checkpoint_every_requests
-                                         : 4096;
-  std::uint64_t next_recovery_probe =
-      !config.checkpoint_path.empty() || config.stop != nullptr
-          ? (t0 / probe_stride + 1) * probe_stride
-          : std::numeric_limits<std::uint64_t>::max();
-  const auto run_start = std::chrono::steady_clock::now();
-
-  if (config.trace == nullptr && !faults_active) {
-    // --- Data-oriented healthy loop (docs/PERFORMANCE.md). ---
-    //
-    // Requests are generated in SoA batches and served by a tight loop with
-    // every rare-event boundary (warm-up edge, window flush, recovery probe,
-    // progress tick) hoisted out: a chunk always ends exactly at the next
-    // boundary, so the per-request path carries no sentinel compares.
-    // Accounting accumulates in the same order as the per-request reference
-    // loop below — floating-point sums included — so the report and any
-    // checkpoint stay byte-identical (sim_batch_parity_test; trace replay
-    // keeps the reference loop and is the parity anchor).
-    std::vector<double> site_lambda(m);
-    for (std::size_t j = 0; j < m; ++j) {
-      site_lambda[j] =
-          catalog.uncacheable_fraction(static_cast<workload::SiteId>(j));
-    }
-    const bool uncacheable_mode =
-        config.staleness == StalenessMode::kUncacheable;
-    workload::RequestBatch batch;
-    constexpr std::uint64_t kBatchMax = 4096;
-    std::uint64_t cause_counts[obs::kEventCauseCount] = {};
-    std::uint64_t t = t0;
-    while (t < total) {
-      if (t == warmup) {
-        for (auto& c : caches) c->reset_stats();
-      }
-      std::uint64_t end = std::min(total, t + kBatchMax);
-      if (t < warmup) end = std::min(end, warmup);
-      end = std::min(
-          {end, next_window_flush, next_recovery_probe, next_progress});
-      const auto count = static_cast<std::size_t>(end - t);
-      stream.next_batch(batch, count);
-      const bool measured_chunk = t >= warmup;
-      for (std::size_t i = 0; i < count; ++i) {
-        const workload::ServerId sid = batch.server[i];
-        const workload::SiteId site_id = batch.site[i];
-        const std::uint32_t rank = batch.rank[i];
-        const auto server = static_cast<sys::ServerIndex>(sid);
-        const auto site = static_cast<sys::SiteIndex>(site_id);
-        double hops = 0.0;
-        bool served_locally = false;
-        bool cache_eligible = false;
-        bool cache_hit = false;
-        auto cause = obs::EventCause::kReplica;
-        if (result.placement.is_replicated(server, site)) {
-          served_locally = true;
-        } else {
-          // Same RNG draw order as healthy_step: exactly one bernoulli per
-          // non-replicated request (site_lambda holds the exact doubles
-          // uncacheable_fraction returns, so the draws are bit-identical).
-          const bool flagged = lambda_rng.bernoulli(site_lambda[site_id]);
-          const cache::ObjectKey key = catalog.object_id(site_id, rank);
-          const std::uint64_t bytes = catalog.object_bytes(site_id, rank);
-          cache::CachePolicy& cache = *caches[sid];
-          if (flagged && uncacheable_mode) {
-            hops = result.nearest.cost(server, site);
-            cause = obs::EventCause::kUncacheable;
-          } else if (flagged) {
-            cache.access(key, bytes);  // refreshed copy stays cached
-            hops = result.nearest.cost(server, site);
-            cause = obs::EventCause::kStaleRefresh;
-          } else {
-            cache_eligible = true;
-            cache_hit = cache.access(key, bytes);
-            if (cache_hit) {
-              served_locally = true;
-              cause = obs::EventCause::kCacheHit;
-            } else {
-              hops = result.nearest.cost(server, site);
-              cause = obs::EventCause::kCacheMiss;
-            }
-          }
-        }
-        const double latency_ms = config.latency.latency_ms(hops);
-        if (measured_chunk) {
-          report.latency_cdf.add(latency_ms);
-          hop_sum += hops;
-          if (served_locally) ++local;
-          if (cache_eligible) {
-            ++eligible;
-            if (cache_hit) ++eligible_hits;
-          }
-          if (slo_active && latency_ms > config.slo_ms) ++slo_violations;
-          if (instrumented) {
-            ++cause_counts[static_cast<std::size_t>(cause)];
-            if (!server_latency.empty()) {
-              server_latency[sid]->observe(latency_ms);
-            }
-            ++win.requests;
-            win.hops += hops;
-            win.latency_ms += latency_ms;
-            if (served_locally) ++win.local;
-            if (cache_eligible) {
-              ++win.eligible;
-              if (cache_hit) ++win.eligible_hits;
-            }
-          }
-        }
-        if (trace_sink != nullptr && trace_sink->should_sample()) {
-          obs::TraceEvent event;
-          event.t = t + i;
-          event.server = sid;
-          event.site = site_id;
-          event.rank = rank;
-          event.cause = cause;
-          event.measured = measured_chunk;
-          event.hops = hops;
-          event.latency_ms = latency_ms;
-          if (served_locally) {
-            event.served_by = static_cast<std::int32_t>(sid);
-          } else {
-            const sys::NearestCopy& copy =
-                result.nearest.nearest(server, site);
-            event.served_by =
-                copy.at_primary ? -1 : static_cast<std::int32_t>(copy.server);
-          }
-          trace_sink->record(event);
-        }
-      }
-      t = end;
-      // Boundary work, in the reference loop's order: window flush, then
-      // recovery probe, then progress.  Chunks end exactly at boundaries,
-      // so >= here matches the reference's per-request t + 1 >= checks.
-      if (instrumented) {
-        for (std::size_t c = 0; c < obs::kEventCauseCount; ++c) {
-          if (cause_counts[c] > 0) {
-            cause_counter[c]->add(cause_counts[c]);
-            cause_counts[c] = 0;
-          }
-        }
-        if (measured_chunk && t >= next_window_flush) {
-          win_series.flush(win);
-          if (recovery_active) flushed_windows.push_back(win);
-          win = detail::WindowAccumulator{};
-          ++window_index;
-          next_window_flush =
-              warmup + (window_index + 1) * measured_total / window_count;
-        }
-      }
-      if (t >= next_recovery_probe) {
-        next_recovery_probe += probe_stride;
-        const bool stop_requested =
-            config.stop != nullptr &&
-            config.stop->load(std::memory_order_relaxed);
-        bool write = !config.checkpoint_path.empty() &&
-                     (config.checkpoint_every_requests > 0 || stop_requested);
-        if (!write && !config.checkpoint_path.empty() &&
-            config.checkpoint_every_seconds > 0.0) {
-          write = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - last_checkpoint_time)
-                      .count() >= config.checkpoint_every_seconds;
-        }
-        if (write) write_checkpoint(t);
-        if (stop_requested) {
-          throw recover::Interrupted(t, config.checkpoint_path);
-        }
-      }
-      if (t >= next_progress) {
-        next_progress += config.progress_every;
-        SimulationProgress p;
-        p.completed = t;
-        p.total = total;
-        p.warming_up = t <= warmup;
-        p.hit_ratio_known = t > warmup && eligible > 0;
-        if (p.hit_ratio_known) {
-          p.hit_ratio = static_cast<double>(eligible_hits) /
-                        static_cast<double>(eligible);
-        }
-        const double elapsed =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          run_start)
-                .count();
-        if (elapsed > 0.0) {
-          p.requests_per_sec = static_cast<double>(t - t0) / elapsed;
-          p.eta_seconds =
-              static_cast<double>(total - t) / p.requests_per_sec;
-        }
-        p.checkpoints_written = checkpoints_written;
-        p.last_checkpoint_request = last_checkpoint_request;
-        config.progress(p);
-      }
-    }
-  } else {
-    for (std::uint64_t t = t0; t < total; ++t) {
-      // Reset measured-window statistics exactly at the end of warm-up.
-      if (t == warmup) {
-        for (auto& c : caches) c->reset_stats();
-      }
-      if (faults_active && timeline->advance(t)) {
-        // A recovered server restarts with a COLD cache: whatever it held
-        // when it crashed is gone.  Its statistics survive (clear() keeps
-        // them) so fleet totals stay consistent.
-        for (const std::uint32_t s : timeline->just_recovered()) {
-          caches[s]->clear();
-          ++report.cold_restarts;
-        }
-        if (spans != nullptr) {
-          spans->instant(sp_fault, "fault", "request", static_cast<double>(t));
-        }
-      }
-      workload::Request req =
-          config.trace != nullptr ? (*config.trace)[t] : stream.next();
-      if (faults_active && config.trace == nullptr &&
-          timeline->any_surge_active()) {
-        // Flash-crowd reshaping: accept a drawn request with probability
-        // proportional to its site's surge multiplier (rejection sampling
-        // against the current max), which samples site j with probability
-        // ∝ p_j * mult_j without touching the demand matrix.
-        const double bound = timeline->max_demand_multiplier();
-        while (surge_rng.uniform() * bound >
-               timeline->demand_multiplier(req.site)) {
-          req = stream.next();
-        }
-      }
-      const auto server = static_cast<sys::ServerIndex>(req.server);
-      const auto site = static_cast<sys::SiteIndex>(req.site);
-      const bool measured = t >= warmup;
-
-      double hops = 0.0;
-      bool served_locally = false;
-      bool cache_eligible = false;
-      bool cache_hit = false;
-      bool failed = false;
-      std::uint32_t attempts = 0;
-      auto cause = obs::EventCause::kReplica;
-      // Where a redirected request actually landed (fault mode only; the
-      // healthy path derives it from the nearest index when tracing).
-      std::int32_t fault_served_by = -2;
-
-      // Cheapest live holder after a failed attempt on the precomputed
-      // target (or on the first-hop server itself).
-      const auto find_live = [&]() {
-        return result.nearest.nearest_live(server, site, holders[req.site],
-                                           timeline->server_up_mask(),
-                                           timeline->origin_up(req.site));
-      };
-      const bool first_hop_up = !faults_active || timeline->server_up(req.server);
-
-      if (!faults_active) {
-        // Healthy fast path, shared with the parallel sharded engine.
-        const detail::HealthyOutcome o = detail::healthy_step(
-            catalog, result, *caches[server], lambda_rng, req, config.staleness);
-        hops = o.hops;
-        served_locally = o.served_locally;
-        cache_eligible = o.cache_eligible;
-        cache_hit = o.cache_hit;
-        cause = o.cause;
-      } else if (first_hop_up && result.placement.is_replicated(server, site)) {
-        // Replicas are always consistent (the CDN pushes invalidations to
-        // them); even flagged requests are served locally.
-        served_locally = true;
-      } else if (!first_hop_up) {
-        // First-hop crash: the client's connection times out and the
-        // redirector re-routes it to the nearest live copy.  The dead
-        // server's warm cache and its replicas are unreachable.
-        attempts = 1;
-        const auto live = find_live();
-        if (live) {
-          hops = live->cost;
-          cause = obs::EventCause::kFailover;
-          fault_served_by =
-              live->at_primary ? -1 : static_cast<std::int32_t>(live->server);
-        } else {
-          failed = true;
-          cause = obs::EventCause::kFailed;
-        }
-      } else {
-        const bool flagged =
-            lambda_rng.bernoulli(catalog.uncacheable_fraction(req.site));
-        cache::CachePolicy& cache = *caches[server];
-        const cache::ObjectKey key = catalog.object_id(req.site, req.rank);
-        const std::uint64_t bytes = catalog.object_bytes(req.site, req.rank);
-
-        // Fault-aware redirection: the precomputed nearest copy may be
-        // dead; trying it costs one failed attempt before the
-        // health-masked re-route.  No live copy at all fails the request.
-        const auto resolve = [&]() -> std::optional<sys::NearestCopy> {
-          const sys::NearestCopy& pre = result.nearest.nearest(server, site);
-          const bool pre_live = pre.at_primary
-                                    ? timeline->origin_up(req.site)
-                                    : timeline->server_up(pre.server);
-          if (pre_live) return pre;
-          ++attempts;
-          return find_live();
-        };
-        const auto redirect_to =
-            [&](const std::optional<sys::NearestCopy>& live,
-                obs::EventCause healthy_cause) {
-              if (live) {
-                hops = live->cost;
-                cause = attempts > 0 ? obs::EventCause::kFailover
-                                     : healthy_cause;
-                fault_served_by = live->at_primary
-                                      ? -1
-                                      : static_cast<std::int32_t>(live->server);
-              } else {
-                failed = true;
-                cause = obs::EventCause::kFailed;
-              }
-            };
-        if (flagged && config.staleness == StalenessMode::kUncacheable) {
-          redirect_to(resolve(), obs::EventCause::kUncacheable);
-        } else if (flagged) {
-          const auto live = resolve();
-          if (live) cache.access(key, bytes);  // refreshed copy stays cached
-          redirect_to(live, obs::EventCause::kStaleRefresh);
-        } else {
-          cache_eligible = true;
-          // A hit never leaves the server, so no liveness check; a miss
-          // only admits the object when a live source exists to fetch from.
-          cache_hit = cache.access_no_admit(key, bytes);
-          if (cache_hit) {
-            served_locally = true;
-            cause = obs::EventCause::kCacheHit;
-          } else {
-            const auto live = resolve();
-            if (live) cache.admit(key, bytes);
-            redirect_to(live, obs::EventCause::kCacheMiss);
-          }
-        }
-      }
-
-      double latency_ms;
-      if (!faults_active) {
-        latency_ms = config.latency.latency_ms(hops);
-      } else if (failed) {
-        // Time wasted before giving up; reported in the trace but excluded
-        // from the latency CDF (the request never completed).
-        latency_ms = config.latency.retry_penalty_ms(attempts);
-      } else {
-        latency_ms = config.latency.failover_latency_ms(
-            hops * timeline->latency_multiplier(req.server), attempts);
-      }
-      if (measured) {
-        if (!failed) {
-          report.latency_cdf.add(latency_ms);
-        } else {
-          ++failed_total;
-        }
-        hop_sum += hops;
-        if (served_locally) ++local;
-        if (cache_eligible) {
-          ++eligible;
-          if (cache_hit) ++eligible_hits;
-        }
-        if (attempts > 0 && !failed) ++failover_total;
-        retries_total += attempts;
-        if (slo_active && (failed || latency_ms > config.slo_ms)) {
-          ++slo_violations;
-        }
-      }
-
-      if (instrumented) {
-        if (measured) {
-          cause_counter[static_cast<std::size_t>(cause)]->add();
-          if (c_retries != nullptr && attempts > 0) c_retries->add(attempts);
-          if (!server_latency.empty() && !failed) {
-            server_latency[server]->observe(latency_ms);
-          }
-          ++win.requests;
-          win.hops += hops;
-          if (!failed) win.latency_ms += latency_ms;
-          if (served_locally) ++win.local;
-          if (cache_eligible) {
-            ++win.eligible;
-            if (cache_hit) ++win.eligible_hits;
-          }
-          if (failed) ++win.failed;
-          if (attempts > 0 && !failed) {
-            ++win.failover;
-            win.degraded_latency_ms += latency_ms;
-          }
-          if (t + 1 >= next_window_flush) {
-            win_series.flush(win);
-            if (recovery_active) flushed_windows.push_back(win);
-            win = detail::WindowAccumulator{};
-            ++window_index;
-            next_window_flush =
-                warmup + (window_index + 1) * measured_total / window_count;
-          }
-        }
-      }
-
-      if (trace_sink != nullptr && trace_sink->should_sample()) {
-        obs::TraceEvent event;
-        event.t = t;
-        event.server = req.server;
-        event.site = req.site;
-        event.rank = req.rank;
-        event.cause = cause;
-        event.measured = measured;
-        event.hops = hops;
-        event.latency_ms = latency_ms;
-        if (served_locally) {
-          event.served_by = static_cast<std::int32_t>(req.server);
-        } else if (faults_active) {
-          event.served_by = fault_served_by;  // -2 when the request failed
-        } else {
-          const sys::NearestCopy& copy = result.nearest.nearest(server, site);
-          event.served_by =
-              copy.at_primary ? -1 : static_cast<std::int32_t>(copy.server);
-        }
-        trace_sink->record(event);
-      }
-
-      if (t + 1 >= next_recovery_probe) {
-        next_recovery_probe += probe_stride;
-        const bool stop_requested =
-            config.stop != nullptr && config.stop->load(std::memory_order_relaxed);
-        bool write = !config.checkpoint_path.empty() &&
-                     (config.checkpoint_every_requests > 0 || stop_requested);
-        if (!write && !config.checkpoint_path.empty() &&
-            config.checkpoint_every_seconds > 0.0) {
-          write = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                                last_checkpoint_time)
-                      .count() >= config.checkpoint_every_seconds;
-        }
-        if (write) write_checkpoint(t + 1);
-        if (stop_requested) {
-          throw recover::Interrupted(t + 1, config.checkpoint_path);
-        }
-      }
-
-      if (t + 1 >= next_progress) {
-        next_progress += config.progress_every;
-        SimulationProgress p;
-        p.completed = t + 1;
-        p.total = total;
-        p.warming_up = t < warmup;
-        p.hit_ratio_known = measured && eligible > 0;
-        if (p.hit_ratio_known) {
-          p.hit_ratio = static_cast<double>(eligible_hits) /
-                        static_cast<double>(eligible);
-        }
-        const double elapsed =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          run_start)
-                .count();
-        if (elapsed > 0.0) {
-          p.requests_per_sec =
-              static_cast<double>(t + 1 - t0) / elapsed;
-          p.eta_seconds =
-              static_cast<double>(total - (t + 1)) / p.requests_per_sec;
-        }
-        p.checkpoints_written = checkpoints_written;
-        p.last_checkpoint_request = last_checkpoint_request;
-        config.progress(p);
-      }
-    }
-  }
-  // Flush a final partial window (rounding can leave the last flush short).
-  if (instrumented && win.requests > 0) win_series.flush(win);
-
-  run_timer.stop();
-  run_span.stop();
-  obs::ScopedTimer report_timer(t_report);
-  obs::ScopedSpan report_span(spans, sp_report, "sim");
-
-  report.measured_requests = measured_total;
-  const double measured = static_cast<double>(report.measured_requests);
-  report.mean_latency_ms =
-      report.latency_cdf.empty() ? 0.0 : report.latency_cdf.mean();
-  report.mean_cost_hops = hop_sum / measured;
-  report.local_ratio = static_cast<double>(local) / measured;
-  report.cache_hit_ratio =
-      eligible ? static_cast<double>(eligible_hits) /
-                     static_cast<double>(eligible)
-               : 0.0;
-  report.failed_requests = failed_total;
-  report.failover_requests = failover_total;
-  report.retry_attempts = retries_total;
-  report.availability = 1.0 - static_cast<double>(failed_total) / measured;
-  report.slo_violation_fraction =
-      slo_active ? static_cast<double>(slo_violations) / measured : 0.0;
-  if (faults_active) report.fault_transitions = timeline->transitions();
-  report.server_cache_stats.reserve(n);
-  for (const auto& c : caches) {
-    report.server_cache_stats.push_back(c->stats());
-    report.cache_totals.merge(c->stats());
-  }
-
-  if (instrumented) {
-    detail::publish_summary_metrics(*metrics, prefix, config, report,
-                                    slo_active, faults_active);
-  }
-  return report;
+  return simulate_events(system, result, config);
 }
 
 }  // namespace cdn::sim

@@ -44,8 +44,10 @@ enum class StalenessMode {
 
 /// Which evaluation engine simulate() runs.
 enum class SimEngine {
-  /// Per-request (event-level) simulation — sequential reference loop or
-  /// the parallel sharded engine, per `threads`.  The default.
+  /// Per-request (event-level) simulation (src/sim/shard_engine.h): one
+  /// engine whose one-shard case is the bit-identical reference and whose
+  /// multi-shard case runs first-hop shards on a thread pool, per
+  /// `threads`.  The default.
   kEvent,
   /// Flow-level analytical fast path: summary metrics computed from the
   /// demand matrix, the placement and a steady-state hit-ratio model with
@@ -114,21 +116,22 @@ struct SimulationConfig {
   /// Hit-ratio model tier of the flow engine.
   HitModel hit_model = HitModel::kEmpirical;
 
-  // --- Parallel sharded engine (see docs/PERFORMANCE.md) ---
+  // --- Sharding of the event engine (see docs/PERFORMANCE.md) ---
 
-  /// Simulation worker threads.  1 (the default) runs the sequential
-  /// reference engine, bit-identical to the pre-parallel simulator; 0 uses
-  /// one thread per hardware thread.  Fault schedules, trace replay and
-  /// trace sinks need the global request clock, so they force the
-  /// sequential engine regardless of this knob.
+  /// Simulation worker threads.  1 (the default) runs the one-shard
+  /// reference case on the calling thread, bit-identical across releases
+  /// (tests/sim_digest_pin_test.cpp); 0 uses one thread per hardware
+  /// thread.  Fault schedules, trace replay and trace sinks need the
+  /// global request clock, so they run the one-shard case regardless of
+  /// this knob.
   std::size_t threads = 1;
-  /// First-hop shard count of the parallel engine.  0 = auto (4 threads'
-  /// worth of shards, capped at the server count).  The parallel report is
-  /// a deterministic function of (seed, shards) alone — the thread count
+  /// First-hop shard count of a multi-threaded run.  0 = auto (4 threads'
+  /// worth of shards, capped at the server count).  The report is a
+  /// deterministic function of (seed, shards) alone — the thread count
   /// only changes the execution schedule, never a result bit.
   std::size_t shards = 0;
-  /// Relative error bound of the parallel engine's bounded-memory latency
-  /// quantile sketch (the sequential engine keeps exact samples).
+  /// Relative error bound of the multi-shard bounded-memory latency
+  /// quantile sketch (the one-shard reference keeps exact samples).
   double latency_sketch_error = 0.005;
 
   // --- Fault injection (see docs/FAULTS.md) ---
@@ -152,7 +155,8 @@ struct SimulationConfig {
   /// at least one trigger: a cadence below or a `stop` flag.
   std::string checkpoint_path;
   /// Write a checkpoint every this many requests (0 = no request cadence).
-  /// The parallel engine rounds the cadence up to its shard-merge barriers.
+  /// Multi-shard runs checkpoint at a shard barrier placed on each multiple
+  /// of the cadence.
   std::uint64_t checkpoint_every_requests = 0;
   /// Write a checkpoint when this much wall-clock has elapsed since the
   /// last one, checked at the request-loop probe points (0 = no time
@@ -199,9 +203,9 @@ struct SimulationConfig {
   obs::SpanTracer* spans = nullptr;
 
   /// Invoke `progress` roughly every `progress_every` requests (0 = off).
-  /// The sequential engine honours the cadence exactly; the parallel
-  /// engine reports at its shard-merge barriers, so snapshots arrive at
-  /// the nearest barrier boundary.  The callback owns the presentation —
+  /// The one-shard reference honours the cadence exactly; multi-shard runs
+  /// report at their shard barriers (at most 256 per run), so snapshots
+  /// arrive at the nearest barrier.  The callback owns the presentation —
   /// the simulator itself never touches a stream, keeping <iostream> out
   /// of the hot TU.
   std::uint64_t progress_every = 0;
@@ -210,8 +214,8 @@ struct SimulationConfig {
 
 struct SimulationReport {
   /// Response-time distribution of all measured requests: exact samples
-  /// from the sequential engine, a bounded-memory quantile sketch from the
-  /// parallel one (same query interface either way).
+  /// from the one-shard reference, a bounded-memory quantile sketch from a
+  /// multi-shard run (same query interface either way).
   util::LatencyDistribution latency_cdf;
 
   double mean_latency_ms = 0.0;
@@ -226,7 +230,8 @@ struct SimulationReport {
 
   std::uint64_t measured_requests = 0;
   std::uint64_t total_requests = 0;
-  /// Shards the engine ran (1 = sequential reference engine).
+  /// Shards the event engine ran; 1 for the reference case (and for the
+  /// flow engine).
   std::size_t shards_used = 1;
 
   // --- Degraded-mode accounting (all default on a healthy run) ---

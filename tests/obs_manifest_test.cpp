@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/obs/registry.h"
@@ -61,6 +63,15 @@ TEST(RunManifestTest, FinalizeMeasuresElapsedWall) {
 #ifdef __unix__
   EXPECT_GT(manifest.peak_rss_bytes, 0u);
 #endif
+}
+
+TEST(RunManifestTest, WallTimeCountsFromProcessStart) {
+  // Benches build their manifest after the measured work; the wall time
+  // must still cover that work.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  RunManifest manifest = make_run_manifest("unit_test");
+  manifest.finalize();
+  EXPECT_GE(manifest.wall_seconds, 0.05);
 }
 
 TEST(NaturalMetricOrderTest, DigitRunsCompareNumerically) {

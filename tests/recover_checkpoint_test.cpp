@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -292,6 +293,36 @@ TEST_F(KillResumeTest, ParallelResumeReproducesRegistryWindows) {
   }
 }
 
+TEST_F(KillResumeTest, ParallelStopAfterTheLastProbeStillInterrupts) {
+  // The cadence does not divide the run, so the last barrier is no probe.
+  // A stop raised after the last probe makes the workers return short of
+  // the end; the run must checkpoint and throw, not report partial shards.
+  const auto t = TestSystem::make(8);
+  const auto placement = hybrid_greedy(*t.system);
+  auto cfg = base_config(200'000);
+  cfg.threads = 4;
+  cfg.shards = 4;
+  const auto reference = simulate(*t.system, placement, cfg);
+
+  std::atomic<bool> stop{false};
+  auto kill_cfg = cfg;
+  kill_cfg.checkpoint_path = path("ck.bin");
+  kill_cfg.checkpoint_every_requests = 150'000;  // one probe, at 150k
+  kill_cfg.stop = &stop;
+  kill_cfg.progress_every = 150'000;  // one snapshot, after that probe
+  kill_cfg.progress = [&](const sim::SimulationProgress&) { stop = true; };
+  try {
+    simulate(*t.system, placement, kill_cfg);
+    FAIL() << "a stop after the last probe returned a report";
+  } catch (const recover::Interrupted& e) {
+    EXPECT_EQ(e.checkpoint_path(), path("ck.bin"));
+    EXPECT_GT(e.request_index(), 150'000u);
+    EXPECT_LT(e.request_index(), cfg.total_requests);
+  }
+  const auto resumed = resumed_run(t, placement, cfg, path("ck.bin"));
+  expect_byte_identical(resumed, reference);
+}
+
 TEST_F(KillResumeTest, ManySeedsSequentialAndParallel) {
   // The acceptance bar: ten seeds, randomised kill points derived from the
   // seed, both engines, all byte-identical after resume.
@@ -375,6 +406,48 @@ TEST_F(KillResumeTest, CorruptedCheckpointRefusedCleanly) {
   auto resume_cfg = cfg;
   resume_cfg.resume_path = path("ck.bin");
   EXPECT_THROW(simulate(*t.system, placement, resume_cfg), PreconditionError);
+}
+
+TEST_F(KillResumeTest, VersionOneCheckpointRefusedNamingBothVersions) {
+  const auto t = TestSystem::make(6);
+  const auto placement = hybrid_greedy(*t.system);
+  const auto cfg = base_config();
+  killed_run(t, placement, cfg, path("ck.bin"), 10'000);
+
+  // Re-head the file as version 1 with a valid checksum trailer, so the
+  // version is the only thing wrong with it.
+  std::ifstream in(path("ck.bin"), std::ios::binary);
+  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+  in.close();
+  ASSERT_GT(bytes.size(), 20u);
+  constexpr std::size_t kVersionOffset = 8;  // after the 8-byte magic
+  bytes[kVersionOffset] = 1;
+  bytes[kVersionOffset + 1] = bytes[kVersionOffset + 2] =
+      bytes[kVersionOffset + 3] = 0;
+  const std::size_t body = bytes.size() - 8;
+  const std::uint64_t checksum = util::fnv1a(bytes.data(), body);
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[body + i] = static_cast<std::uint8_t>(checksum >> (8 * i));
+  }
+  std::ofstream out(path("v1.bin"), std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  out.close();
+
+  auto resume_cfg = cfg;
+  resume_cfg.resume_path = path("v1.bin");
+  try {
+    simulate(*t.system, placement, resume_cfg);
+    FAIL() << "resumed from a version-1 checkpoint";
+  } catch (const PreconditionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("version 1 "), std::string::npos) << what;
+    EXPECT_NE(what.find("reads version " +
+                        std::to_string(recover::kCheckpointVersion)),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST_F(KillResumeTest, CheckpointCadenceDoesNotChangeTheReport) {

@@ -125,11 +125,11 @@ int main(int argc, char** argv) {
                "replication placement stage: exact|closed-form|che "
                "(docs/PERFORMANCE.md)");
   cli.add_flag("threads", "1",
-               "simulation threads: 1 = sequential reference engine, "
-               "0 = all hardware threads, N = parallel sharded engine");
+               "simulation threads: 1 = one-shard reference run, "
+               "0 = all hardware threads, N = N workers over the shards");
   cli.add_flag("shards", "0",
-               "first-hop shards of the parallel engine (0 = auto); the "
-               "parallel result is deterministic in (sim-seed, shards)");
+               "first-hop shards of a multi-threaded run (0 = auto); the "
+               "result is deterministic in (sim-seed, shards)");
   cli.add_flag("progress", "false",
                "print simulation progress to stderr");
   cli.add_flag("fault-schedule", "",
@@ -364,13 +364,9 @@ int main(int argc, char** argv) {
     // against, so a manifest identifies a run as precisely as a checkpoint
     // does.  The placement section differs per mechanism; the rest are
     // shared (add_fingerprint dedupes identical sections).
-    const auto engine_kind = sim.threads == 1
-                                 ? sim::detail::EngineKind::kSequential
-                                 : sim::detail::EngineKind::kParallel;
     for (const auto& run : runs) {
       for (const auto& section : sim::detail::checkpoint_fingerprint(
-               scenario.system(), run.placement, sim, engine_kind,
-               sim.shards)) {
+               scenario.system(), run.placement, sim)) {
         if (section.first == "placement") {
           manifest.add_fingerprint("placement/" + run.name, section.second);
         } else {
