@@ -181,40 +181,6 @@ void BM_SteadyStateTier(benchmark::State& state) {
 }
 BENCHMARK(BM_SteadyStateTier)->Arg(0)->Arg(1);
 
-// Cold vs warm-started Che characteristic-time solve.  The warm case
-// mirrors the engines' post-commit update: the previous K is a solution of
-// a fixed point one replica away, so the bracket opens at [K/2, 2K].
-void BM_CharacteristicTimeIncremental(benchmark::State& state) {
-  const bool warm = state.range(0) != 0;
-  constexpr std::size_t kSites = 256;
-  const util::ZipfDistribution zipf(1000, 0.8);
-  const model::OccupancyCurve occupancy(zipf);
-  std::vector<double> weights(kSites);
-  double total = 0.0;
-  for (std::size_t j = 0; j < kSites; ++j) {
-    weights[j] = 1.0 / static_cast<double>(j + 1);
-    total += weights[j];
-  }
-  for (double& w : weights) w /= total;
-  // The "previous commit" state: site 7's mass bypasses the cache and the
-  // buffer lost the replica's slots.
-  std::vector<double> prev = weights;
-  prev[7] = 0.0;
-  const double prev_k =
-      model::che_characteristic_time(prev, occupancy, 19'000);
-  std::uint64_t iterations = 0;
-  for (auto _ : state) {
-    const auto solved = model::che_characteristic_time_warm(
-        weights, occupancy, 20'000, warm ? prev_k : 0.0);
-    benchmark::DoNotOptimize(solved.k);
-    iterations += solved.iterations;
-  }
-  state.counters["fp_iters_per_solve"] =
-      benchmark::Counter(static_cast<double>(iterations),
-                         benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_CharacteristicTimeIncremental)->Arg(0)->Arg(1);
-
 void BM_HitRatioTableEvaluate(benchmark::State& state) {
   const util::ZipfDistribution zipf(1000, 1.0);
   const model::HitRatioCurve curve(zipf);
@@ -329,9 +295,8 @@ BENCHMARK(BM_CandidateBenefit)
     ->Arg(0)   // elementwise products recomputed per call
     ->Arg(1);  // precomputed miss-flow matrix
 
-// Whole hybrid runs per engine; items = candidate evaluations, so
-// items_per_second compares evaluation throughput and iterations compares
-// wall-clock.  Arg 0 = engine (0 reference, 1 incremental).
+// Whole hybrid runs; items = candidate evaluations, so items_per_second
+// is evaluation throughput and iterations is wall-clock.
 void BM_HybridGreedyIteration(benchmark::State& state) {
   core::ScenarioConfig cfg;
   cfg.server_count = 48;
@@ -341,14 +306,10 @@ void BM_HybridGreedyIteration(benchmark::State& state) {
   cfg.seed = 2005;
   const core::Scenario scenario(cfg);
 
-  const auto engine = state.range(0) == 0
-                          ? placement::PlacementEngine::kReference
-                          : placement::PlacementEngine::kIncremental;
   std::int64_t candidates = 0;
   for (auto _ : state) {
     obs::Registry registry;
     placement::HybridGreedyOptions options;
-    options.engine = engine;
     options.metrics = &registry;
     benchmark::DoNotOptimize(
         placement::hybrid_greedy(scenario.system(), options));
@@ -359,10 +320,7 @@ void BM_HybridGreedyIteration(benchmark::State& state) {
   }
   state.SetItemsProcessed(candidates);
 }
-BENCHMARK(BM_HybridGreedyIteration)
-    ->Arg(0)   // reference engine
-    ->Arg(1)   // incremental lazy-heap engine
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HybridGreedyIteration)->Unit(benchmark::kMillisecond);
 
 void BM_QuantileSketchAdd(benchmark::State& state) {
   util::QuantileSketch sketch(0.005);

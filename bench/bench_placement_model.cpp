@@ -1,13 +1,13 @@
-// Placement model-tier benchmark — exact vs closed-form vs Che candidate
-// pricing on the incremental hybrid engine.
+// Placement model-tier benchmark — exact vs closed-form candidate pricing
+// on the hybrid engine.
 //
 // Builds the same deterministic ring systems as bench_placement_scaling and
 // sweeps N in {64, 256, 512} x M in {64, 256} x placement-model tiers.  For
-// every swept (N, M) it runs hybrid_greedy (kIncremental) three times and
-// HARD-GATES (exit 1) the tentpole acceptance criteria:
+// every swept (N, M) it runs hybrid_greedy once per tier and HARD-GATES
+// (exit 1) the tentpole acceptance criteria:
 //
-//   * final-cost parity   — each cheap tier's final predicted cost within
-//                           1% of the exact tier's, at EVERY (N, M);
+//   * final-cost parity   — the closed-form tier's final predicted cost
+//                           within 1% of the exact tier's, at EVERY (N, M);
 //   * eval speedup        — candidate-evaluation time (the engine's
 //                           placement/hybrid/phase/eval timer) of the
 //                           closed-form tier >= 5x faster than exact at
@@ -115,7 +115,6 @@ TierRun run_tier(const sys::CdnSystem& system, placement::PlacementModel tier,
                  std::size_t max_replicas) {
   obs::Registry registry;
   placement::HybridGreedyOptions options;
-  options.engine = placement::PlacementEngine::kIncremental;
   options.placement_model = tier;
   options.max_replicas = max_replicas;
   options.metrics = &registry;
@@ -200,7 +199,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::cout << "Hybrid placement model tiers: exact vs closed-form vs che\n\n";
+  std::cout << "Hybrid placement model tiers: exact vs closed-form\n\n";
 
   std::vector<Config> configs;
   if (smoke) {
@@ -215,8 +214,7 @@ int main(int argc, char** argv) {
 
   const std::vector<std::pair<placement::PlacementModel, std::string>> tiers{
       {placement::PlacementModel::kExact, "exact"},
-      {placement::PlacementModel::kClosedForm, "closed_form"},
-      {placement::PlacementModel::kChe, "che"}};
+      {placement::PlacementModel::kClosedForm, "closed_form"}};
 
   obs::RunManifest manifest = obs::make_run_manifest(
       smoke ? "bench_placement_model --smoke" : "bench_placement_model");
@@ -255,7 +253,6 @@ int main(int argc, char** argv) {
     std::optional<placement::PlacementResult> baseline;
     if (check_identity) {
       placement::HybridGreedyOptions options;
-      options.engine = placement::PlacementEngine::kIncremental;
       options.max_replicas = max_replicas;
       baseline.emplace(placement::hybrid_greedy(system, options));
     }

@@ -1,30 +1,25 @@
-// Placement-engine scaling benchmark — reference vs incremental lazy-greedy.
+// Placement scaling benchmark — the lazy-heap hybrid engine at N=256, M=64.
 //
 // Builds a deterministic N-server / M-site system (ring server topology,
 // varied primary distances — no random topology generation, so the bench
-// measures placement alone) and runs hybrid_greedy twice: once with the
-// kReference engine (full O(N*M) re-evaluation every iteration) and once
-// with the kIncremental lazy-heap engine.  The two must agree bitwise on
-// the placement and cost trajectory; the bench asserts that before it
-// reports anything, so a speedup number can never come from a divergent
-// answer.
+// measures placement alone) and runs hybrid_greedy once.  Bit-identity with
+// the plain every-candidate loop is a ctest contract
+// (placement_engine_equivalence_test), not a bench step.
 //
 // Emits a schema-versioned BENCH_placement.json artifact (see
 // bench/bench_artifact.h) with an embedded provenance manifest, keyed:
 //
-//   reference_ms / incremental_ms          wall-clock per engine
-//   speedup                                reference_ms / incremental_ms
-//   reference_candidates / incremental_candidates  benefit evaluations
-//   candidate_reduction                    reference / incremental evals
-//   replicas                               replicas placed (identical)
+//   incremental_ms          wall-clock of the run
+//   incremental_candidates  benefit evaluations
+//   replicas                replicas placed
 //
-// The candidate counts and replica count are machine-independent facts
-// about the algorithms — tight thresholds — while the wall/speedup numbers
-// carry generous ones.  scripts/check_bench_regression.py diffs the file
-// against bench/baselines/BENCH_placement.json in CI.
+// The candidate and replica counts are machine-independent facts about the
+// algorithm — tight thresholds — while the wall-clock number carries a
+// generous one.  scripts/check_bench_regression.py diffs the file against
+// bench/baselines/BENCH_placement.json in CI.
 //
 // Usage: bench_placement_scaling [--smoke] [artifact.json]
-//   --smoke  small system, equivalence check only (CI sanitizer runs).
+//   --smoke  small system (CI sanitizer runs).
 
 #include <chrono>
 #include <cstdint>
@@ -110,11 +105,9 @@ struct EngineRun {
   double candidates = 0.0;
 };
 
-EngineRun run_engine(const sys::CdnSystem& system,
-                     placement::PlacementEngine engine) {
+EngineRun run_engine(const sys::CdnSystem& system) {
   obs::Registry registry;
   placement::HybridGreedyOptions options;
-  options.engine = engine;
   options.metrics = &registry;
   const auto start = std::chrono::steady_clock::now();
   auto result = placement::hybrid_greedy(system, options);
@@ -127,32 +120,6 @@ EngineRun run_engine(const sys::CdnSystem& system,
     run.candidates = static_cast<double>(c->value());
   }
   return run;
-}
-
-// Bitwise agreement between the engines: same cells, same trajectory.
-bool equivalent(const sys::CdnSystem& system, const EngineRun& ref,
-                const EngineRun& inc) {
-  bool ok = true;
-  for (std::size_t i = 0; i < system.server_count(); ++i) {
-    for (std::size_t j = 0; j < system.site_count(); ++j) {
-      if (ref.result.placement.is_replicated(
-              static_cast<sys::ServerIndex>(i),
-              static_cast<sys::SiteIndex>(j)) !=
-          inc.result.placement.is_replicated(
-              static_cast<sys::ServerIndex>(i),
-              static_cast<sys::SiteIndex>(j))) {
-        std::cerr << "MISMATCH placement cell (" << i << ", " << j << ")\n";
-        ok = false;
-      }
-    }
-  }
-  if (ref.result.cost_trajectory != inc.result.cost_trajectory) {
-    std::cerr << "MISMATCH cost trajectory (sizes "
-              << ref.result.cost_trajectory.size() << " vs "
-              << inc.result.cost_trajectory.size() << ")\n";
-    ok = false;
-  }
-  return ok;
 }
 
 }  // namespace
@@ -169,10 +136,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::cout << "Hybrid placement scaling: reference vs incremental engine\n\n";
+  std::cout << "Hybrid placement scaling: lazy-heap engine\n\n";
 
-  // Smoke keeps CI sanitizer runs fast but still exercises both engines end
-  // to end; the full size is the ISSUE's scaling target (N=256, M=64).
+  // Smoke keeps CI sanitizer runs fast but still runs the engine end to
+  // end; the full size is the scaling target (N=256, M=64).
   const std::size_t servers = smoke ? 24 : 256;
   const std::size_t low_sites = smoke ? 9 : 48;
   const std::size_t high_sites = smoke ? 3 : 16;
@@ -183,39 +150,15 @@ int main(int argc, char** argv) {
                                        /*seed=*/2005);
   const sys::CdnSystem& system = *bench.system;
 
-  const auto reference =
-      run_engine(system, placement::PlacementEngine::kReference);
-  const auto incremental =
-      run_engine(system, placement::PlacementEngine::kIncremental);
+  const auto incremental = run_engine(system);
 
-  if (!equivalent(system, reference, incremental)) {
-    std::cerr << "engines diverged; refusing to report timings\n";
-    return 1;
-  }
-
-  const double speedup = incremental.wall_ms > 0.0
-                             ? reference.wall_ms / incremental.wall_ms
-                             : 0.0;
-  const double reduction = incremental.candidates > 0.0
-                               ? reference.candidates / incremental.candidates
-                               : 0.0;
-
-  util::TextTable table(
-      {"engine", "wall_ms", "candidates", "replicas", "cost/req"});
-  table.add_row({"reference", util::format_double(reference.wall_ms, 1),
-                 util::format_double(reference.candidates, 0),
-                 std::to_string(reference.result.replicas_created),
-                 util::format_double(
-                     reference.result.predicted_cost_per_request, 4)});
-  table.add_row({"incremental", util::format_double(incremental.wall_ms, 1),
+  util::TextTable table({"wall_ms", "candidates", "replicas", "cost/req"});
+  table.add_row({util::format_double(incremental.wall_ms, 1),
                  util::format_double(incremental.candidates, 0),
                  std::to_string(incremental.result.replicas_created),
                  util::format_double(
                      incremental.result.predicted_cost_per_request, 4)});
   std::cout << table.str() << '\n';
-  std::cout << "speedup " << util::format_double(speedup, 2)
-            << "x, candidate reduction " << util::format_double(reduction, 2)
-            << "x, engines byte-identical\n";
 
   obs::RunManifest manifest = obs::make_run_manifest(
       smoke ? "bench_placement_scaling --smoke" : "bench_placement_scaling");
@@ -226,16 +169,11 @@ int main(int argc, char** argv) {
                /*higher_is_better=*/true, /*threshold_pct=*/0.0);
   artifact.set("sites", static_cast<double>(system.site_count()), "count",
                true, 0.0);
-  artifact.set("reference_ms", reference.wall_ms, "ms", false, 75.0);
   artifact.set("incremental_ms", incremental.wall_ms, "ms", false, 75.0);
-  artifact.set("speedup", speedup, "x", true, 90.0);
   // Benefit-evaluation counts are pure algorithm facts: any drift means the
-  // engines changed, not the machine.
-  artifact.set("reference_candidates", reference.candidates, "count", false,
-               1.0);
+  // engine changed, not the machine.
   artifact.set("incremental_candidates", incremental.candidates, "count",
                false, 1.0);
-  artifact.set("candidate_reduction", reduction, "x", true, 5.0);
   artifact.set("replicas",
                static_cast<double>(incremental.result.replicas_created),
                "count", true, 1.0);

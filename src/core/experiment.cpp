@@ -12,12 +12,9 @@
 namespace cdn::core {
 
 MechanismSpec replication_mechanism(obs::Registry* metrics,
-                                    obs::SpanTracer* spans,
-                                    placement::PlacementModel placement_model) {
-  return {"replication",
-          [metrics, spans, placement_model](const sys::CdnSystem& s) {
+                                    obs::SpanTracer* spans) {
+  return {"replication", [metrics, spans](const sys::CdnSystem& s) {
             placement::GreedyGlobalOptions options;
-            options.placement_model = placement_model;
             options.metrics = metrics;
             options.metrics_prefix = "placement/replication/";
             options.spans = spans;
@@ -47,8 +44,8 @@ std::string model_tier_mismatch_note(const std::string& hit_model,
                                      const std::string& placement_model) {
   const std::string coherent_placement =
       hit_model == "closed-form" ? "closed-form"
-      : hit_model == "che"       ? "che"
-                                 : "exact";
+      : hit_model == "empirical" ? "exact"
+                                 : "";
   if (placement_model == coherent_placement) return "";
   return "note: --hit-model=" + hit_model + " simulates hit ratios with a "
          "different model tier than --placement-model=" + placement_model +

@@ -31,10 +31,8 @@ struct MechanismSpec {
 /// "placement/<name>/" (mechanisms without tunable placement internals
 /// ignore it); passing a span tracer makes it emit iteration spans under
 /// the same prefix.
-MechanismSpec replication_mechanism(
-    obs::Registry* metrics = nullptr, obs::SpanTracer* spans = nullptr,
-    placement::PlacementModel placement_model =
-        placement::PlacementModel::kExact);
+MechanismSpec replication_mechanism(obs::Registry* metrics = nullptr,
+                                    obs::SpanTracer* spans = nullptr);
 MechanismSpec caching_mechanism();
 MechanismSpec hybrid_mechanism(obs::Registry* metrics = nullptr,
                                obs::SpanTracer* spans = nullptr,
@@ -43,9 +41,10 @@ MechanismSpec hybrid_mechanism(obs::Registry* metrics = nullptr,
 
 /// Loud-but-not-fatal coherence note for the CLI: "" when the --hit-model /
 /// --placement-model pair is coherent (empirical<->exact,
-/// closed-form<->closed-form, che<->che), otherwise a one-line warning that
-/// the placement ranking and the simulated hit ratios use different model
-/// tiers.  Mixing is allowed — the combination is well-defined — it just
+/// closed-form<->closed-form), otherwise a one-line warning that the
+/// placement ranking and the simulated hit ratios use different model
+/// tiers.  --hit-model=che has no placement twin, so it always gets the
+/// note.  Mixing is allowed — the combination is well-defined — it just
 /// should never happen silently.
 std::string model_tier_mismatch_note(const std::string& hit_model,
                                      const std::string& placement_model);

@@ -133,85 +133,6 @@ double che_characteristic_time(std::span<const double> site_weights,
   return 0.5 * (lo + hi);
 }
 
-CheSolveResult che_characteristic_time_warm(
-    std::span<const double> site_weights, const OccupancyCurve& occupancy,
-    std::uint64_t slots, double warm_start_k) {
-  CheSolveResult out;
-  if (slots == 0) return out;
-  double max_w = 0.0;
-  std::size_t cacheable_sites = 0;
-  for (const double w : site_weights) {
-    CDN_EXPECT(w >= 0.0, "site weights must be non-negative");
-    if (w > 0.0) {
-      ++cacheable_sites;
-      max_w = std::max(max_w, w);
-    }
-  }
-  if (cacheable_sites == 0) return out;
-  const double cacheable_objects =
-      static_cast<double>(cacheable_sites) * occupancy.objects_per_site();
-  const double target =
-      std::min(static_cast<double>(slots), cacheable_objects);
-  if (static_cast<double>(slots) >= cacheable_objects) {
-    double min_w = max_w;
-    for (const double w : site_weights) {
-      if (w > 0.0) min_w = std::min(min_w, w);
-    }
-    out.k = occupancy.z_max() / min_w;
-    return out;
-  }
-  const auto occupied = [&](double k) {
-    ++out.iterations;
-    double n = 0.0;
-    for (const double w : site_weights) {
-      if (w > 0.0) n += occupancy.evaluate(w, k);
-    }
-    return n;
-  };
-  const double k_cap = occupancy.z_max() / max_w;
-  double lo = 0.0;
-  double hi;
-  if (warm_start_k > 0.0) {
-    // The previous solution brackets the new one tightly unless the target
-    // jumped; expand geometrically from it in whichever direction the
-    // occupancy sum says the root moved.
-    const double warm = std::min(warm_start_k, k_cap);
-    if (occupied(warm) < target) {
-      lo = warm;
-      hi = std::min(warm * 2.0, k_cap);
-      while (hi < k_cap && occupied(hi) < target) {
-        lo = hi;
-        hi = std::min(hi * 2.0, k_cap);
-      }
-    } else {
-      hi = warm;
-      lo = warm * 0.5;
-      while (lo > 0.0 && occupied(lo) >= target) {
-        hi = lo;
-        lo = lo > 1e-300 ? lo * 0.5 : 0.0;
-      }
-    }
-  } else {
-    hi = 1.0;
-    while (hi < k_cap && occupied(hi) < target) hi *= 2.0;
-    hi = std::min(hi, k_cap);
-  }
-  if (occupied(hi) < target) {
-    out.k = hi;  // table saturated below the target
-    return out;
-  }
-  for (int iter = 0; iter < 64 && hi - lo > 1e-12 * hi; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    if (occupied(mid) < target) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  out.k = 0.5 * (lo + hi);
-  return out;
-}
-
 std::vector<double> steady_state_hit_ratios(
     SteadyStateModel tier, std::span<const double> popularity,
     std::span<const std::uint8_t> replicated, std::span<const double> lambdas,

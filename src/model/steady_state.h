@@ -98,25 +98,6 @@ double che_characteristic_time(std::span<const double> site_weights,
                                const OccupancyCurve& occupancy,
                                std::uint64_t slots);
 
-/// Result of a warm-started Che solve: the characteristic time plus the
-/// number of occupancy-sum evaluations the bracket + bisection spent
-/// (exported as "model/che/fixed_point_iterations" by the placement tiers).
-struct CheSolveResult {
-  double k = 0.0;
-  std::uint64_t iterations = 0;
-};
-
-/// che_characteristic_time with a warm-start bracket: when `warm_start_k`
-/// is a solution of a NEARBY fixed point (the previous commit's K), the
-/// bracket opens at [warm/2, warm*2] instead of [0, doubling-from-1], which
-/// converges in a fraction of the cold iteration count when the target
-/// moved a little (one replica's worth of slots/mass).  `warm_start_k <= 0`
-/// degrades to the cold bracket.  Edge cases (no slots, no cacheable
-/// weight, cache fits everything) mirror che_characteristic_time exactly.
-CheSolveResult che_characteristic_time_warm(
-    std::span<const double> site_weights, const OccupancyCurve& occupancy,
-    std::uint64_t slots, double warm_start_k);
-
 /// Per-site steady-state hit ratios of one server's cache under the chosen
 /// model tier (kClosedForm or kChe; kEmpirical has no computation — callers
 /// read PlacementResult::modeled_hit directly).

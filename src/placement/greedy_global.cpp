@@ -12,17 +12,9 @@ namespace cdn::placement {
 
 namespace {
 
-struct Candidate {
-  double benefit = 0.0;
-  sys::ServerIndex server = 0;
-  sys::SiteIndex site = 0;
-  bool valid = false;
-  std::uint64_t evaluated = 0;  // candidates this server considered
-};
-
 /// Benefit of replicating `site` at `server` under pure replication.
 /// Reads only column `site` of the nearest index and the placement, which
-/// is what lets the incremental engine invalidate one column per commit.
+/// is what lets the engine invalidate one column per commit.
 double replication_benefit(const sys::CdnSystem& system,
                            const sys::ReplicaPlacement& placement,
                            const sys::NearestReplicaIndex& nearest,
@@ -53,122 +45,6 @@ void finalize_replication_result(const sys::CdnSystem& system,
   result.replicas_created = result.placement.replica_count();
 }
 
-PlacementResult greedy_global_reference(
-    const sys::CdnSystem& system,
-    const std::vector<std::uint64_t>& replica_budgets,
-    const GreedyGlobalOptions& options) {
-  const std::size_t n = system.server_count();
-  const std::size_t m = system.site_count();
-
-  sys::ReplicaPlacement placement(replica_budgets, system.site_bytes());
-  sys::NearestReplicaIndex nearest(system.distances(), placement);
-
-  obs::Registry* const metrics = options.metrics;
-  const std::string& pfx = options.metrics_prefix;
-  obs::TimerStat* const t_total =
-      metrics ? &metrics->timer(pfx + "phase/total") : nullptr;
-  obs::TimerStat* const t_eval =
-      metrics ? &metrics->timer(pfx + "phase/eval") : nullptr;
-  obs::Table* const iteration_log =
-      metrics ? &metrics->table(pfx + "iterations",
-                                {"iteration", "server", "site", "candidates",
-                                 "benefit", "bytes_committed", "cost_after",
-                                 "eval_ms"})
-              : nullptr;
-  obs::SpanTracer* const spans = options.spans;
-  const char* sp_total = nullptr;
-  const char* sp_iter = nullptr;
-  if (spans != nullptr) {
-    sp_total = spans->intern(pfx + "total");
-    sp_iter = spans->intern(pfx + "iteration");
-  }
-  obs::ScopedTimer total_timer(t_total);
-  obs::ScopedSpan total_span(spans, sp_total, "placement");
-
-  PlacementResult result{.algorithm = "greedy-global",
-                         .placement = std::move(placement),
-                         .nearest = std::move(nearest)};
-  result.cost_trajectory.push_back(
-      sys::total_remote_cost(system.demand(), result.nearest));
-
-  std::vector<Candidate> best_per_server(n);
-  std::uint64_t total_candidates = 0;
-  std::size_t iteration = 0;
-  for (;;) {
-    if (options.max_replicas != 0 &&
-        result.placement.replica_count() >= options.max_replicas) {
-      break;
-    }
-    obs::ScopedSpan iter_span(spans, sp_iter, "placement");
-    iter_span.arg("iteration", static_cast<double>(iteration));
-    std::chrono::steady_clock::time_point eval_start;
-    if (t_eval != nullptr) eval_start = std::chrono::steady_clock::now();
-    util::parallel_for(0, n, [&](std::size_t i) {
-      const auto server = static_cast<sys::ServerIndex>(i);
-      Candidate best;
-      std::uint64_t evaluated = 0;
-      for (std::size_t j = 0; j < m; ++j) {
-        const auto site = static_cast<sys::SiteIndex>(j);
-        if (!result.placement.can_add(server, site)) continue;
-        ++evaluated;
-        const double b = replication_benefit(system, result.placement,
-                                             result.nearest, server, site);
-        if (!best.valid || b > best.benefit) {
-          best = {b, server, site, true, 0};
-        }
-      }
-      best.evaluated = evaluated;
-      best_per_server[i] = best;
-    });
-    double eval_ms = 0.0;
-    if (t_eval != nullptr) {
-      const auto ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - eval_start)
-              .count());
-      t_eval->record_ns(ns);
-      eval_ms = static_cast<double>(ns) * 1e-6;
-    }
-    Candidate winner;
-    std::uint64_t iteration_candidates = 0;
-    for (const Candidate& c : best_per_server) {
-      iteration_candidates += c.evaluated;
-      if (c.valid && (!winner.valid || c.benefit > winner.benefit)) {
-        winner = c;
-      }
-    }
-    total_candidates += iteration_candidates;
-    if (!winner.valid || winner.benefit <= 0.0) break;
-    result.placement.add(winner.server, winner.site);
-    result.nearest.on_replica_added(winner.server, winner.site);
-    result.cost_trajectory.push_back(
-        sys::total_remote_cost(system.demand(), result.nearest));
-    if (iteration_log != nullptr) {
-      iteration_log->add_row(
-          {static_cast<double>(iteration),
-           static_cast<double>(winner.server),
-           static_cast<double>(winner.site),
-           static_cast<double>(iteration_candidates), winner.benefit,
-           static_cast<double>(system.site_bytes()[winner.site]),
-           result.cost_trajectory.back(), eval_ms});
-    }
-    ++iteration;
-  }
-
-  finalize_replication_result(system, result);
-
-  if (metrics != nullptr) {
-    metrics->counter(pfx + "candidates_evaluated").add(total_candidates);
-    metrics->gauge(pfx + "replicas_created")
-        .set(static_cast<double>(result.replicas_created));
-    metrics->gauge(pfx + "predicted_cost_per_request")
-        .set(result.predicted_cost_per_request);
-    obs::Series& cost = metrics->series(pfx + "cost");
-    for (const double c : result.cost_trajectory) cost.push(c);
-  }
-  return result;
-}
-
 struct HeapEntry {
   double benefit = 0.0;
   sys::ServerIndex server = 0;
@@ -177,7 +53,7 @@ struct HeapEntry {
 };
 
 // Max element = highest benefit, ties by lowest server then lowest site —
-// the order the reference's two-stage scan induces.
+// the order a row-major scan that keeps the first maximum induces.
 struct WorseThan {
   bool operator()(const HeapEntry& a, const HeapEntry& b) const {
     if (a.benefit != b.benefit) return a.benefit < b.benefit;
@@ -186,16 +62,21 @@ struct WorseThan {
   }
 };
 
+}  // namespace
+
 // Lazy-heap engine.  replication_benefit(i, j) reads only column j of the
 // nearest index and the placement, so a commit of (i*, j*) invalidates
 // exactly column j* (N re-evaluations) plus the feasibility of row i*
 // (budget shrank; benefit values there are untouched, the entries just die
 // when the candidate stops fitting).  Cached benefits come from the same
-// function on the same inputs, so results are byte-identical.
-PlacementResult greedy_global_incremental(
+// function on the same inputs, so results are byte-identical to
+// re-evaluating every candidate every iteration.
+PlacementResult greedy_global_with_budgets(
     const sys::CdnSystem& system,
     const std::vector<std::uint64_t>& replica_budgets,
     const GreedyGlobalOptions& options) {
+  CDN_EXPECT(replica_budgets.size() == system.server_count(),
+             "one replica budget per server is required");
   const std::size_t n = system.server_count();
   const std::size_t m = system.site_count();
 
@@ -406,20 +287,6 @@ PlacementResult greedy_global_incremental(
     for (const double c : result.cost_trajectory) cost.push(c);
   }
   return result;
-}
-
-}  // namespace
-
-PlacementResult greedy_global_with_budgets(
-    const sys::CdnSystem& system,
-    const std::vector<std::uint64_t>& replica_budgets,
-    const GreedyGlobalOptions& options) {
-  CDN_EXPECT(replica_budgets.size() == system.server_count(),
-             "one replica budget per server is required");
-  if (options.engine == PlacementEngine::kReference) {
-    return greedy_global_reference(system, replica_budgets, options);
-  }
-  return greedy_global_incremental(system, replica_budgets, options);
 }
 
 PlacementResult greedy_global(const sys::CdnSystem& system,

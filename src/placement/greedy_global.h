@@ -9,29 +9,20 @@
 //                   * r_j^(k)                                     (relative)
 //
 // It terminates when every server is full or no candidate improves the cost.
+// The engine keeps cached benefits in a lazy heap and re-prices only the
+// committed site's column per commit; tests/placement_oracle.h holds the
+// plain loop it matches bit for bit.
 
 #pragma once
 
 #include "src/cdn/system.h"
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
-#include "src/placement/model_support.h"
 #include "src/placement/placement_result.h"
 
 namespace cdn::placement {
 
 struct GreedyGlobalOptions {
-  /// Accepted for CLI symmetry with hybrid_greedy, but a documented no-op:
-  /// the greedy-global objective is model-free (no Eq. 1/Eq. 2 in the
-  /// benefit), so every tier prices candidates identically
-  /// (invariance is test-enforced).
-  PlacementModel placement_model = PlacementModel::kExact;
-  /// Candidate-evaluation engine.  A commit of (i*, j*) only changes the
-  /// inputs of column-j* candidates (the benefit reads nothing outside its
-  /// own site column), so the incremental engine re-evaluates N candidates
-  /// per commit instead of N*M; byte-identical results (test-enforced).
-  PlacementEngine engine = PlacementEngine::kIncremental;
-
   /// Optional cap on replicas per run (0 = unlimited); used by tests and
   /// by the fixed-split scheme indirectly through storage budgets.
   std::size_t max_replicas = 0;

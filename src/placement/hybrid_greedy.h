@@ -19,6 +19,11 @@
 // The best positive candidate is materialised (lines 18-25) and the model
 // state is updated; the algorithm stops when no candidate has positive
 // benefit or nothing fits.
+//
+// hybrid_greedy runs one engine, the lazy heap of hybrid_incremental.cpp:
+// after a commit it re-prices only the candidates whose inputs moved.  The
+// plain loop that re-prices every candidate every iteration is the test
+// oracle in tests/placement_oracle.h, which the engine matches bit for bit.
 
 #pragma once
 
@@ -37,30 +42,13 @@ struct HybridGreedyOptions {
   model::PbMode pb_mode = model::PbMode::kAtInit;
 
   /// Model tier pricing candidate evaluations (docs/PERFORMANCE.md,
-  /// "Placement model tiers").  kExact keeps today's byte-identical paths;
-  /// kClosedForm / kChe price candidates from shared per-server tables in
-  /// O(1) per candidate and re-verify near-threshold winners with the exact
-  /// Eq. 1/Eq. 2 model before commit.  The hit matrix, miss flows, cost
-  /// trajectory and final states stay exact in every tier.
+  /// "Placement model tiers").  kExact prices every candidate with the
+  /// Eq. 1/Eq. 2 what-if sweep; kClosedForm prices them from shared
+  /// per-server tables in O(1) and re-verifies the winner, and every
+  /// contender within a fixed band of it, with the exact model before
+  /// commit.  The hit matrix, miss flows, cost trajectory and final states
+  /// stay exact in both tiers.
   PlacementModel placement_model = PlacementModel::kExact;
-
-  /// Width of the exact-verification band for the cheap tiers, as a
-  /// fraction of the current iteration's top tier benefit.
-  /// Tier prices only RANK candidates: every iteration the winner is
-  /// re-priced with the exact model before commit, together with every
-  /// contender whose tier benefit lands within this margin of the top (so
-  /// a tier mis-ranking inside the band cannot pick the wrong replica).
-  /// Larger margins verify more contenders (slower, closer to exact); 0
-  /// still exact-verifies the winner and the stop decision, trusting the
-  /// tier's ordering everywhere else.  Ignored under kExact.
-  double tier_fallback_margin = 0.1;
-
-  /// Candidate-evaluation engine.  kIncremental (default) runs the lazy
-  /// heap + sound-invalidation engine; kReference re-evaluates everything
-  /// every iteration.  The two are byte-identical in placement, cost
-  /// trajectory and commit order (test-enforced); kReference exists as the
-  /// oracle and the bench baseline.
-  PlacementEngine engine = PlacementEngine::kIncremental;
 
   /// Optional cap on replicas (0 = unlimited).
   std::size_t max_replicas = 0;
@@ -83,9 +71,9 @@ struct HybridGreedyOptions {
   std::string metrics_prefix = "placement/hybrid/";
 
   /// Span tracer (non-owning; null = no spans).  Each committed replica
-  /// gets an iteration span; the incremental engine also emits heap
-  /// re-evaluation/repair spans, invalidation instants and a heap-size
-  /// counter track (see docs/OBSERVABILITY.md).
+  /// gets an iteration span, next to heap re-evaluation/repair spans,
+  /// invalidation instants and a heap-size counter track (see
+  /// docs/OBSERVABILITY.md).
   obs::SpanTracer* spans = nullptr;
 };
 
@@ -102,8 +90,8 @@ struct HybridBenefitParts {
 
 /// The N x M miss-flow matrix F[i][j] = (1 - h_j^(i)) * r_j^(i): the demand
 /// a server still sends upstream for a site after its modelled cache hits.
-/// Local and relative gains are linear in these products, so the engines
-/// precompute the matrix once and refresh only the committed server's row
+/// Local and relative gains are linear in these products, so the engine
+/// precomputes the matrix once and refreshes only the committed server's row
 /// per iteration (the row is the only one whose hit ratios move) instead of
 /// re-deriving every product inside each of the O(N*M) candidate
 /// evaluations.  Values are elementwise functions of (hit, demand), so a

@@ -1,10 +1,10 @@
-// The incremental lazy-heap engine behind HybridGreedyOptions::engine ==
-// kIncremental.
+// hybrid_greedy's engine: a lazy max-heap of cached candidate benefits.
 //
-// The reference engine re-evaluates every feasible (server, site) candidate
-// on every iteration — Theta(N*M) evaluations of O(N + M) each per commit.
-// But a commit of (i*, j*) only changes the inputs of a small set of
-// candidates, and for most of them only ONE of the three benefit terms:
+// The plain Figure-2 loop re-evaluates every feasible (server, site)
+// candidate on every iteration — Theta(N*M) evaluations of O(N + M) each
+// per commit (tests/placement_oracle.h keeps it as the oracle).  But a
+// commit of (i*, j*) only changes the inputs of a small set of candidates,
+// and for most of them only ONE of the three benefit terms:
 //
 //   * every candidate at server i* — its cache state, hit row and remaining
 //     budget changed: FULL re-evaluation;
@@ -31,24 +31,24 @@
 // repaired double equals what a fresh evaluation would produce.
 //
 // Everything else keeps its cached benefit.  Cached values live in a lazy
-// max-heap ordered (benefit desc, server asc, site asc) — exactly the
-// reference's winner tie-break — with per-candidate version counters for
-// lazy deletion.  Invalidated candidates are re-evaluated in parallel
-// batches grouped by server (the WhatIf memo arena in ServerCacheState is
-// per-state mutable, so a state must stay single-threaded) using the same
-// canonical benefit function and the same miss-flow matrix as the reference,
-// so every evaluated double is bit-identical and the two engines produce
-// byte-identical placements, cost trajectories and commit orders.
+// max-heap ordered (benefit desc, server asc, site asc) — exactly the plain
+// loop's winner tie-break — with per-candidate version counters for lazy
+// deletion.  Invalidated candidates are re-evaluated in parallel batches
+// grouped by server (the WhatIf memo arena in ServerCacheState is per-state
+// mutable, so a state must stay single-threaded) using the canonical
+// benefit function, so every evaluated double is bit-identical to a fresh
+// evaluation and the engine reproduces the plain loop's placement, cost
+// trajectory and commit order byte for byte.
 //
 // Feasibility is monotone (server budgets only shrink), so a candidate that
 // stops fitting is dead forever; deaths can only occur inside the
 // invalidated set (only server i*'s budget moved), where the batch
 // re-evaluation notices them.
 //
-// Tier mode (placement_model != kExact) reuses the same invalidation sets
-// but prices kFull re-evaluations from the shared per-server tables and
-// verifies near-top candidates with the exact model before commit (see
-// hybrid_greedy.h).  Repairs of an exact-verified candidate patch the
+// Tier mode (placement_model == kClosedForm) reuses the same invalidation
+// sets but prices kFull re-evaluations from the shared per-server tables
+// and verifies near-top candidates with the exact model before commit (see
+// kTierFallbackMargin).  Repairs of an exact-verified candidate patch the
 // exact decomposition in place instead of dropping back to a tier price:
 // the penalty's j* term moves by dh * r * (C_new - C_old) with dh and r
 // untouched off the committed row, and the relative term is exact by
@@ -85,8 +85,8 @@ struct HeapEntry {
 };
 
 // std::push_heap comparator: "a is worse than b".  The max element is the
-// highest benefit, ties broken by lowest server then lowest site — the same
-// total order the reference's two-stage scan induces.
+// highest benefit, ties broken by lowest server then lowest site — the
+// order a row-major scan that keeps the first maximum induces.
 struct WorseThan {
   bool operator()(const HeapEntry& a, const HeapEntry& b) const {
     if (a.benefit != b.benefit) return a.benefit < b.benefit;
@@ -94,6 +94,37 @@ struct WorseThan {
     return a.site > b.site;
   }
 };
+
+// Width of the tier's exact-verification band, as a fraction of the current
+// top tier benefit.  Tier prices only RANK candidates: the winner is
+// re-priced with the exact model before commit, together with every
+// contender whose tier benefit lands within this band of the top, so a tier
+// mis-ranking inside the band cannot pick the wrong replica.
+constexpr double kTierFallbackMargin = 0.1;
+
+// Materialises options.seed (if any) into `placement` and `states`, in
+// row-major order.
+void apply_seed(const sys::CdnSystem& system,
+                const HybridGreedyOptions& options,
+                sys::ReplicaPlacement& placement,
+                std::vector<model::ServerCacheState>& states) {
+  if (options.seed == nullptr) return;
+  const std::size_t n = system.server_count();
+  const std::size_t m = system.site_count();
+  CDN_EXPECT(
+      options.seed->server_count() == n && options.seed->site_count() == m,
+      "seed placement dimensions must match the system");
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      const auto server = static_cast<sys::ServerIndex>(i);
+      const auto site = static_cast<sys::SiteIndex>(j);
+      if (options.seed->is_replicated(server, site)) {
+        placement.add(server, site);
+        states[i].replicate(static_cast<std::uint32_t>(j));
+      }
+    }
+  }
+}
 
 }  // namespace
 
@@ -140,7 +171,7 @@ PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
   obs::ScopedTimer total_timer(t_total);
   obs::ScopedSpan total_span(spans, sp_total, "placement");
 
-  ModelContext context(system, options.pb_mode, options.placement_model);
+  ModelContext context(system, options.pb_mode);
   std::vector<model::ServerCacheState> states = context.make_states();
 
   sys::ReplicaPlacement placement(system.server_storage(),
@@ -159,16 +190,15 @@ PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
   };
   result.cost_trajectory.push_back(current_cost());
 
-  // Tier fast path (kClosedForm / kChe): candidate prices come from shared
+  // Tier fast path (kClosedForm): candidate prices come from shared
   // per-server tables and the transposed relative columns; every branch
   // below that touches `tier`/`columns` is gated on `tiered`, so the kExact
   // paths stay literally the pre-tier code (byte-identity gate).
-  const bool tiered = options.placement_model != PlacementModel::kExact;
+  const bool tiered = options.placement_model == PlacementModel::kClosedForm;
   std::optional<TierEvaluator> tier;
   std::optional<RelativeColumns> columns;
   if (tiered) {
-    tier.emplace(system, states, result.nearest, context.curve(),
-                 context.occupancy(), options.placement_model);
+    tier.emplace(system, states, result.nearest, context.curve());
     columns.emplace();
     columns->build(system, result.placement, result.nearest, flow);
   }
@@ -407,8 +437,8 @@ PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
     };
     discard_stale();
 
-    // Error-gated exact fallback (cheap tiers only): tier prices RANK the
-    // heap; the commit decision is always exact.  Each round exact
+    // Error-gated exact fallback (closed-form tier only): tier prices RANK
+    // the heap; the commit decision is always exact.  Each round exact
     // re-prices every live, unverified entry whose tier benefit lands
     // within the margin band of the current top (the top itself included),
     // stamps them, and reinserts; it stops once the top is exact-priced
@@ -430,8 +460,7 @@ PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
         // frontier decays — a frozen run-level scale would drag the whole
         // post-commit invalidation set into exact re-pricing every
         // iteration once benefits shrink below it.
-        const double band =
-            options.tier_fallback_margin * std::abs(top.benefit);
+        const double band = kTierFallbackMargin * std::abs(top.benefit);
         const std::size_t tidx =
             static_cast<std::size_t>(top.server) * m + top.site;
         // Settled: exact top, nothing unverified close enough to contest.
@@ -684,10 +713,6 @@ PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
       metrics->counter(pfx + "tier_evaluations").add(tier->evaluations());
       metrics->counter(pfx + "tier_fallbacks").add(tier_fallbacks);
       metrics->counter(pfx + "tier_margin_hits").add(tier_margin_hits);
-      if (options.placement_model == PlacementModel::kChe) {
-        metrics->counter("model/che/fixed_point_iterations")
-            .add(tier->che_iterations());
-      }
     }
     metrics->gauge(pfx + "heap/peak_size")
         .set(static_cast<double>(peak_heap));

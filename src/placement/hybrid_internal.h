@@ -1,5 +1,5 @@
-// Internal glue shared by the two hybrid-greedy engines (reference and
-// incremental).  Not part of the public placement API.
+// Internal glue between hybrid_greedy's public benefit functions and its
+// lazy-heap engine.  Not part of the public placement API.
 
 #pragma once
 
@@ -7,19 +7,14 @@
 
 #include "src/model/server_cache_state.h"
 #include "src/placement/hybrid_greedy.h"
-#include "src/util/error.h"
 
 namespace cdn::placement::detail {
 
-/// The original Figure-2 loop: every feasible candidate re-evaluated every
-/// iteration.  Oracle for the incremental engine and the bench baseline.
-PlacementResult hybrid_greedy_reference(const sys::CdnSystem& system,
-                                        const HybridGreedyOptions& options);
-
 /// Lazy-heap engine: candidates keep their cached benefits until a commit
 /// changes one of their inputs; only the invalidated set is re-evaluated.
-/// Byte-identical to the reference in placement, cost trajectory and commit
-/// order.
+/// Under kExact it is byte-identical in placement, cost trajectory and
+/// commit order to re-evaluating every candidate every iteration
+/// (tests/placement_oracle.h).
 PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
                                           const HybridGreedyOptions& options);
 
@@ -53,29 +48,5 @@ HybridBenefitParts hybrid_benefit_parts_capture(
     const model::ServerCacheState& state, const std::vector<double>& hit,
     const double* miss_flow, sys::ServerIndex server, sys::SiteIndex site,
     double* penalty_terms);
-
-/// Materialises options.seed (if any) into `placement` and `states`, in the
-/// same row-major order for both engines.
-inline void apply_seed(const sys::CdnSystem& system,
-                       const HybridGreedyOptions& options,
-                       sys::ReplicaPlacement& placement,
-                       std::vector<model::ServerCacheState>& states) {
-  if (options.seed == nullptr) return;
-  const std::size_t n = system.server_count();
-  const std::size_t m = system.site_count();
-  CDN_EXPECT(
-      options.seed->server_count() == n && options.seed->site_count() == m,
-      "seed placement dimensions must match the system");
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < m; ++j) {
-      const auto server = static_cast<sys::ServerIndex>(i);
-      const auto site = static_cast<sys::SiteIndex>(j);
-      if (options.seed->is_replicated(server, site)) {
-        placement.add(server, site);
-        states[i].replicate(static_cast<std::uint32_t>(j));
-      }
-    }
-  }
-}
 
 }  // namespace cdn::placement::detail

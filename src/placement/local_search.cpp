@@ -12,12 +12,6 @@ namespace cdn::placement {
 
 namespace {
 
-double replication_cost(const sys::CdnSystem& system,
-                        const sys::ReplicaPlacement& placement) {
-  sys::NearestReplicaIndex nearest(system.distances(), placement);
-  return sys::total_remote_cost(system.demand(), nearest);
-}
-
 /// Computes column `site` of the redirection-cost matrix from the
 /// placement's holder list into out[0], out[stride], ... — the same scan
 /// NearestReplicaIndex::rebuild runs for one column, so the values are
@@ -42,21 +36,24 @@ void compute_cost_column(const sys::CdnSystem& system,
   }
 }
 
-/// The incremental engine behind LocalSearchOptions::engine == kIncremental.
-///
-/// The reference evaluates each trial swap by building a fresh
-/// NearestReplicaIndex and summing the remote cost — O(N*M*holders) setup
-/// per trial.  But a swap only changes two site columns of the redirection
-/// costs: removing (i, j) touches column j, adding (i', j') touches column
-/// j'.  This engine maintains the exact cost matrix, derives the trial's two
-/// columns on the fly (a column recompute for the removal, a min() against
-/// the inserted holder for the addition), and accumulates the total in the
-/// same row-major order with the same `c == 0` skip as total_remote_cost —
-/// every cell value and the accumulation order are identical, so the trial
-/// costs, the chosen swaps and the stop decision are bit-identical.
-LocalSearchStats local_search_refine_incremental(
-    const sys::CdnSystem& system, PlacementResult& result,
-    const LocalSearchOptions& options) {
+}  // namespace
+
+// Pricing a trial swap with a fresh NearestReplicaIndex and a full
+// remote-cost sum takes O(N*M*holders) per trial.  But a swap only changes
+// two site columns of the redirection costs: removing (i, j) touches column
+// j, adding (i', j') touches column j'.  This engine maintains the exact
+// cost matrix, derives the trial's two columns on the fly (a column
+// recompute for the removal, a min() against the inserted holder for the
+// addition), and accumulates the total in the same row-major order with the
+// same `c == 0` skip as total_remote_cost — every cell value and the
+// accumulation order are identical, so the trial costs, the chosen swaps
+// and the stop decision are bit-identical to the fresh-index pricing
+// (tests/placement_oracle.h).
+LocalSearchStats local_search_refine(const sys::CdnSystem& system,
+                                     PlacementResult& result,
+                                     const LocalSearchOptions& options) {
+  CDN_EXPECT(options.min_relative_gain >= 0.0,
+             "minimum gain must be non-negative");
   const std::size_t n = system.server_count();
   const std::size_t m = system.site_count();
   const auto& demand = system.demand();
@@ -199,122 +196,6 @@ LocalSearchStats local_search_refine_incremental(
     metrics->gauge(pfx + "final_cost").set(stats.final_cost);
   }
   return stats;
-}
-
-LocalSearchStats local_search_refine_reference(
-    const sys::CdnSystem& system, PlacementResult& result,
-    const LocalSearchOptions& options) {
-  CDN_EXPECT(options.min_relative_gain >= 0.0,
-             "minimum gain must be non-negative");
-  const std::size_t n = system.server_count();
-  const std::size_t m = system.site_count();
-
-  obs::Registry* const metrics = options.metrics;
-  const std::string& pfx = options.metrics_prefix;
-  obs::TimerStat* const t_total =
-      metrics ? &metrics->timer(pfx + "phase/total") : nullptr;
-  obs::Table* const swap_log =
-      metrics ? &metrics->table(pfx + "swaps",
-                                {"swap", "out_server", "out_site",
-                                 "in_server", "in_site", "cost_before",
-                                 "cost_after"})
-              : nullptr;
-  obs::SpanTracer* const spans = options.spans;
-  const char* sp_total =
-      spans != nullptr ? spans->intern(pfx + "total") : nullptr;
-  obs::ScopedTimer total_timer(t_total);
-  obs::ScopedSpan total_span(spans, sp_total, "placement");
-
-  LocalSearchStats stats;
-  stats.initial_cost = replication_cost(system, result.placement);
-  double current = stats.initial_cost;
-
-  for (;;) {
-    if (options.max_swaps != 0 && stats.swaps_applied >= options.max_swaps) {
-      break;
-    }
-    // Best single swap: remove (i, j), insert (i', j') that then fits.
-    double best_cost = current;
-    sys::ServerIndex best_out_server = 0, best_in_server = 0;
-    sys::SiteIndex best_out_site = 0, best_in_site = 0;
-    bool found = false;
-
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < m; ++j) {
-        const auto out_server = static_cast<sys::ServerIndex>(i);
-        const auto out_site = static_cast<sys::SiteIndex>(j);
-        if (!result.placement.is_replicated(out_server, out_site)) continue;
-        result.placement.remove(out_server, out_site);
-
-        for (std::size_t i2 = 0; i2 < n; ++i2) {
-          for (std::size_t j2 = 0; j2 < m; ++j2) {
-            const auto in_server = static_cast<sys::ServerIndex>(i2);
-            const auto in_site = static_cast<sys::SiteIndex>(j2);
-            if (in_server == out_server && in_site == out_site) continue;
-            if (!result.placement.can_add(in_server, in_site)) continue;
-            result.placement.add(in_server, in_site);
-            const double cost = replication_cost(system, result.placement);
-            if (cost < best_cost) {
-              best_cost = cost;
-              best_out_server = out_server;
-              best_out_site = out_site;
-              best_in_server = in_server;
-              best_in_site = in_site;
-              found = true;
-            }
-            result.placement.remove(in_server, in_site);
-          }
-        }
-        result.placement.add(out_server, out_site);
-      }
-    }
-
-    if (!found ||
-        current - best_cost <= options.min_relative_gain * current) {
-      break;
-    }
-    result.placement.remove(best_out_server, best_out_site);
-    result.placement.add(best_in_server, best_in_site);
-    if (swap_log != nullptr) {
-      swap_log->add_row({static_cast<double>(stats.swaps_applied),
-                         static_cast<double>(best_out_server),
-                         static_cast<double>(best_out_site),
-                         static_cast<double>(best_in_server),
-                         static_cast<double>(best_in_site), current,
-                         best_cost});
-    }
-    current = best_cost;
-    ++stats.swaps_applied;
-  }
-
-  // Re-derive the dependent fields of the result.
-  result.nearest.rebuild(result.placement);
-  result.predicted_total_cost = current;
-  result.predicted_cost_per_request = current / system.demand().total();
-  result.replicas_created = result.placement.replica_count();
-  result.cost_trajectory.push_back(current);
-  stats.final_cost = current;
-
-  if (metrics != nullptr) {
-    metrics->gauge(pfx + "swaps_applied")
-        .set(static_cast<double>(stats.swaps_applied));
-    metrics->gauge(pfx + "initial_cost").set(stats.initial_cost);
-    metrics->gauge(pfx + "final_cost").set(stats.final_cost);
-  }
-  return stats;
-}
-
-}  // namespace
-
-LocalSearchStats local_search_refine(const sys::CdnSystem& system,
-                                     PlacementResult& result,
-                                     const LocalSearchOptions& options) {
-  CDN_EXPECT(options.min_relative_gain >= 0.0,
-             "minimum gain must be non-negative");
-  if (options.engine == PlacementEngine::kReference) {
-    return local_search_refine_reference(system, result, options);
-  }
-  return local_search_refine_incremental(system, result, options);
 }
 
 PlacementResult greedy_with_backtracking(const sys::CdnSystem& system,

@@ -7,7 +7,9 @@
 // replica, add another that fits) until no swap helps.  It applies to the
 // pure-replication objective and is used (a) as a stronger replication
 // baseline and (b) to quantify how far greedy-global is from a local
-// optimum.
+// optimum.  Trial swaps are priced from an incrementally maintained
+// redirection-cost matrix, bit-identical to rebuilding the nearest-replica
+// index per trial (the test oracle in tests/placement_oracle.h).
 
 #pragma once
 
@@ -16,23 +18,11 @@
 #include "src/cdn/system.h"
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
-#include "src/placement/model_support.h"
 #include "src/placement/placement_result.h"
 
 namespace cdn::placement {
 
 struct LocalSearchOptions {
-  /// Accepted for CLI symmetry with hybrid_greedy, but a documented no-op:
-  /// the swap objective is the pure replication cost (model-free), so every
-  /// tier prices swaps identically (invariance is test-enforced).
-  PlacementModel placement_model = PlacementModel::kExact;
-  /// Swap-evaluation engine.  The reference rebuilds a NearestReplicaIndex
-  /// from scratch for every trial swap; the incremental engine maintains the
-  /// exact per-cell redirection-cost matrix and recomputes only the two
-  /// affected site columns per trial, producing bit-identical swap choices
-  /// and costs (test-enforced).
-  PlacementEngine engine = PlacementEngine::kIncremental;
-
   /// Stop after this many applied swaps (0 = until convergence).
   std::size_t max_swaps = 0;
   /// A swap must improve the cost by more than this relative margin to be

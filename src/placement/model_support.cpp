@@ -7,10 +7,8 @@ namespace cdn::placement {
 PlacementModel parse_placement_model(const std::string& name) {
   if (name == "exact") return PlacementModel::kExact;
   if (name == "closed-form") return PlacementModel::kClosedForm;
-  if (name == "che") return PlacementModel::kChe;
-  CDN_EXPECT(false,
-             "unknown placement model '" + name +
-                 "' (expected exact, closed-form, or che)");
+  CDN_EXPECT(false, "unknown placement model '" + name +
+                        "' (expected exact or closed-form)");
   return PlacementModel::kExact;
 }
 
@@ -20,24 +18,16 @@ const char* placement_model_name(PlacementModel model) {
       return "exact";
     case PlacementModel::kClosedForm:
       return "closed-form";
-    case PlacementModel::kChe:
-      return "che";
   }
   return "exact";
 }
 
 ModelContext::ModelContext(const sys::CdnSystem& system,
-                           model::PbMode pb_mode,
-                           PlacementModel placement_model)
+                           model::PbMode pb_mode)
     : system_(&system),
       curve_(system.catalog().object_popularity()),
       pb_mode_(pb_mode),
-      placement_model_(placement_model),
-      lambdas_(system.uncacheable_fractions()) {
-  if (placement_model_ == PlacementModel::kChe) {
-    occupancy_.emplace(system.catalog().object_popularity());
-  }
-}
+      lambdas_(system.uncacheable_fractions()) {}
 
 std::vector<model::ServerCacheState> ModelContext::make_states(
     const sys::ReplicaPlacement* existing) const {

@@ -4,7 +4,6 @@
 
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -12,60 +11,46 @@
 #include "src/cdn/system.h"
 #include "src/model/hit_ratio_curve.h"
 #include "src/model/server_cache_state.h"
-#include "src/model/steady_state.h"
 #include "src/placement/placement_result.h"
 
 namespace cdn::placement {
 
-/// Which model tier prices per-candidate *placement* evaluations (the
-/// simulation-side twin is sim::... --hit-model / SteadyStateModel).
+/// Which model tier prices per-candidate *hybrid placement* evaluations
+/// (the simulation-side twin is sim::... --hit-model / SteadyStateModel).
 ///
 ///   * kExact      — every candidate runs the full Eq. 1/Eq. 2 what-if
-///     (today's path, byte-identical to the pre-tier engines);
+///     (byte-identical to the pre-tier engine);
 ///   * kClosedForm — candidates are priced from per-server tabulated
 ///     penalty tables anchored to the O(1) closed-form characteristic time
 ///     (Laoutaris), with an error-gated exact fallback near the commit
-///     threshold;
-///   * kChe        — same tables, but the characteristic time comes from
-///     the Che/TTL occupancy fixed point (Jiang/Nain/Towsley), warm-started
-///     across commits.
+///     threshold.
 ///
-/// In every tier the hit matrix, miss flows, cost trajectory and final
-/// model states stay EXACT — tiers only price the candidate *ranking*, and
-/// near-threshold winners are re-verified with the exact model before
-/// commit (HybridGreedyOptions::tier_fallback_margin).
+/// In both tiers the hit matrix, miss flows, cost trajectory and final
+/// model states stay EXACT — the tier only prices the candidate *ranking*,
+/// and near-threshold winners are re-verified with the exact model before
+/// commit.
 enum class PlacementModel {
   kExact,
   kClosedForm,
-  kChe,
 };
 
-/// Parses "exact" / "closed-form" / "che" (the --placement-model CLI
-/// values); throws PreconditionError on anything else.
+/// Parses "exact" / "closed-form" (the --placement-model CLI values);
+/// throws PreconditionError on anything else.
 PlacementModel parse_placement_model(const std::string& name);
 
 /// The CLI name of a tier (inverse of parse_placement_model).
 const char* placement_model_name(PlacementModel model);
 
 /// Owns the model machinery shared by all servers of one system: the H(z)
-/// table (one per (theta, L)), the N(z) occupancy table when the Che
-/// placement tier needs it, and the model configuration.
+/// table (one per (theta, L)) and the model configuration.
 class ModelContext {
  public:
   explicit ModelContext(const sys::CdnSystem& system,
-                        model::PbMode pb_mode = model::PbMode::kAtInit,
-                        PlacementModel placement_model = PlacementModel::kExact);
+                        model::PbMode pb_mode = model::PbMode::kAtInit);
 
   const sys::CdnSystem& system() const noexcept { return *system_; }
   const model::HitRatioCurve& curve() const noexcept { return curve_; }
   model::PbMode pb_mode() const noexcept { return pb_mode_; }
-  PlacementModel placement_model() const noexcept { return placement_model_; }
-
-  /// Shared N(z) table; non-null iff placement_model() == kChe (built once
-  /// in the constructor and reused across every candidate of the run).
-  const model::OccupancyCurve* occupancy() const noexcept {
-    return occupancy_ ? &*occupancy_ : nullptr;
-  }
 
   /// Builds one ServerCacheState per server.  When `existing` is non-null
   /// its replicas are applied (replicate() per entry), so the states
@@ -82,8 +67,6 @@ class ModelContext {
   const sys::CdnSystem* system_;
   model::HitRatioCurve curve_;
   model::PbMode pb_mode_;
-  PlacementModel placement_model_;
-  std::optional<model::OccupancyCurve> occupancy_;
   std::vector<double> lambdas_;
 };
 

@@ -1,4 +1,7 @@
-// Common output contract of every placement algorithm.
+// Common output contract of every placement algorithm.  The greedy
+// algorithms each run one engine; the plain loops they must match bit for
+// bit (largest benefit, then lowest server, then lowest site) live in
+// tests/placement_oracle.h.
 
 #pragma once
 
@@ -10,23 +13,6 @@
 #include "src/cdn/replication.h"
 
 namespace cdn::placement {
-
-/// Which candidate-evaluation engine a greedy placement algorithm runs.
-/// Both engines produce byte-identical placements, cost trajectories and
-/// commit orders under the shared tie-break rule (largest benefit, then
-/// lowest server index, then lowest site index); they differ only in how
-/// much work each iteration performs.
-enum class PlacementEngine {
-  /// Re-evaluate every feasible (server, site) candidate from scratch on
-  /// every iteration — the original Figure-2 code path, kept as the
-  /// equivalence oracle and the baseline of bench_placement_scaling.
-  kReference,
-  /// Lazy max-heap of cached candidate benefits with per-entry staleness
-  /// epochs: after a commit only the candidates whose inputs actually
-  /// changed are re-evaluated (in parallel batches), everything else keeps
-  /// its cached value.  The default.
-  kIncremental,
-};
 
 /// What an algorithm hands to the simulator and the reporting layer: the
 /// replica placement, the consistent nearest-replica index, the modelled

@@ -3,37 +3,17 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/util/error.h"
-
 namespace cdn::placement {
 
 TierEvaluator::TierEvaluator(const sys::CdnSystem& system,
                              const std::vector<model::ServerCacheState>& states,
                              const sys::NearestReplicaIndex& nearest,
-                             const model::HitRatioCurve& curve,
-                             const model::OccupancyCurve* occupancy,
-                             PlacementModel tier)
+                             const model::HitRatioCurve& curve)
     : system_(&system),
       states_(&states),
       nearest_(&nearest),
       curve_(&curve),
-      occupancy_(occupancy),
-      tier_(tier),
-      mean_bytes_(system.catalog().mean_object_bytes()),
-      tables_(system.server_count()) {
-  CDN_EXPECT(tier_ != PlacementModel::kExact,
-             "the exact tier has no evaluator; use the engine's exact path");
-  if (tier_ == PlacementModel::kChe) {
-    CDN_EXPECT(occupancy_ != nullptr, "the Che tier needs an OccupancyCurve");
-    for (std::size_t i = 0; i < states.size(); ++i) {
-      CDN_EXPECT(states[i].buffer_slots() > 0,
-                 "placement-model=che requires every server to start with at "
-                 "least one LRU slot (server " +
-                     std::to_string(i) +
-                     " has none); use exact or closed-form");
-    }
-  }
-}
+      tables_(system.server_count()) {}
 
 double TierEvaluator::grid_x(const Table& t, std::size_t point) const {
   return std::exp(t.log_x_lo + t.log_step * static_cast<double>(point));
@@ -56,7 +36,6 @@ void TierEvaluator::rebuild(std::size_t server) const {
   if (!t.built) {
     t.g.assign(m, 0.0);
     t.phi.assign(kGridPoints, 0.0);
-    if (tier_ == PlacementModel::kChe) t.psi.assign(kGridPoints, 0.0);
     t.kappa_new.assign(m, 0.0);
     t.kappa_epoch.assign(m, 0);
     t.built = true;
@@ -70,11 +49,9 @@ void TierEvaluator::rebuild(std::size_t server) const {
       static_cast<sys::ServerIndex>(server));
   const double w = state.unreplicated_mass();
 
-  t.cacheable = 0;
   for (std::size_t j = 0; j < m; ++j) {
     double g = 0.0;
     if (repl[j] == 0) {
-      if (pops[j] > 0.0) ++t.cacheable;
       const double c = nearest_->cost(static_cast<sys::ServerIndex>(server),
                                       static_cast<sys::SiteIndex>(j));
       if (c != 0.0) g = (1.0 - lambdas[j]) * row[j] * c;
@@ -82,20 +59,7 @@ void TierEvaluator::rebuild(std::size_t server) const {
     t.g[j] = g;
   }
 
-  double k = 0.0;
-  if (tier_ == PlacementModel::kClosedForm) {
-    k = state.characteristic_time();
-  } else if (w > 0.0) {
-    std::vector<double> weights(m, 0.0);
-    for (std::size_t j = 0; j < m; ++j) {
-      if (repl[j] == 0) weights[j] = pops[j] / w;
-    }
-    const model::CheSolveResult solve = model::che_characteristic_time_warm(
-        weights, *occupancy_, state.buffer_slots(), t.che_k);
-    t.che_iterations += solve.iterations;
-    t.che_k = solve.k;
-    k = solve.k;
-  }
+  const double k = state.characteristic_time();
   t.kappa = (w > 0.0 && k > 0.0) ? k / w : 0.0;
   t.degenerate = !(t.kappa > 0.0);
   if (t.degenerate) return;
@@ -107,15 +71,10 @@ void TierEvaluator::rebuild(std::size_t server) const {
   for (std::size_t p = 0; p < kGridPoints; ++p) {
     const double x = grid_x(t, p);
     double phi = 0.0;
-    double psi = 0.0;
     for (std::size_t j = 0; j < m; ++j) {
       if (t.g[j] != 0.0) phi += t.g[j] * curve_->evaluate_z(pops[j] * x);
-      if (tier_ == PlacementModel::kChe && repl[j] == 0 && pops[j] > 0.0) {
-        psi += occupancy_->evaluate_z(pops[j] * x);
-      }
     }
     t.phi[p] = phi;
-    if (tier_ == PlacementModel::kChe) t.psi[p] = psi;
   }
   double a = 0.0;
   for (std::size_t j = 0; j < m; ++j) {
@@ -124,61 +83,18 @@ void TierEvaluator::rebuild(std::size_t server) const {
   t.a_at_kappa = a;
 }
 
-double TierEvaluator::solve_che_candidate(const Table& t, std::size_t server,
-                                          std::size_t site) const {
-  const model::ServerCacheState& state = (*states_)[server];
-  const double pj = state.popularities()[site];
-  const std::uint64_t bytes_j = system_->site_bytes()[site];
-  if (bytes_j > state.cache_bytes()) return 0.0;
-  const auto slots_new = static_cast<std::uint64_t>(
-      static_cast<double>(state.cache_bytes() - bytes_j) / mean_bytes_);
-  const std::size_t cacheable_new = t.cacheable - (pj > 0.0 ? 1 : 0);
-  if (slots_new == 0 || cacheable_new == 0) return 0.0;
-  const double limit = occupancy_->objects_per_site() *
-                       static_cast<double>(cacheable_new);
-  if (static_cast<double>(slots_new) >= limit) {
-    // Everything cacheable fits: no eviction pressure, push to the grid's
-    // saturated edge (the exact model's z_max regime).
-    return grid_x(t, kGridPoints - 1);
-  }
-  const double target = std::min(static_cast<double>(slots_new), limit);
-  // Post-commit fixed point in scale units y = K'/w':
-  //   Psi(y) - N(p_j y) = target, strictly increasing in y.
-  const auto occupied = [&](double y) {
-    const double drop = pj > 0.0 ? occupancy_->evaluate_z(pj * y) : 0.0;
-    return interpolate(t.psi, t, y) - drop;
-  };
-  double lo = t.x_lo;
-  double hi = grid_x(t, kGridPoints - 1);
-  if (occupied(hi) <= target) return hi;
-  if (occupied(lo) >= target) return lo;
-  for (int iter = 0; iter < 48 && hi - lo > 1e-9 * hi; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    if (occupied(mid) < target) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return 0.5 * (lo + hi);
-}
-
 double TierEvaluator::candidate_scale(Table& t, std::size_t server,
                                       std::size_t site) const {
   if (t.kappa_epoch[site] == t.epoch) return t.kappa_new[site];
   double scale = 0.0;
   const model::ServerCacheState& state = (*states_)[server];
-  if (tier_ == PlacementModel::kClosedForm) {
-    const double w_new = std::max(
-        0.0, state.unreplicated_mass() - state.popularities()[site]);
-    if (w_new > 0.0) {
-      const double k_new =
-          state.what_if_replicate(static_cast<std::uint32_t>(site))
-              .characteristic_time();
-      if (k_new > 0.0) scale = k_new / w_new;
-    }
-  } else {
-    scale = solve_che_candidate(t, server, site);
+  const double w_new =
+      std::max(0.0, state.unreplicated_mass() - state.popularities()[site]);
+  if (w_new > 0.0) {
+    const double k_new =
+        state.what_if_replicate(static_cast<std::uint32_t>(site))
+            .characteristic_time();
+    if (k_new > 0.0) scale = k_new / w_new;
   }
   t.kappa_new[site] = scale;
   t.kappa_epoch[site] = t.epoch;
@@ -237,12 +153,6 @@ void TierEvaluator::on_cost_changed(sys::ServerIndex server,
 std::uint64_t TierEvaluator::evaluations() const noexcept {
   std::uint64_t total = 0;
   for (const Table& t : tables_) total += t.evaluations;
-  return total;
-}
-
-std::uint64_t TierEvaluator::che_iterations() const noexcept {
-  std::uint64_t total = 0;
-  for (const Table& t : tables_) total += t.che_iterations;
   return total;
 }
 

@@ -2,9 +2,9 @@
 //
 // The exact cache-penalty term of a Figure-2 candidate (i, j) costs O(M)
 // H(z) evaluations — one what-if hit ratio per other site — and dominates
-// candidate-evaluation wall time.  Both cheap tiers collapse it to O(1) per
-// candidate by factoring the penalty through per-server tables shared by
-// every candidate of the server:
+// candidate-evaluation wall time.  The closed-form tier collapses it to O(1)
+// per candidate by factoring the penalty through per-server tables shared
+// by every candidate of the server:
 //
 //   penalty(i, j) = [A_i(kappa)     - g_j H(p_j kappa)]
 //                 - [Phi_i(kappa'_j) - g_j H(p_j kappa'_j)]
@@ -15,24 +15,18 @@
 // A_i(kappa) = sum_k g_k H(p_k kappa) an exact cached scalar, and Phi_i a
 // log-grid tabulation of x -> sum_k g_k H(p_k x) around kappa.  Each
 // candidate then needs one grid interpolation plus two H evaluations.
-//
-// The tiers differ only in where kappa'_j comes from:
-//   * kClosedForm — the state's memoized Eq. 2 digamma solve (exact K');
-//     the tier error is purely Phi interpolation plus the dropped
-//     min(p/w, 1) clamp of the exact path (only reachable when one site
-//     carries more than the whole unreplicated mass — a p -> 1 edge);
-//   * kChe        — a per-candidate occupancy fixed point
-//     Psi_i(y) - N(p_j y) = target_j solved by bisection over the SAME
-//     grid (Psi_i tabulates sum_k N(p_k x)), with the server's current
-//     kappa solved by a warm-started Che iteration across commits.
+// kappa'_j comes from the state's memoized Eq. 2 digamma solve (exact K'),
+// so the tier error is purely Phi interpolation plus the dropped
+// min(p/w, 1) clamp of the exact path (only reachable when one site carries
+// more than the whole unreplicated mass — a p -> 1 edge).
 //
 // Tier prices are used for candidate *ranking only*; near-threshold winners
-// are re-verified with the exact model before commit (the engines own that
-// logic), and the hit matrix / cost trajectory stay exact in every tier.
+// are re-verified with the exact model before commit (the engine owns that
+// logic), and the hit matrix / cost trajectory stay exact.
 //
 // Thread safety: tables are per-server and lazily rebuilt from mutable
 // state, so the evaluator is non-reentrant for the SAME server — exactly
-// the ServerCacheState::WhatIf contract the engines already honour by
+// the ServerCacheState::WhatIf contract the engine already honours by
 // partitioning candidate batches by server.
 
 #pragma once
@@ -44,24 +38,17 @@
 #include "src/cdn/nearest_replica.h"
 #include "src/cdn/replication.h"
 #include "src/cdn/system.h"
+#include "src/model/hit_ratio_curve.h"
 #include "src/model/server_cache_state.h"
-#include "src/model/steady_state.h"
-#include "src/placement/model_support.h"
 
 namespace cdn::placement {
 
 class TierEvaluator {
  public:
-  /// `occupancy` is required for kChe (the shared N(z) table from
-  /// ModelContext) and ignored otherwise.  kChe additionally requires every
-  /// server to start with at least one LRU slot — a zero-slot cache has no
-  /// occupancy fixed point to anchor the tier (rejected loudly here rather
-  /// than silently pricing garbage).
   TierEvaluator(const sys::CdnSystem& system,
                 const std::vector<model::ServerCacheState>& states,
                 const sys::NearestReplicaIndex& nearest,
-                const model::HitRatioCurve& curve,
-                const model::OccupancyCurve* occupancy, PlacementModel tier);
+                const model::HitRatioCurve& curve);
 
   /// Tier-priced cache penalty of replicating `site` at `server` (the
   /// drop-in replacement for detail::hybrid_cache_penalty in the fast
@@ -78,9 +65,6 @@ class TierEvaluator {
 
   /// Tier-priced penalty evaluations across all servers.
   std::uint64_t evaluations() const noexcept;
-
-  /// Occupancy-sum iterations spent by warm-started Che solves (kChe only).
-  std::uint64_t che_iterations() const noexcept;
 
  private:
   static constexpr std::size_t kGridPoints = 64;
@@ -100,15 +84,11 @@ class TierEvaluator {
     double x_lo = 0.0;
     double log_x_lo = 0.0;
     double log_step = 0.0;
-    std::size_t cacheable = 0;  // unreplicated sites with p > 0
-    double che_k = 0.0;         // warm start for the next current-K solve
-    std::vector<double> g;      // per-site penalty weights
-    std::vector<double> phi;    // sum_k g_k H(p_k x) on the grid
-    std::vector<double> psi;    // kChe: sum_k N(p_k x) on the grid
+    std::vector<double> g;    // per-site penalty weights
+    std::vector<double> phi;  // sum_k g_k H(p_k x) on the grid
     std::vector<double> kappa_new;           // per-site kappa'_j memo
     std::vector<std::uint64_t> kappa_epoch;  // memo validity (== epoch)
     std::uint64_t evaluations = 0;
-    std::uint64_t che_iterations = 0;
   };
 
   void rebuild(std::size_t server) const;
@@ -116,16 +96,11 @@ class TierEvaluator {
   double interpolate(const std::vector<double>& values, const Table& t,
                      double x) const;
   double candidate_scale(Table& t, std::size_t server, std::size_t site) const;
-  double solve_che_candidate(const Table& t, std::size_t server,
-                             std::size_t site) const;
 
   const sys::CdnSystem* system_;
   const std::vector<model::ServerCacheState>* states_;
   const sys::NearestReplicaIndex* nearest_;
   const model::HitRatioCurve* curve_;
-  const model::OccupancyCurve* occupancy_;
-  PlacementModel tier_;
-  double mean_bytes_;
   mutable std::vector<Table> tables_;
 };
 

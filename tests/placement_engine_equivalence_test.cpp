@@ -1,11 +1,12 @@
-// Cross-engine equivalence: the incremental placement engines must produce
-// byte-identical placements, cost trajectories and commit orders to their
-// reference counterparts.  Every double is compared with EXPECT_EQ (exact),
-// not EXPECT_NEAR — the contract is bit-identity, not tolerance.
+// Engine equivalence: the lazy-heap placement engines must produce
+// byte-identical placements, cost trajectories and commit orders to the
+// plain greedy loops of tests/placement_oracle.h.  Every double is compared
+// with EXPECT_EQ (exact), not EXPECT_NEAR — the contract is bit-identity,
+// not tolerance.
 //
 // The iteration logs are compared column-by-column except "candidates" and
-// "eval_ms": the engines legitimately evaluate different numbers of
-// candidates per commit (that is the whole point) and wall-clock differs.
+// "eval_ms": the engines legitimately evaluate fewer candidates per commit
+// than the oracle (that is the whole point) and the oracle keeps no clock.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "src/placement/greedy_global.h"
 #include "src/placement/hybrid_greedy.h"
 #include "src/placement/local_search.h"
+#include "tests/placement_oracle.h"
 #include "tests/test_support.h"
 
 namespace {
@@ -27,8 +29,11 @@ using cdn::placement::hybrid_greedy;
 using cdn::placement::HybridGreedyOptions;
 using cdn::placement::local_search_refine;
 using cdn::placement::LocalSearchOptions;
-using cdn::placement::PlacementEngine;
 using cdn::placement::PlacementResult;
+using cdn::test::OracleRun;
+using cdn::test::oracle_greedy_global;
+using cdn::test::oracle_hybrid_greedy;
+using cdn::test::oracle_local_search;
 using cdn::test::TestSystem;
 
 struct EngineRun {
@@ -38,9 +43,8 @@ struct EngineRun {
 };
 
 EngineRun run_hybrid(const cdn::sys::CdnSystem& system,
-                     HybridGreedyOptions options, PlacementEngine engine) {
+                     HybridGreedyOptions options) {
   cdn::obs::Registry registry;
-  options.engine = engine;
   options.metrics = &registry;
   EngineRun run{hybrid_greedy(system, options), {}, {}};
   const auto* log = registry.find_table("placement/hybrid/iterations");
@@ -55,7 +59,7 @@ bool skipped_column(const std::string& name) {
   return name == "candidates" || name == "eval_ms";
 }
 
-void expect_equivalent(const cdn::sys::CdnSystem& system, const EngineRun& ref,
+void expect_equivalent(const cdn::sys::CdnSystem& system, const OracleRun& ref,
                        const EngineRun& inc) {
   EXPECT_EQ(ref.result.replicas_created, inc.result.replicas_created);
   const std::size_t n = system.server_count();
@@ -85,23 +89,21 @@ void expect_equivalent(const cdn::sys::CdnSystem& system, const EngineRun& ref,
   }
 
   // Commit order and per-commit decomposition, from the iteration logs.
-  ASSERT_EQ(ref.log_columns, inc.log_columns);
   ASSERT_EQ(ref.log_rows.size(), inc.log_rows.size());
   for (std::size_t r = 0; r < ref.log_rows.size(); ++r) {
-    for (std::size_t c = 0; c < ref.log_columns.size(); ++c) {
-      if (skipped_column(ref.log_columns[c])) continue;
+    ASSERT_EQ(ref.log_rows[r].size(), inc.log_columns.size());
+    for (std::size_t c = 0; c < inc.log_columns.size(); ++c) {
+      if (skipped_column(inc.log_columns[c])) continue;
       EXPECT_EQ(ref.log_rows[r][c], inc.log_rows[r][c])
-          << "iteration log row " << r << " column " << ref.log_columns[c];
+          << "iteration log row " << r << " column " << inc.log_columns[c];
     }
   }
 }
 
 void expect_hybrid_engines_agree(const cdn::sys::CdnSystem& system,
                                  const HybridGreedyOptions& options = {}) {
-  const EngineRun ref =
-      run_hybrid(system, options, PlacementEngine::kReference);
-  const EngineRun inc =
-      run_hybrid(system, options, PlacementEngine::kIncremental);
+  const OracleRun ref = oracle_hybrid_greedy(system, options);
+  const EngineRun inc = run_hybrid(system, options);
   expect_equivalent(system, ref, inc);
   EXPECT_GT(ref.result.replicas_created, 0u)
       << "vacuous comparison: no replicas committed";
@@ -117,11 +119,8 @@ TEST(PlacementEngineEquivalenceTest, HybridMaxReplicasCaps) {
   for (const std::size_t cap : {std::size_t{1}, std::size_t{3}}) {
     HybridGreedyOptions options;
     options.max_replicas = cap;
-    const EngineRun ref =
-        run_hybrid(*t.system, options, PlacementEngine::kReference);
-    const EngineRun inc =
-        run_hybrid(*t.system, options, PlacementEngine::kIncremental);
-    expect_equivalent(*t.system, ref, inc);
+    expect_equivalent(*t.system, oracle_hybrid_greedy(*t.system, options),
+                      run_hybrid(*t.system, options));
   }
 }
 
@@ -140,11 +139,8 @@ TEST(PlacementEngineEquivalenceTest, HybridAddCostPerByte) {
   const auto t = TestSystem::make();
   HybridGreedyOptions options;
   options.add_cost_per_byte = 1e-9;
-  const EngineRun ref =
-      run_hybrid(*t.system, options, PlacementEngine::kReference);
-  const EngineRun inc =
-      run_hybrid(*t.system, options, PlacementEngine::kIncremental);
-  expect_equivalent(*t.system, ref, inc);
+  expect_equivalent(*t.system, oracle_hybrid_greedy(*t.system, options),
+                    run_hybrid(*t.system, options));
 }
 
 TEST(PlacementEngineEquivalenceTest, HybridPerIterationPb) {
@@ -155,27 +151,29 @@ TEST(PlacementEngineEquivalenceTest, HybridPerIterationPb) {
 }
 
 TEST(PlacementEngineEquivalenceTest, HybridTinyStorageNoReplicas) {
-  // Degenerate case: nothing fits, both engines must report an empty
-  // placement with the identical pure-caching starting cost.
+  // Degenerate case: nothing fits, the engine must report an empty
+  // placement with the oracle's pure-caching starting cost.
   const auto t = TestSystem::make(4, 6, 2, 100, 0.001);
-  const EngineRun ref = run_hybrid(*t.system, {}, PlacementEngine::kReference);
-  const EngineRun inc =
-      run_hybrid(*t.system, {}, PlacementEngine::kIncremental);
+  const OracleRun ref = oracle_hybrid_greedy(*t.system);
   EXPECT_EQ(ref.result.replicas_created, 0u);
-  expect_equivalent(*t.system, ref, inc);
+  expect_equivalent(*t.system, ref, run_hybrid(*t.system, {}));
+}
+
+TEST(PlacementEngineEquivalenceTest, HybridTwentyFourServers) {
+  // Large enough that every invalidation class (full re-evaluation, penalty
+  // repair, relative repair) fires many times per run.
+  const auto t = TestSystem::make(24, 12, 6, 100, 0.08);
+  const OracleRun ref = oracle_hybrid_greedy(*t.system);
+  expect_equivalent(*t.system, ref, run_hybrid(*t.system, {}));
+  EXPECT_GE(ref.result.replicas_created, 20u);
 }
 
 TEST(PlacementEngineEquivalenceTest, HeapMetricsAndClampCounterExported) {
   const auto t = TestSystem::make();
-  cdn::obs::Registry ref_registry;
-  HybridGreedyOptions ref_options;
-  ref_options.engine = PlacementEngine::kReference;
-  ref_options.metrics = &ref_registry;
-  hybrid_greedy(*t.system, ref_options);
+  const OracleRun ref = oracle_hybrid_greedy(*t.system);
 
   cdn::obs::Registry inc_registry;
   HybridGreedyOptions inc_options;
-  inc_options.engine = PlacementEngine::kIncremental;
   inc_options.metrics = &inc_registry;
   hybrid_greedy(*t.system, inc_options);
 
@@ -191,26 +189,19 @@ TEST(PlacementEngineEquivalenceTest, HeapMetricsAndClampCounterExported) {
   EXPECT_NE(
       inc_registry.find_series("placement/hybrid/heap/invalidated_per_commit"),
       nullptr);
-  // Both engines report the shared curve-saturation counter.
-  EXPECT_NE(ref_registry.find_counter("model/curve_clamped"), nullptr);
   EXPECT_NE(inc_registry.find_counter("model/curve_clamped"), nullptr);
 
-  // The incremental engine must never evaluate more candidates than the
-  // reference (the scaling bench asserts the >= 10x reduction at size).
-  const auto* ref_evals =
-      ref_registry.find_counter("placement/hybrid/candidates_evaluated");
+  // The lazy heap must never evaluate more candidates than the oracle's
+  // every-candidate-every-iteration loop.
   const auto* inc_evals =
       inc_registry.find_counter("placement/hybrid/candidates_evaluated");
-  ASSERT_NE(ref_evals, nullptr);
   ASSERT_NE(inc_evals, nullptr);
-  EXPECT_LE(inc_evals->value(), ref_evals->value());
+  EXPECT_LE(inc_evals->value(), ref.evaluations);
 }
 
 EngineRun run_greedy_global(const cdn::sys::CdnSystem& system,
-                            GreedyGlobalOptions options,
-                            PlacementEngine engine) {
+                            GreedyGlobalOptions options) {
   cdn::obs::Registry registry;
-  options.engine = engine;
   options.metrics = &registry;
   EngineRun run{greedy_global(system, options), {}, {}};
   const auto* log = registry.find_table("placement/greedy_global/iterations");
@@ -223,11 +214,8 @@ EngineRun run_greedy_global(const cdn::sys::CdnSystem& system,
 
 TEST(PlacementEngineEquivalenceTest, GreedyGlobalDefaultOptions) {
   const auto t = TestSystem::make();
-  const EngineRun ref =
-      run_greedy_global(*t.system, {}, PlacementEngine::kReference);
-  const EngineRun inc =
-      run_greedy_global(*t.system, {}, PlacementEngine::kIncremental);
-  expect_equivalent(*t.system, ref, inc);
+  const OracleRun ref = oracle_greedy_global(*t.system);
+  expect_equivalent(*t.system, ref, run_greedy_global(*t.system, {}));
   EXPECT_GT(ref.result.replicas_created, 0u);
 }
 
@@ -235,11 +223,8 @@ TEST(PlacementEngineEquivalenceTest, GreedyGlobalMaxReplicasCap) {
   const auto t = TestSystem::make();
   GreedyGlobalOptions options;
   options.max_replicas = 3;
-  const EngineRun ref =
-      run_greedy_global(*t.system, options, PlacementEngine::kReference);
-  const EngineRun inc =
-      run_greedy_global(*t.system, options, PlacementEngine::kIncremental);
-  expect_equivalent(*t.system, ref, inc);
+  expect_equivalent(*t.system, oracle_greedy_global(*t.system, 3),
+                    run_greedy_global(*t.system, options));
 }
 
 TEST(PlacementEngineEquivalenceTest, GreedyGlobalRandomizedSystems) {
@@ -250,11 +235,8 @@ TEST(PlacementEngineEquivalenceTest, GreedyGlobalRandomizedSystems) {
                                                            seed % 7),
                                     2.0 + static_cast<double>(seed % 9),
                                     seed);
-    const EngineRun ref =
-        run_greedy_global(*t.system, {}, PlacementEngine::kReference);
-    const EngineRun inc =
-        run_greedy_global(*t.system, {}, PlacementEngine::kIncremental);
-    expect_equivalent(*t.system, ref, inc);
+    expect_equivalent(*t.system, oracle_greedy_global(*t.system),
+                      run_greedy_global(*t.system, {}));
   }
 }
 
@@ -264,16 +246,17 @@ struct LocalSearchRun {
   std::vector<std::vector<double>> swap_rows;
 };
 
-LocalSearchRun run_local_search(const cdn::sys::CdnSystem& system,
-                                LocalSearchOptions options,
-                                PlacementEngine engine) {
-  // Both greedy_global engines are bit-identical, so each run starts the
-  // refinement from the same placement.
+/// Greedy-global capped at four replicas, leaving slack so swaps exist.
+PlacementResult local_search_start(const cdn::sys::CdnSystem& system) {
   GreedyGlobalOptions start_options;
-  start_options.max_replicas = 4;  // leave slack so swaps exist
-  LocalSearchRun run{greedy_global(system, start_options), {}, {}};
+  start_options.max_replicas = 4;
+  return greedy_global(system, start_options);
+}
+
+LocalSearchRun run_local_search(const cdn::sys::CdnSystem& system,
+                                LocalSearchOptions options) {
+  LocalSearchRun run{local_search_start(system), {}, {}};
   cdn::obs::Registry registry;
-  options.engine = engine;
   options.metrics = &registry;
   run.stats = local_search_refine(system, run.result, options);
   const auto* log = registry.find_table("placement/local_search/swaps");
@@ -283,20 +266,19 @@ LocalSearchRun run_local_search(const cdn::sys::CdnSystem& system,
 
 TEST(PlacementEngineEquivalenceTest, LocalSearchSwapsAreBitIdentical) {
   const auto t = TestSystem::make();
-  const LocalSearchRun ref =
-      run_local_search(*t.system, {}, PlacementEngine::kReference);
-  const LocalSearchRun inc =
-      run_local_search(*t.system, {}, PlacementEngine::kIncremental);
+  const OracleRun ref =
+      oracle_local_search(*t.system, local_search_start(*t.system));
+  const LocalSearchRun inc = run_local_search(*t.system, {});
   EXPECT_EQ(ref.stats.swaps_applied, inc.stats.swaps_applied);
   EXPECT_EQ(ref.stats.initial_cost, inc.stats.initial_cost);
   EXPECT_EQ(ref.stats.final_cost, inc.stats.final_cost);
   EXPECT_EQ(ref.result.predicted_total_cost,
             inc.result.predicted_total_cost);
-  ASSERT_EQ(ref.swap_rows.size(), inc.swap_rows.size());
-  for (std::size_t r = 0; r < ref.swap_rows.size(); ++r) {
-    ASSERT_EQ(ref.swap_rows[r].size(), inc.swap_rows[r].size());
-    for (std::size_t c = 0; c < ref.swap_rows[r].size(); ++c) {
-      EXPECT_EQ(ref.swap_rows[r][c], inc.swap_rows[r][c])
+  ASSERT_EQ(ref.log_rows.size(), inc.swap_rows.size());
+  for (std::size_t r = 0; r < ref.log_rows.size(); ++r) {
+    ASSERT_EQ(ref.log_rows[r].size(), inc.swap_rows[r].size());
+    for (std::size_t c = 0; c < ref.log_rows[r].size(); ++c) {
+      EXPECT_EQ(ref.log_rows[r][c], inc.swap_rows[r][c])
           << "swap row " << r << " column " << c;
     }
   }
@@ -324,16 +306,16 @@ TEST(PlacementEngineEquivalenceTest, LocalSearchRandomizedSystems) {
                                     seed);
     LocalSearchOptions options;
     options.max_swaps = 3;
-    const LocalSearchRun ref =
-        run_local_search(*t.system, options, PlacementEngine::kReference);
-    const LocalSearchRun inc =
-        run_local_search(*t.system, options, PlacementEngine::kIncremental);
+    const OracleRun ref =
+        oracle_local_search(*t.system, local_search_start(*t.system), options);
+    const LocalSearchRun inc = run_local_search(*t.system, options);
     EXPECT_EQ(ref.stats.swaps_applied, inc.stats.swaps_applied);
     EXPECT_EQ(ref.stats.final_cost, inc.stats.final_cost);
-    ASSERT_EQ(ref.swap_rows.size(), inc.swap_rows.size());
-    for (std::size_t r = 0; r < ref.swap_rows.size(); ++r) {
-      for (std::size_t c = 0; c < ref.swap_rows[r].size(); ++c) {
-        EXPECT_EQ(ref.swap_rows[r][c], inc.swap_rows[r][c]);
+    ASSERT_EQ(ref.log_rows.size(), inc.swap_rows.size());
+    for (std::size_t r = 0; r < ref.log_rows.size(); ++r) {
+      ASSERT_EQ(ref.log_rows[r].size(), inc.swap_rows[r].size());
+      for (std::size_t c = 0; c < ref.log_rows[r].size(); ++c) {
+        EXPECT_EQ(ref.log_rows[r][c], inc.swap_rows[r][c]);
       }
     }
   }
@@ -355,11 +337,8 @@ TEST(PlacementEngineEquivalenceTest, HybridRandomizedSystems) {
     HybridGreedyOptions options;
     if (seed % 3 == 0) options.pb_mode = cdn::model::PbMode::kPerIteration;
     if (seed % 4 == 0) options.add_cost_per_byte = 1e-10;
-    const EngineRun ref =
-        run_hybrid(*t.system, options, PlacementEngine::kReference);
-    const EngineRun inc =
-        run_hybrid(*t.system, options, PlacementEngine::kIncremental);
-    expect_equivalent(*t.system, ref, inc);
+    expect_equivalent(*t.system, oracle_hybrid_greedy(*t.system, options),
+                      run_hybrid(*t.system, options));
   }
 }
 

@@ -1,7 +1,7 @@
-// Placement model tiers (--placement-model): accuracy of the tiered
-// candidate pricing against the exact Eq. 1/Eq. 2 model, the warm-started
-// Che solve, the 1% final-cost gate of the error-gated fallback, tier
-// counters, validation, and the CLI parsing helpers.
+// Placement model tiers (--placement-model): accuracy of the closed-form
+// candidate pricing against the exact Eq. 1/Eq. 2 model, the 1% final-cost
+// gate of the error-gated fallback, tier counters, and the CLI parsing
+// helpers.
 //
 // The contract under test (docs/PERFORMANCE.md, "Placement model tiers"):
 // tiers price the candidate *ranking* only — the hit matrix, miss flows,
@@ -16,152 +16,27 @@
 #include <vector>
 
 #include "src/core/experiment.h"
-#include "src/model/steady_state.h"
 #include "src/obs/registry.h"
-#include "src/placement/greedy_global.h"
 #include "src/placement/hybrid_greedy.h"
 #include "src/placement/hybrid_internal.h"
-#include "src/placement/local_search.h"
 #include "src/placement/model_support.h"
 #include "src/placement/tier_evaluator.h"
 #include "src/util/error.h"
-#include "src/util/zipf.h"
 #include "tests/test_support.h"
 
 namespace {
 
-using cdn::model::che_characteristic_time;
-using cdn::model::che_characteristic_time_warm;
-using cdn::model::CheSolveResult;
-using cdn::model::OccupancyCurve;
 using cdn::placement::hybrid_greedy;
 using cdn::placement::HybridGreedyOptions;
 using cdn::placement::ModelContext;
 using cdn::placement::modeled_hit_matrix;
 using cdn::placement::parse_placement_model;
-using cdn::placement::PlacementEngine;
 using cdn::placement::PlacementModel;
 using cdn::placement::placement_model_name;
 using cdn::placement::RelativeColumns;
 using cdn::placement::TierEvaluator;
 using cdn::test::TestSystem;
 using cdn::PreconditionError;
-using cdn::util::ZipfDistribution;
-
-// ---------------------------------------------------------------------------
-// Warm-started Che characteristic time (model layer).
-
-/// Synthetic renormalised site weights: a truncated geometric mix with one
-/// site carrying `head` of the mass (head -> 1 exercises the p -> 1 edge).
-std::vector<double> make_weights(std::size_t sites, double head) {
-  std::vector<double> w(sites, 0.0);
-  w[0] = head;
-  double rest = 1.0 - head;
-  for (std::size_t j = 1; j < sites; ++j) {
-    w[j] = rest / static_cast<double>(sites - 1);
-  }
-  return w;
-}
-
-TEST(CheWarmStartTest, AgreesWithColdSolveAcrossThetaAndBuffers) {
-  for (const double theta : {0.6, 0.8, 1.0, 1.2}) {
-    SCOPED_TRACE("theta " + std::to_string(theta));
-    const ZipfDistribution zipf(200, theta);
-    const OccupancyCurve occupancy(zipf, 1024);
-    const auto weights = make_weights(8, 0.4);
-    for (const std::uint64_t slots :
-         {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{10},
-          std::uint64_t{100}, std::uint64_t{750}}) {
-      SCOPED_TRACE("slots " + std::to_string(slots));
-      const double cold = che_characteristic_time(weights, occupancy, slots);
-      // Warm starts bracketing the solution from below, above, and exactly.
-      for (const double factor : {0.5, 1.0, 2.0}) {
-        const CheSolveResult warm = che_characteristic_time_warm(
-            weights, occupancy, slots, factor * cold);
-        if (cold > 0.0) {
-          EXPECT_NEAR(warm.k, cold, 1e-6 * cold)
-              << "warm factor " << factor;
-        } else {
-          EXPECT_DOUBLE_EQ(warm.k, cold);
-        }
-      }
-      // No warm start degrades to the cold bracket, same answer.
-      const CheSolveResult none =
-          che_characteristic_time_warm(weights, occupancy, slots, 0.0);
-      if (cold > 0.0) {
-        EXPECT_NEAR(none.k, cold, 1e-6 * cold);
-      } else {
-        EXPECT_DOUBLE_EQ(none.k, cold);
-      }
-    }
-  }
-}
-
-TEST(CheWarmStartTest, EdgeCasesMirrorColdSolve) {
-  const ZipfDistribution zipf(100, 0.8);
-  const OccupancyCurve occupancy(zipf, 512);
-  const auto weights = make_weights(6, 0.5);
-  // B = 0: no cache, K = 0, no iterations wasted.
-  const CheSolveResult empty =
-      che_characteristic_time_warm(weights, occupancy, 0, 123.0);
-  EXPECT_DOUBLE_EQ(empty.k, 0.0);
-  EXPECT_EQ(empty.iterations, 0u);
-  // No cacheable weight: K = 0.
-  const std::vector<double> zeros(6, 0.0);
-  EXPECT_DOUBLE_EQ(
-      che_characteristic_time_warm(zeros, occupancy, 50, 10.0).k, 0.0);
-  // Cache fits the whole cacheable set: saturated regime, same as cold.
-  const double cold_fit = che_characteristic_time(weights, occupancy, 100'000);
-  EXPECT_DOUBLE_EQ(
-      che_characteristic_time_warm(weights, occupancy, 100'000, 5.0).k,
-      cold_fit);
-}
-
-TEST(CheWarmStartTest, GoodWarmStartIteratesLessThanCold) {
-  const ZipfDistribution zipf(300, 1.0);
-  const OccupancyCurve occupancy(zipf, 1024);
-  const auto weights = make_weights(10, 0.3);
-  const std::uint64_t slots = 500;
-  const CheSolveResult cold =
-      che_characteristic_time_warm(weights, occupancy, slots, 0.0);
-  // Re-solve a nearby fixed point (one replica's worth of slots removed)
-  // warm-started from the previous answer — the intended placement usage.
-  const CheSolveResult warm =
-      che_characteristic_time_warm(weights, occupancy, slots - 30, cold.k);
-  EXPECT_GT(cold.iterations, 0u);
-  EXPECT_GT(warm.iterations, 0u);
-  EXPECT_LT(warm.iterations, cold.iterations);
-}
-
-TEST(CheWarmStartTest, FixedPointPropertyAcrossBufferSweep) {
-  // The returned K must actually satisfy sum_j N(K * w_j) ~= target,
-  // including the p -> 1 edge where one site dominates the mass.
-  for (const double theta : {0.6, 1.2}) {
-    const ZipfDistribution zipf(150, theta);
-    const OccupancyCurve occupancy(zipf, 1024);
-    for (const double head : {0.4, 0.999}) {
-      SCOPED_TRACE("theta " + std::to_string(theta) + " head " +
-                   std::to_string(head));
-      const auto weights = make_weights(5, head);
-      double prev_k = 0.0;
-      for (const std::uint64_t slots :
-           {std::uint64_t{1}, std::uint64_t{20}, std::uint64_t{200},
-            std::uint64_t{600}}) {
-        const CheSolveResult r =
-            che_characteristic_time_warm(weights, occupancy, slots, prev_k);
-        const double target = static_cast<double>(
-            std::min<std::uint64_t>(slots, 5 * 150));
-        double occupied = 0.0;
-        for (const double w : weights) {
-          occupied += occupancy.evaluate(w, r.k);
-        }
-        EXPECT_NEAR(occupied, target, 1e-3 * target + 1e-6);
-        EXPECT_GT(r.k, prev_k);  // fewer slots -> smaller K, sweep ascends
-        prev_k = r.k;
-      }
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // TierEvaluator pricing accuracy against the exact penalty.
@@ -174,24 +49,23 @@ struct TierFixture {
   cdn::sys::NearestReplicaIndex nearest;
   std::vector<double> hit;
 
-  explicit TierFixture(PlacementModel tier, TestSystem sys)
+  explicit TierFixture(TestSystem sys)
       : t(std::move(sys)),
-        context(*t.system, cdn::model::PbMode::kAtInit, tier),
+        context(*t.system),
         states(context.make_states()),
         placement(t.system->server_storage(), t.system->site_bytes()),
         nearest(t.system->distances(), placement),
         hit(modeled_hit_matrix(states)) {}
 
   TierEvaluator make_evaluator() const {
-    return TierEvaluator(*t.system, states, nearest, context.curve(),
-                         context.occupancy(), context.placement_model());
+    return TierEvaluator(*t.system, states, nearest, context.curve());
   }
 };
 
 /// Max |exact - tier| over all feasible candidates, as a fraction of the
 /// largest |exact| penalty (the natural scale of the ranking decision).
-void expect_penalty_accuracy(PlacementModel tier, double rel_tol) {
-  const TierFixture f(tier, TestSystem::make(5, 8, 3, 120, 0.12, 4.0, 17));
+void expect_penalty_accuracy(double rel_tol) {
+  const TierFixture f(TestSystem::make(5, 8, 3, 120, 0.12, 4.0, 17));
   const TierEvaluator evaluator = f.make_evaluator();
   const std::size_t n = f.t.system->server_count();
   const std::size_t m = f.t.system->site_count();
@@ -234,51 +108,13 @@ TEST(TierEvaluatorTest, ClosedFormPenaltyTracksExact) {
   // The penalty is a difference of two nearly-equal expectations, so the
   // closed-form-vs-empirical model gap (a few percent per term) amplifies;
   // measured worst case is ~6.5% of the benefit scale and is grid-size
-  // independent (it is model error, not tabulation error).  The engines'
+  // independent (it is model error, not tabulation error).  The engine's
   // exact-verify fallback owns the final accuracy (1% cost gate below).
-  expect_penalty_accuracy(PlacementModel::kClosedForm, 0.10);
-}
-
-TEST(TierEvaluatorTest, ChePenaltyTracksExact) {
-  // The Che fixed point is a different approximation of K', not a
-  // tabulation of the exact solve — the band is wider by design and the
-  // engines' margin fallback owns the final accuracy (1% cost gate below).
-  expect_penalty_accuracy(PlacementModel::kChe, 0.25);
-}
-
-TEST(TierEvaluatorTest, CheIterationCounterAdvances) {
-  const TierFixture f(PlacementModel::kChe,
-                      TestSystem::make(4, 6, 2, 100, 0.15, 6.0, 11));
-  const TierEvaluator evaluator = f.make_evaluator();
-  evaluator.penalty(0, 0);
-  EXPECT_GT(evaluator.che_iterations(), 0u);
-}
-
-TEST(TierEvaluatorTest, CheRejectsZeroSlotServer) {
-  // Storage so small that no server has a single LRU slot: the Che tier has
-  // no occupancy fixed point to anchor and must refuse loudly.
-  const auto t = TestSystem::make(4, 6, 2, 100, 1e-7);
-  const ModelContext context(*t.system, cdn::model::PbMode::kAtInit,
-                             PlacementModel::kChe);
-  const auto states = context.make_states();
-  ASSERT_EQ(states.front().buffer_slots(), 0u)
-      << "fixture regression: expected a zero-slot cache";
-  const cdn::sys::ReplicaPlacement placement(t.system->server_storage(),
-                                             t.system->site_bytes());
-  const cdn::sys::NearestReplicaIndex nearest(t.system->distances(),
-                                              placement);
-  EXPECT_THROW(TierEvaluator(*t.system, states, nearest, context.curve(),
-                             context.occupancy(), PlacementModel::kChe),
-               PreconditionError);
-  // End-to-end: the hybrid run surfaces the same rejection.
-  HybridGreedyOptions options;
-  options.placement_model = PlacementModel::kChe;
-  EXPECT_THROW(hybrid_greedy(*t.system, options), PreconditionError);
+  expect_penalty_accuracy(0.10);
 }
 
 TEST(TierEvaluatorTest, RelativeColumnsMatchExactGain) {
-  const TierFixture f(PlacementModel::kClosedForm,
-                      TestSystem::make(5, 7, 2, 110, 0.1, 5.0, 23));
+  const TierFixture f(TestSystem::make(5, 7, 2, 110, 0.1, 5.0, 23));
   const std::vector<double> flow = cdn::placement::miss_flow_matrix(
       *f.t.system, f.hit);
   RelativeColumns columns;
@@ -309,122 +145,69 @@ TEST(PlacementTierGateTest, TieredFinalCostWithinOnePercentOfExact) {
         3 + seed % 6, 4 + seed % 5, 1 + seed % 3, 100,
         0.05 + 0.03 * static_cast<double>(seed % 7),
         2.0 + static_cast<double>(seed % 9), seed);
-    HybridGreedyOptions exact_options;
-    exact_options.engine = PlacementEngine::kReference;
-    const auto exact = hybrid_greedy(*t.system, exact_options);
+    const auto exact = hybrid_greedy(*t.system);
     ASSERT_GT(exact.predicted_total_cost, 0.0);
-    for (const PlacementModel tier :
-         {PlacementModel::kClosedForm, PlacementModel::kChe}) {
-      for (const PlacementEngine engine :
-           {PlacementEngine::kReference, PlacementEngine::kIncremental}) {
-        SCOPED_TRACE(std::string(placement_model_name(tier)) +
-                     (engine == PlacementEngine::kReference ? "/reference"
-                                                            : "/incremental"));
-        HybridGreedyOptions options;
-        options.placement_model = tier;
-        options.engine = engine;
-        const auto tiered = hybrid_greedy(*t.system, options);
-        EXPECT_LE(std::abs(tiered.predicted_total_cost -
-                           exact.predicted_total_cost),
-                  0.01 * exact.predicted_total_cost);
-      }
-    }
+    HybridGreedyOptions options;
+    options.placement_model = PlacementModel::kClosedForm;
+    const auto tiered = hybrid_greedy(*t.system, options);
+    EXPECT_LE(
+        std::abs(tiered.predicted_total_cost - exact.predicted_total_cost),
+        0.01 * exact.predicted_total_cost);
   }
 }
 
 TEST(PlacementTierGateTest, TierCountersExportedOnlyWhenTiered) {
   const auto t = TestSystem::make();
-  for (const PlacementEngine engine :
-       {PlacementEngine::kReference, PlacementEngine::kIncremental}) {
-    cdn::obs::Registry exact_registry;
-    HybridGreedyOptions exact_options;
-    exact_options.engine = engine;
-    exact_options.metrics = &exact_registry;
-    hybrid_greedy(*t.system, exact_options);
-    EXPECT_EQ(exact_registry.find_counter("placement/hybrid/tier_evaluations"),
-              nullptr);
+  cdn::obs::Registry exact_registry;
+  HybridGreedyOptions exact_options;
+  exact_options.metrics = &exact_registry;
+  hybrid_greedy(*t.system, exact_options);
+  EXPECT_EQ(exact_registry.find_counter("placement/hybrid/tier_evaluations"),
+            nullptr);
 
-    cdn::obs::Registry che_registry;
-    HybridGreedyOptions che_options;
-    che_options.engine = engine;
-    che_options.placement_model = PlacementModel::kChe;
-    che_options.metrics = &che_registry;
-    hybrid_greedy(*t.system, che_options);
-    const auto* evals =
-        che_registry.find_counter("placement/hybrid/tier_evaluations");
-    ASSERT_NE(evals, nullptr);
-    EXPECT_GT(evals->value(), 0u);
-    EXPECT_NE(che_registry.find_counter("placement/hybrid/tier_fallbacks"),
-              nullptr);
-    EXPECT_NE(che_registry.find_counter("placement/hybrid/tier_margin_hits"),
-              nullptr);
-    EXPECT_NE(che_registry.find_counter("model/che/fixed_point_iterations"),
-              nullptr);
-  }
+  cdn::obs::Registry tier_registry;
+  HybridGreedyOptions tier_options;
+  tier_options.placement_model = PlacementModel::kClosedForm;
+  tier_options.metrics = &tier_registry;
+  hybrid_greedy(*t.system, tier_options);
+  const auto* evals =
+      tier_registry.find_counter("placement/hybrid/tier_evaluations");
+  ASSERT_NE(evals, nullptr);
+  EXPECT_GT(evals->value(), 0u);
+  EXPECT_NE(tier_registry.find_counter("placement/hybrid/tier_fallbacks"),
+            nullptr);
+  EXPECT_NE(tier_registry.find_counter("placement/hybrid/tier_margin_hits"),
+            nullptr);
 }
 
-TEST(PlacementTierGateTest, ZeroMarginStillVerifiesTheStopDecision) {
-  // tier_fallback_margin = 0 trusts the tier everywhere except the commit
-  // threshold; the run must still terminate and stay within the gate.
-  const auto t = TestSystem::make();
-  HybridGreedyOptions exact_options;
-  const auto exact = hybrid_greedy(*t.system, exact_options);
+TEST(PlacementTierGateTest, ClosedFormAcceptsZeroSlotServers) {
+  // Storage so small that no server has a single LRU slot (and no replica
+  // fits): the closed-form tier must accept the system, not refuse it, and
+  // match the exact tier.
+  const auto t = TestSystem::make(4, 6, 2, 100, 1e-7);
+  ASSERT_EQ(ModelContext(*t.system).make_states().front().buffer_slots(), 0u)
+      << "fixture regression: expected a zero-slot cache";
   HybridGreedyOptions options;
   options.placement_model = PlacementModel::kClosedForm;
-  options.tier_fallback_margin = 0.0;
   const auto tiered = hybrid_greedy(*t.system, options);
-  EXPECT_LE(
-      std::abs(tiered.predicted_total_cost - exact.predicted_total_cost),
-      0.01 * exact.predicted_total_cost);
+  const auto exact = hybrid_greedy(*t.system);
+  EXPECT_EQ(tiered.replicas_created, exact.replicas_created);
+  EXPECT_EQ(tiered.predicted_total_cost, exact.predicted_total_cost);
 }
 
 TEST(PlacementTierGateTest, ExactTierIsByteIdenticalToDefaultRun) {
-  // --placement-model=exact must leave today's engines untouched: identical
-  // placement, trajectory and predictions, and tier_fallback_margin ignored.
+  // --placement-model=exact must leave the engine untouched: identical
+  // placement, trajectory and predictions.
   const auto t = TestSystem::make();
-  for (const PlacementEngine engine :
-       {PlacementEngine::kReference, PlacementEngine::kIncremental}) {
-    HybridGreedyOptions baseline;
-    baseline.engine = engine;
-    const auto a = hybrid_greedy(*t.system, baseline);
-    HybridGreedyOptions explicit_exact = baseline;
-    explicit_exact.placement_model = PlacementModel::kExact;
-    explicit_exact.tier_fallback_margin = 0.7;
-    const auto b = hybrid_greedy(*t.system, explicit_exact);
-    EXPECT_EQ(a.predicted_total_cost, b.predicted_total_cost);
-    EXPECT_EQ(a.replicas_created, b.replicas_created);
-    ASSERT_EQ(a.cost_trajectory.size(), b.cost_trajectory.size());
-    for (std::size_t k = 0; k < a.cost_trajectory.size(); ++k) {
-      EXPECT_EQ(a.cost_trajectory[k], b.cost_trajectory[k]);
-    }
-  }
-}
-
-TEST(PlacementTierGateTest, ModelFreeAlgorithmsIgnoreTheTier) {
-  // greedy_global and local_search accept the knob for CLI symmetry but
-  // their objectives are model-free: every tier must be bit-identical.
-  const auto t = TestSystem::make();
-  cdn::placement::GreedyGlobalOptions exact_gg;
-  const auto gg_exact = cdn::placement::greedy_global(*t.system, exact_gg);
-  for (const PlacementModel tier :
-       {PlacementModel::kClosedForm, PlacementModel::kChe}) {
-    cdn::placement::GreedyGlobalOptions options;
-    options.placement_model = tier;
-    const auto gg = cdn::placement::greedy_global(*t.system, options);
-    EXPECT_EQ(gg.predicted_total_cost, gg_exact.predicted_total_cost);
-    EXPECT_EQ(gg.replicas_created, gg_exact.replicas_created);
-
-    auto refined_exact = gg_exact;
-    cdn::placement::LocalSearchOptions ls_exact;
-    const auto stats_exact = cdn::placement::local_search_refine(
-        *t.system, refined_exact, ls_exact);
-    auto refined = gg_exact;
-    cdn::placement::LocalSearchOptions ls;
-    ls.placement_model = tier;
-    const auto stats = cdn::placement::local_search_refine(*t.system,
-                                                           refined, ls);
-    EXPECT_EQ(stats.swaps_applied, stats_exact.swaps_applied);
-    EXPECT_EQ(stats.final_cost, stats_exact.final_cost);
+  const auto a = hybrid_greedy(*t.system);
+  HybridGreedyOptions explicit_exact;
+  explicit_exact.placement_model = PlacementModel::kExact;
+  const auto b = hybrid_greedy(*t.system, explicit_exact);
+  EXPECT_EQ(a.predicted_total_cost, b.predicted_total_cost);
+  EXPECT_EQ(a.replicas_created, b.replicas_created);
+  ASSERT_EQ(a.cost_trajectory.size(), b.cost_trajectory.size());
+  for (std::size_t k = 0; k < a.cost_trajectory.size(); ++k) {
+    EXPECT_EQ(a.cost_trajectory[k], b.cost_trajectory[k]);
   }
 }
 
@@ -433,20 +216,27 @@ TEST(PlacementTierGateTest, ModelFreeAlgorithmsIgnoreTheTier) {
 
 TEST(PlacementModelParseTest, RoundTripsEveryTier) {
   for (const PlacementModel tier :
-       {PlacementModel::kExact, PlacementModel::kClosedForm,
-        PlacementModel::kChe}) {
+       {PlacementModel::kExact, PlacementModel::kClosedForm}) {
     EXPECT_EQ(parse_placement_model(placement_model_name(tier)), tier);
   }
   EXPECT_EQ(parse_placement_model("exact"), PlacementModel::kExact);
   EXPECT_EQ(parse_placement_model("closed-form"), PlacementModel::kClosedForm);
-  EXPECT_EQ(parse_placement_model("che"), PlacementModel::kChe);
 }
 
 TEST(PlacementModelParseTest, RejectsUnknownNames) {
   EXPECT_THROW(parse_placement_model(""), PreconditionError);
   EXPECT_THROW(parse_placement_model("closedform"), PreconditionError);
   EXPECT_THROW(parse_placement_model("Che"), PreconditionError);
+  EXPECT_THROW(parse_placement_model("che"), PreconditionError);
   EXPECT_THROW(parse_placement_model("empirical"), PreconditionError);
+  // The diagnostic names the accepted values.
+  try {
+    parse_placement_model("che");
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("exact or closed-form"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(PlacementModelParseTest, MismatchNoteFlagsIncoherentPairs) {
@@ -454,14 +244,14 @@ TEST(PlacementModelParseTest, MismatchNoteFlagsIncoherentPairs) {
   // Coherent pairs are silent.
   EXPECT_EQ(model_tier_mismatch_note("empirical", "exact"), "");
   EXPECT_EQ(model_tier_mismatch_note("closed-form", "closed-form"), "");
-  EXPECT_EQ(model_tier_mismatch_note("che", "che"), "");
-  // Every incoherent pair produces a note naming both flags.
+  // Every incoherent pair produces a note naming both flags; --hit-model=che
+  // has no placement twin, so every pairing with it is incoherent.
   for (const std::string hit : {"empirical", "closed-form", "che"}) {
-    for (const std::string placement : {"exact", "closed-form", "che"}) {
+    for (const std::string placement : {"exact", "closed-form"}) {
       const std::string note = model_tier_mismatch_note(hit, placement);
       const bool coherent =
           (hit == "empirical" && placement == "exact") ||
-          (hit == placement);
+          (hit == "closed-form" && placement == "closed-form");
       if (coherent) {
         EXPECT_EQ(note, "") << hit << " / " << placement;
       } else {

@@ -49,8 +49,7 @@ std::vector<core::MechanismSpec> parse_mechanisms(
   std::string item;
   while (std::getline(ss, item, ',')) {
     if (item == "replication") {
-      specs.push_back(
-          core::replication_mechanism(metrics, spans, placement_model));
+      specs.push_back(core::replication_mechanism(metrics, spans));
     } else if (item == "caching") {
       specs.push_back(core::caching_mechanism());
     } else if (item == "hybrid") {
@@ -121,9 +120,8 @@ int main(int argc, char** argv) {
                "hit-ratio model tier of the flow engine: "
                "empirical|closed-form|che (ignored by --engine=event)");
   cli.add_flag("placement-model", "exact",
-               "model tier pricing placement candidates during the hybrid/"
-               "replication placement stage: exact|closed-form|che "
-               "(docs/PERFORMANCE.md)");
+               "model tier pricing hybrid placement candidates: "
+               "exact|closed-form (docs/PERFORMANCE.md)");
   cli.add_flag("threads", "1",
                "simulation threads: 1 = one-shard reference run, "
                "0 = all hardware threads, N = N workers over the shards");
