@@ -152,8 +152,8 @@ void BM_CharacteristicTimeExact(benchmark::State& state) {
 }
 BENCHMARK(BM_CharacteristicTimeExact);
 
-// Per-server steady-state pricing cost of the placement tiers (the work a
-// TierEvaluator table rebuild amortises across one iteration's candidates).
+// Per-server steady-state hit-ratio cost of the flow engine's --hit-model
+// tiers (one call prices a server's whole site row).
 // Arg 0 = closed-form, arg 1 = Che (fixed-point solve + per-site N(z)).
 void BM_SteadyStateTier(benchmark::State& state) {
   const auto tier = state.range(0) == 0 ? model::SteadyStateModel::kClosedForm

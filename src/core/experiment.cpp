@@ -27,12 +27,10 @@ MechanismSpec caching_mechanism() {
           [](const sys::CdnSystem& s) { return placement::pure_caching(s); }};
 }
 
-MechanismSpec hybrid_mechanism(obs::Registry* metrics, obs::SpanTracer* spans,
-                               placement::PlacementModel placement_model) {
-  return {"hybrid",
-          [metrics, spans, placement_model](const sys::CdnSystem& s) {
+MechanismSpec hybrid_mechanism(obs::Registry* metrics,
+                               obs::SpanTracer* spans) {
+  return {"hybrid", [metrics, spans](const sys::CdnSystem& s) {
             placement::HybridGreedyOptions options;
-            options.placement_model = placement_model;
             options.metrics = metrics;
             options.metrics_prefix = "placement/hybrid/";
             options.spans = spans;
@@ -40,17 +38,12 @@ MechanismSpec hybrid_mechanism(obs::Registry* metrics, obs::SpanTracer* spans,
           }};
 }
 
-std::string model_tier_mismatch_note(const std::string& hit_model,
-                                     const std::string& placement_model) {
-  const std::string coherent_placement =
-      hit_model == "closed-form" ? "closed-form"
-      : hit_model == "empirical" ? "exact"
-                                 : "";
-  if (placement_model == coherent_placement) return "";
+std::string model_tier_mismatch_note(const std::string& hit_model) {
+  if (hit_model == "empirical") return "";
   return "note: --hit-model=" + hit_model + " simulates hit ratios with a "
-         "different model tier than --placement-model=" + placement_model +
-         " uses to rank placement candidates; results are well-defined but "
-         "the predicted-vs-measured comparison mixes tiers";
+         "different model tier than the exact model hybrid placement ranks "
+         "candidates with; results are well-defined but the "
+         "predicted-vs-measured comparison mixes tiers";
 }
 
 MechanismSpec fixed_split_mechanism(double cache_fraction) {

@@ -12,7 +12,6 @@
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
 #include "src/obs/trace.h"
-#include "src/placement/model_support.h"
 #include "src/placement/placement_result.h"
 #include "src/sim/simulator.h"
 #include "src/util/cdf.h"
@@ -35,19 +34,15 @@ MechanismSpec replication_mechanism(obs::Registry* metrics = nullptr,
                                     obs::SpanTracer* spans = nullptr);
 MechanismSpec caching_mechanism();
 MechanismSpec hybrid_mechanism(obs::Registry* metrics = nullptr,
-                               obs::SpanTracer* spans = nullptr,
-                               placement::PlacementModel placement_model =
-                                   placement::PlacementModel::kExact);
+                               obs::SpanTracer* spans = nullptr);
 
-/// Loud-but-not-fatal coherence note for the CLI: "" when the --hit-model /
-/// --placement-model pair is coherent (empirical<->exact,
-/// closed-form<->closed-form), otherwise a one-line warning that the
+/// Loud-but-not-fatal coherence note for the CLI: "" for
+/// --hit-model=empirical, which reads the exact Eq. 1/Eq. 2 model hybrid
+/// placement is priced with; otherwise a one-line warning that the
 /// placement ranking and the simulated hit ratios use different model
-/// tiers.  --hit-model=che has no placement twin, so it always gets the
-/// note.  Mixing is allowed — the combination is well-defined — it just
+/// tiers.  Mixing is allowed — the combination is well-defined — it just
 /// should never happen silently.
-std::string model_tier_mismatch_note(const std::string& hit_model,
-                                     const std::string& placement_model);
+std::string model_tier_mismatch_note(const std::string& hit_model);
 /// Ad-hoc fixed split with the given cache share (0.2 / 0.8 in Figure 5).
 MechanismSpec fixed_split_mechanism(double cache_fraction);
 MechanismSpec random_mechanism(std::uint64_t seed);

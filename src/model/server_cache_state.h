@@ -74,21 +74,6 @@ class ServerCacheState {
 
   std::size_t site_count() const noexcept { return rates_.size(); }
 
-  /// Flat SoA views over the per-site model inputs, for bulk consumers
-  /// (the placement tier evaluator builds its shared tables from these
-  /// without M virtual-ish accessor calls per rebuild).
-  std::span<const double> popularities() const noexcept { return popularity_; }
-  std::span<const double> site_lambdas() const noexcept { return lambdas_; }
-  std::span<const std::uint8_t> replicated_flags() const noexcept {
-    return replicated_;
-  }
-
-  /// Unreplicated popularity mass w (popularities renormalise as p/w).
-  double unreplicated_mass() const noexcept { return w_; }
-
-  /// o-bar, the bytes-per-LRU-slot conversion factor.
-  double mean_object_bytes() const noexcept { return mean_object_bytes_; }
-
   /// Lightweight view answering "what would site k's hit ratio be if site
   /// `replicating` were given a replica here".  Valid until the parent
   /// mutates.
@@ -114,15 +99,12 @@ class ServerCacheState {
   /// per-state scratch arena keyed on the replicated-set signature (an
   /// epoch bumped by replicate()/refresh_pb()), so re-evaluating the same
   /// candidate between commits that did not touch this server is a table
-  /// lookup instead of a digamma solve.  The memo makes this method
-  /// non-reentrant across threads for the SAME state object; the placement
-  /// engines honour that by partitioning candidate batches by server
-  /// (states of different servers are independent).
+  /// lookup instead of a digamma solve.  A call writes only the memo slot
+  /// of its own `site`, so concurrent calls on DISTINCT sites of one state
+  /// are safe (the placement engine prices the candidates of one server in
+  /// parallel over sites); concurrent calls on the same site, or with a
+  /// mutation, are not.
   WhatIf what_if_replicate(std::uint32_t site) const;
-
-  /// Monotone counter identifying the current replicated set (bumped by
-  /// every mutation); WhatIf memo entries from older epochs are dead.
-  std::uint64_t mutation_epoch() const noexcept { return epoch_; }
 
   /// Materialises the replica: shrinks the cache by o_j, removes site j
   /// from the cacheable set, updates B and K (and p_B in kPerIteration).
@@ -139,9 +121,7 @@ class ServerCacheState {
   std::vector<double> rates_;           // r_j^(i)
   std::vector<std::uint64_t> bytes_;    // o_j
   std::vector<double> lambdas_;
-  // One byte per site (not vector<bool>): the flat array is shared with the
-  // placement tier evaluator and steady_state_hit_ratios as a span.
-  std::vector<std::uint8_t> replicated_;
+  std::vector<std::uint8_t> replicated_;  // 1 = site has a replica here
   std::vector<double> popularity_;      // p_j over ALL requests at server
   const util::ZipfDistribution* zipf_;
   const HitRatioCurve* curve_;

@@ -31,55 +31,49 @@ void refresh_miss_flow_row(const sys::CdnSystem& system,
   }
 }
 
-namespace detail {
+namespace {
 
-double hybrid_cache_penalty(const sys::CdnSystem& system,
-                            const sys::NearestReplicaIndex& nearest,
-                            const model::ServerCacheState& state,
-                            const std::vector<double>& hit,
-                            sys::ServerIndex server, sys::SiteIndex site,
-                            double* terms) {
+// The cache-penalty term of the canonical benefit (lines 10-13).
+double cache_penalty(const sys::CdnSystem& system,
+                     const sys::NearestReplicaIndex& nearest,
+                     const model::ServerCacheState& state,
+                     const std::vector<double>& hit, sys::ServerIndex server,
+                     sys::SiteIndex site) {
   const std::size_t m = system.site_count();
   const auto& demand = system.demand();
   const std::size_t i = server;
   const std::size_t j = site;
 
-  // Cache penalty (lines 10-13): smaller buffer for everyone else.  Skipped
-  // sites contribute exactly +0.0, and no term or partial sum is ever -0.0
-  // (terms are dh*d*c with d, c >= 0 and IEEE cancellation yielding +0.0),
-  // so re-summing a captured `terms` array over ALL sites in ascending order
-  // reproduces this accumulation bit for bit.
+  // Cache penalty (lines 10-13): smaller buffer for everyone else.  The
+  // engine's penalty patch forms a term the same way, (dh * r) * c.
   double penalty = 0.0;
   const auto what_if = state.what_if_replicate(static_cast<std::uint32_t>(j));
   for (std::size_t k = 0; k < m; ++k) {
-    double term = 0.0;
-    if (k != j && !state.is_replicated(static_cast<std::uint32_t>(k))) {
-      const double c = nearest.cost(server, static_cast<sys::SiteIndex>(k));
-      if (c != 0.0) {
-        const double dh =
-            hit[i * m + k] - what_if.hit_ratio(static_cast<std::uint32_t>(k));
-        term = dh * demand.requests(server, static_cast<sys::SiteIndex>(k)) * c;
-        penalty += term;
-      }
-    }
-    if (terms != nullptr) terms[k] = term;
+    if (k == j || state.is_replicated(static_cast<std::uint32_t>(k))) continue;
+    const double c = nearest.cost(server, static_cast<sys::SiteIndex>(k));
+    if (c == 0.0) continue;
+    const double dh =
+        hit[i * m + k] - what_if.hit_ratio(static_cast<std::uint32_t>(k));
+    penalty += dh * demand.requests(server, static_cast<sys::SiteIndex>(k)) * c;
   }
   return penalty;
 }
 
-double hybrid_relative_gain(const sys::CdnSystem& system,
-                            const sys::ReplicaPlacement& placement,
-                            const sys::NearestReplicaIndex& nearest,
-                            const std::vector<double>& hit,
-                            const double* miss_flow, sys::ServerIndex server,
-                            sys::SiteIndex site) {
+// The relative-gain term (lines 14-17).  `miss_flow` may be null
+// (elementwise fallback).
+double relative_gain(const sys::CdnSystem& system,
+                     const sys::ReplicaPlacement& placement,
+                     const sys::NearestReplicaIndex& nearest,
+                     const std::vector<double>& hit, const double* miss_flow,
+                     sys::ServerIndex server, sys::SiteIndex site) {
   const std::size_t n = system.server_count();
   const std::size_t m = system.site_count();
   const auto& demand = system.demand();
   const auto& dist = system.distances();
   const std::size_t j = site;
 
-  // Relative benefit (lines 14-17): other servers' misses for j.
+  // Relative benefit (lines 14-17): other servers' misses for j.  The
+  // engine's relative patch forms a term the same way, delta * f.
   double gain = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
     const auto other = static_cast<sys::ServerIndex>(k);
@@ -97,12 +91,13 @@ double hybrid_relative_gain(const sys::CdnSystem& system,
   return gain;
 }
 
-HybridBenefitParts hybrid_benefit_parts_capture(
+}  // namespace
+
+HybridBenefitParts hybrid_candidate_benefit_parts(
     const sys::CdnSystem& system, const sys::ReplicaPlacement& placement,
     const sys::NearestReplicaIndex& nearest,
     const model::ServerCacheState& state, const std::vector<double>& hit,
-    const double* miss_flow, sys::ServerIndex server, sys::SiteIndex site,
-    double* penalty_terms) {
+    const double* miss_flow, sys::ServerIndex server, sys::SiteIndex site) {
   const std::size_t m = system.site_count();
   const std::size_t i = server;
   const std::size_t j = site;
@@ -116,23 +111,11 @@ HybridBenefitParts hybrid_benefit_parts_capture(
           : (1.0 - hit[i * m + j]) * system.demand().requests(server, site);
   parts.local_gain = local_flow * nearest.cost(server, site);
 
-  parts.cache_penalty = hybrid_cache_penalty(system, nearest, state, hit,
-                                             server, site, penalty_terms);
-  parts.relative_gain = hybrid_relative_gain(system, placement, nearest, hit,
-                                             miss_flow, server, site);
+  parts.cache_penalty =
+      cache_penalty(system, nearest, state, hit, server, site);
+  parts.relative_gain = relative_gain(system, placement, nearest, hit,
+                                      miss_flow, server, site);
   return parts;
-}
-
-}  // namespace detail
-
-HybridBenefitParts hybrid_candidate_benefit_parts(
-    const sys::CdnSystem& system, const sys::ReplicaPlacement& placement,
-    const sys::NearestReplicaIndex& nearest,
-    const model::ServerCacheState& state, const std::vector<double>& hit,
-    const double* miss_flow, sys::ServerIndex server, sys::SiteIndex site) {
-  return detail::hybrid_benefit_parts_capture(system, placement, nearest,
-                                              state, hit, miss_flow, server,
-                                              site, nullptr);
 }
 
 HybridBenefitParts hybrid_candidate_benefit_parts(

@@ -20,10 +20,14 @@
 // state is updated; the algorithm stops when no candidate has positive
 // benefit or nothing fits.
 //
-// hybrid_greedy runs one engine, the lazy heap of hybrid_incremental.cpp:
-// after a commit it re-prices only the candidates whose inputs moved.  The
-// plain loop that re-prices every candidate every iteration is the test
-// oracle in tests/placement_oracle.h, which the engine matches bit for bit.
+// hybrid_greedy runs one engine with one pricing path, the lazy heap of
+// hybrid_incremental.cpp: every candidate keeps its exact benefit or a
+// certified upper bound on it, a commit re-prices its server's row exactly
+// and patches the one moved term of the other invalidated candidates, and a
+// bound that reaches the top is re-priced with the exact model before
+// anything commits.  The plain loop that re-prices every candidate every
+// iteration is the test oracle in tests/placement_oracle.h, which the
+// engine matches bit for bit.
 
 #pragma once
 
@@ -40,15 +44,6 @@ struct HybridGreedyOptions {
   /// When the top-B probability p_B of Eq. 2 is recomputed (paper default:
   /// once at initialisation; see DESIGN.md ablation A1).
   model::PbMode pb_mode = model::PbMode::kAtInit;
-
-  /// Model tier pricing candidate evaluations (docs/PERFORMANCE.md,
-  /// "Placement model tiers").  kExact prices every candidate with the
-  /// Eq. 1/Eq. 2 what-if sweep; kClosedForm prices them from shared
-  /// per-server tables in O(1) and re-verifies the winner, and every
-  /// contender within a fixed band of it, with the exact model before
-  /// commit.  The hit matrix, miss flows, cost trajectory and final states
-  /// stay exact in both tiers.
-  PlacementModel placement_model = PlacementModel::kExact;
 
   /// Optional cap on replicas (0 = unlimited).
   std::size_t max_replicas = 0;

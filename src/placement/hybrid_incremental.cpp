@@ -1,67 +1,56 @@
-// hybrid_greedy's engine: a lazy max-heap of cached candidate benefits.
+// hybrid_greedy's engine: a lazy max-heap of certified benefit bounds.
 //
-// The plain Figure-2 loop re-evaluates every feasible (server, site)
-// candidate on every iteration — Theta(N*M) evaluations of O(N + M) each
-// per commit (tests/placement_oracle.h keeps it as the oracle).  But a
-// commit of (i*, j*) only changes the inputs of a small set of candidates,
-// and for most of them only ONE of the three benefit terms:
+// The plain Figure-2 loop re-prices every feasible (server, site) candidate
+// on every iteration — Theta(N*M) evaluations of O(N + M) each per commit
+// (tests/placement_oracle.h keeps it as the oracle).  A commit of (i*, j*)
+// only moves the inputs of a small set of candidates, and a moved candidate
+// only matters if it can reach the top of the heap.  So the engine keeps,
+// per candidate, a heap key that is either its exact benefit or a certified
+// upper bound on it, and prices exactly only the candidates that surface
+// (Minoux's lazy greedy; no submodularity is needed because every bound is
+// certified directly):
 //
-//   * every candidate at server i* — its cache state, hit row and remaining
-//     budget changed: FULL re-evaluation;
-//   * every candidate for site j* — relative gains reference column j* of
-//     the nearest index and the placement: FULL re-evaluation;
-//   * candidates at a server i != i* whose nearest-replica cost for j*
-//     changed (the ascending list NearestReplicaIndex::on_replica_added
-//     returns) — ONLY the cache-penalty sum is stale, and only its j* term
-//     (the penalty references C(i, SN_k^(i)) per site k, and a commit moves
-//     just column j* of the nearest index): PENALTY repair — recompute the
-//     j* term and re-sum the cached per-site terms in ascending order,
-//     which is bit-identical to a fresh accumulation because skipped terms
-//     contribute exactly +0.0 (see hybrid_cache_penalty);
-//   * candidates (i, j) whose relative gain references server i*'s changed
-//     miss flow for j: flow[i*][j] changed bitwise, j is unreplicated at i*,
-//     and C(i*, SN_j^(i*)) > C(i*, i) (the max(0, .) gate is open) — ONLY
-//     the relative-gain term is stale: RELATIVE repair — re-run the O(N)
-//     relative loop, reuse the cached local gain and penalty.
+//   * row i* (cache state, hit row and budget changed): exact
+//     re-evaluation, in parallel over sites — each what_if_replicate(site)
+//     call writes only that site's memo slot of the state;
+//   * column j*, i != i*: the key stays.  Nearest costs only fall and i*
+//     now holds j*, so the local and relative gains can only fall, bit for
+//     bit (rounding is monotone); the penalty skips site j*.  The key
+//     becomes a bound;
+//   * rows of the servers whose nearest cost for j* fell (the list
+//     NearestReplicaIndex::on_replica_added returns): the penalty's j* term
+//     t(C) = dh * r * C moves, and is patched by t(C_new) - t(C_old);
+//   * candidates (i, j) whose relative gain reads server i*'s miss flow for
+//     j (flow[i*][j] changed bitwise, j unreplicated at i*, and the
+//     max(0, .) gate C(i*, SN_j^(i*)) > C(i*, i) open): i*'s relative term
+//     is patched by dC * flow_new - dC * flow_old.
 //
-// The local gain of a repaired candidate never moves: it reads flow[i][j]
-// (row i* only changed -> full re-eval) and nearest.cost(i, j) (column j*
-// only changed -> full re-eval).  Repairs reuse exactly the term helpers
-// the canonical hybrid_candidate_benefit_parts is built from, so every
-// repaired double equals what a fresh evaluation would produce.
+// A patched candidate's key is its patched decomposition plus a slack that
+// covers the floating-point drift between patched sums and a fresh
+// evaluation: (2 (N + M + 4) + 4 U) * DBL_EPSILON * B, with U the patches
+// since the candidate's last exact evaluation and B = 3 R C_max + a max_j o_j
+// a bound on every term sum (R total demand, C_max the largest initial
+// nearest cost, a = |add_cost_per_byte|).  docs/PERFORMANCE.md derives it.
 //
-// Everything else keeps its cached benefit.  Cached values live in a lazy
-// max-heap ordered (benefit desc, server asc, site asc) — exactly the plain
-// loop's winner tie-break — with per-candidate version counters for lazy
-// deletion.  Invalidated candidates are re-evaluated in parallel batches
-// grouped by server (the WhatIf memo arena in ServerCacheState is per-state
-// mutable, so a state must stay single-threaded) using the canonical
-// benefit function, so every evaluated double is bit-identical to a fresh
-// evaluation and the engine reproduces the plain loop's placement, cost
-// trajectory and commit order byte for byte.
+// Before each commit, a top whose key is not exact is re-priced with the
+// canonical hybrid_candidate_benefit_parts and pushed back, until an exact
+// top wins or the top key is <= 0.  Every key is >= its candidate's exact
+// benefit and the heap orders (key desc, server asc, site asc), so the exact
+// top that wins is the plain loop's winner — highest benefit, then lowest
+// server, then lowest site — and the engine reproduces the oracle's
+// placement, cost trajectory and commit order byte for byte.  A verified
+// benefit above the key it was popped with is a broken bound and throws
+// InternalError.
 //
-// Feasibility is monotone (server budgets only shrink), so a candidate that
-// stops fitting is dead forever; deaths can only occur inside the
-// invalidated set (only server i*'s budget moved), where the batch
-// re-evaluation notices them.
-//
-// Tier mode (placement_model == kClosedForm) reuses the same invalidation
-// sets but prices kFull re-evaluations from the shared per-server tables
-// and verifies near-top candidates with the exact model before commit (see
-// kTierFallbackMargin).  Repairs of an exact-verified candidate patch the
-// exact decomposition in place instead of dropping back to a tier price:
-// the penalty's j* term moves by dh * r * (C_new - C_old) with dh and r
-// untouched off the committed row, and the relative term is exact by
-// construction.  The patched doubles carry normal floating-point
-// accumulation drift relative to a fresh evaluation (they are NOT
-// bit-identical, unlike the kExact repairs above), which the 1 % cost gate
-// absorbs; keeping the verified stamp across repairs is what makes the
-// verify band affordable at large M.
+// Feasibility is monotone (server budgets only shrink) and only row i*'s
+// budget moves, so its exact re-evaluation is where candidates die; a bound
+// candidate is always feasible.
 
 #include <algorithm>
+#include <cfloat>
 #include <chrono>
 #include <cmath>
-#include <optional>
+#include <string>
 #include <vector>
 
 #include "src/cdn/cost.h"
@@ -69,7 +58,6 @@
 #include "src/placement/hybrid_greedy.h"
 #include "src/placement/hybrid_internal.h"
 #include "src/placement/model_support.h"
-#include "src/placement/tier_evaluator.h"
 #include "src/util/error.h"
 #include "src/util/thread_pool.h"
 
@@ -78,29 +66,22 @@ namespace cdn::placement::detail {
 namespace {
 
 struct HeapEntry {
-  double benefit = 0.0;
+  double key = 0.0;
   sys::ServerIndex server = 0;
   sys::SiteIndex site = 0;
   std::uint32_t version = 0;
 };
 
 // std::push_heap comparator: "a is worse than b".  The max element is the
-// highest benefit, ties broken by lowest server then lowest site — the
-// order a row-major scan that keeps the first maximum induces.
+// highest key, ties broken by lowest server then lowest site — the order a
+// row-major scan that keeps the first maximum induces.
 struct WorseThan {
   bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-    if (a.benefit != b.benefit) return a.benefit < b.benefit;
+    if (a.key != b.key) return a.key < b.key;
     if (a.server != b.server) return a.server > b.server;
     return a.site > b.site;
   }
 };
-
-// Width of the tier's exact-verification band, as a fraction of the current
-// top tier benefit.  Tier prices only RANK candidates: the winner is
-// re-priced with the exact model before commit, together with every
-// contender whose tier benefit lands within this band of the top, so a tier
-// mis-ranking inside the band cannot pick the wrong replica.
-constexpr double kTierFallbackMargin = 0.1;
 
 // Materialises options.seed (if any) into `placement` and `states`, in
 // row-major order.
@@ -124,6 +105,12 @@ void apply_seed(const sys::CdnSystem& system,
       }
     }
   }
+}
+
+double elapsed_ms(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
 }
 
 }  // namespace
@@ -190,214 +177,102 @@ PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
   };
   result.cost_trajectory.push_back(current_cost());
 
-  // Tier fast path (kClosedForm): candidate prices come from shared
-  // per-server tables and the transposed relative columns; every branch
-  // below that touches `tier`/`columns` is gated on `tiered`, so the kExact
-  // paths stay literally the pre-tier code (byte-identity gate).
-  const bool tiered = options.placement_model == PlacementModel::kClosedForm;
-  std::optional<TierEvaluator> tier;
-  std::optional<RelativeColumns> columns;
-  if (tiered) {
-    tier.emplace(system, states, result.nearest, context.curve());
-    columns.emplace();
-    columns->build(system, result.placement, result.nearest, flow);
+  // Slack of a patched key (see the file comment): B bounds the magnitudes
+  // of the local, relative and penalty sums and the add cost of every
+  // candidate for the whole run, because nearest costs only fall.
+  double c_max = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      c_max = std::max(c_max,
+                       result.nearest.cost(static_cast<sys::ServerIndex>(i),
+                                           static_cast<sys::SiteIndex>(j)));
+    }
   }
-  std::uint64_t tier_fallbacks = 0;
-  std::uint64_t tier_margin_hits = 0;
+  std::uint64_t max_bytes = 0;
+  for (const std::uint64_t o : system.site_bytes()) {
+    max_bytes = std::max(max_bytes, o);
+  }
+  const double slack_unit =
+      DBL_EPSILON * (3.0 * demand.total() * c_max +
+                     std::abs(options.add_cost_per_byte) *
+                         static_cast<double>(max_bytes));
+  const double slack_base = 2.0 * static_cast<double>(n + m + 4);
+  auto add_cost = [&](sys::SiteIndex site) {
+    return options.add_cost_per_byte *
+           static_cast<double>(system.site_bytes()[site]);
+  };
 
-  // Per-candidate books.  `val` caches the budget-adjusted benefit; an
-  // in-heap entry is live iff its version matches `version[idx]`; `dead`
+  // Per-candidate books.  `key` is the heap key: the exact budget-adjusted
+  // benefit when `exact` is set, a certified upper bound otherwise, with
+  // `patches` bound patches since the last exact evaluation.  An in-heap
+  // entry is live iff its version matches `version[idx]`; `dead`
   // candidates (replicated or no longer fitting) never re-enter the heap.
-  std::vector<double> val(n * m, 0.0);
+  // The part_* arrays hold the (possibly patched) benefit decomposition.
+  std::vector<double> key(n * m, 0.0);
   std::vector<std::uint32_t> version(n * m, 1);
-  // A tier-mode candidate is exactly priced iff its stamp matches its
-  // version: any invalidation or repair bumps the version and naturally
-  // stales the stamp.
-  std::vector<std::uint32_t> verified_stamp(n * m, 0);
+  std::vector<std::uint32_t> patches(n * m, 0);
+  std::vector<std::uint8_t> exact(n * m, 0);
   std::vector<std::uint8_t> dead(n * m, 0);
-  std::vector<std::uint8_t> eval_ok(n * m, 0);
+  std::vector<double> part_local(n * m, 0.0);
+  std::vector<double> part_penalty(n * m, 0.0);
+  std::vector<double> part_relative(n * m, 0.0);
   std::vector<std::uint32_t> mark_stamp(n * m, 0);
   std::vector<std::uint8_t> mark_kind(n * m, 0);
   std::vector<std::uint32_t> marked;
+  std::vector<std::size_t> row_live;
   std::vector<double> old_flow(m, 0.0);
-  // Tier mode: repairs of an exact-verified candidate patch its exact
-  // decomposition in place (the relative term is exact by construction and
-  // the penalty moved only in the committed site's term), so verification
-  // survives invalidation; `still_exact` carries that fact from the
-  // parallel repair batch to the serial version bump.  `old_cost_js[k]` is
-  // the pre-commit nearest cost C(k, SN_js) the penalty patch differences
-  // against.
-  std::vector<std::uint8_t> still_exact(n * m, 0);
   std::vector<double> old_cost_js(n, 0.0);
   std::vector<HeapEntry> heap;
   const WorseThan worse{};
   const std::size_t compact_threshold = 2 * n * m + 1024;
 
-  // Cached benefit decomposition per candidate, kept current by full
-  // re-evaluations and component repairs.  The per-site penalty terms make
-  // a penalty repair O(M) additions instead of O(M) what-if model
-  // evaluations; the cache is skipped (repairs fall back to re-running the
-  // penalty loop) when N*M*M would not fit a sane memory budget.
-  constexpr std::uint8_t kRepairPenalty = 1;
-  constexpr std::uint8_t kRepairRelative = 2;
-  constexpr std::uint8_t kFull = 4;
-  std::vector<double> part_local(n * m, 0.0);
-  std::vector<double> part_penalty(n * m, 0.0);
-  std::vector<double> part_relative(n * m, 0.0);
-  const bool term_cache = !tiered && n * m * m <= (std::size_t{1} << 24);
-  std::vector<double> pen_terms(term_cache ? n * m * m : 0, 0.0);
-
+  // Exact evaluation with the canonical benefit; marks the candidate dead
+  // when it no longer fits.
   auto evaluate = [&](std::size_t idx) {
     const auto server = static_cast<sys::ServerIndex>(idx / m);
     const auto site = static_cast<sys::SiteIndex>(idx % m);
     if (!result.placement.can_add(server, site)) {
-      eval_ok[idx] = 0;
+      dead[idx] = 1;
       return;
     }
     CDN_DCHECK(states[server].can_fit(static_cast<std::uint32_t>(site)),
                "placement and model state disagree on free space");
-    eval_ok[idx] = 1;
-    if (tiered) {
-      // Local and relative terms are exact (they are model-free); only the
-      // cache penalty is tier-priced.
-      still_exact[idx] = 0;
-      part_local[idx] = flow[idx] * result.nearest.cost(server, site);
-      part_penalty[idx] = tier->penalty(server, site);
-      part_relative[idx] = columns->relative_gain(server, site);
-      val[idx] = part_local[idx] + part_relative[idx] - part_penalty[idx] -
-                 options.add_cost_per_byte *
-                     static_cast<double>(system.site_bytes()[site]);
-      return;
-    }
-    const HybridBenefitParts parts = hybrid_benefit_parts_capture(
+    const HybridBenefitParts parts = hybrid_candidate_benefit_parts(
         system, result.placement, result.nearest, states[server], hit,
-        flow.data(), server, site,
-        term_cache ? &pen_terms[idx * m] : nullptr);
+        flow.data(), server, site);
     part_local[idx] = parts.local_gain;
     part_penalty[idx] = parts.cache_penalty;
     part_relative[idx] = parts.relative_gain;
-    val[idx] = parts.total() - options.add_cost_per_byte *
-                                   static_cast<double>(system.site_bytes()[site]);
+    key[idx] = parts.total() - add_cost(site);
+    patches[idx] = 0;
+    exact[idx] = 1;
   };
 
-  // Component repair: recompute only the stale term(s) of an alive
-  // candidate at an untouched server — its feasibility and the other terms
-  // are unchanged by construction (see the file comment).
-  auto repair = [&](std::size_t idx, std::uint8_t kind, sys::SiteIndex js) {
-    const auto server = static_cast<sys::ServerIndex>(idx / m);
-    const auto site = static_cast<sys::SiteIndex>(idx % m);
-    if (tiered) {
-      still_exact[idx] = 0;
-      if (verified_stamp[idx] == version[idx]) {
-        // The candidate's cached decomposition is exact (verify loop or a
-        // previous exact-preserving patch).  A repair-class invalidation
-        // only moves inputs the exact terms depend on linearly: the
-        // relative term is exact by construction in tier mode, and a
-        // penalty repair shifts just the committed column's term by
-        // dh * r * (C_new - C_old) — dh and r are untouched for servers
-        // off the committed row (those get kFull).  Patching in place keeps
-        // the candidate exact-verified, so the verify loop never pays the
-        // O(M) re-price for it again.
-        if ((kind & kRepairPenalty) != 0 && js != site &&
-            !states[server].is_replicated(static_cast<std::uint32_t>(js))) {
-          const double c_new = result.nearest.cost(server, js);
-          const double c_old = old_cost_js[server];
-          if (c_new != c_old) {
-            const double dh =
-                hit[static_cast<std::size_t>(server) * m + js] -
-                states[server]
-                    .what_if_replicate(static_cast<std::uint32_t>(site))
-                    .hit_ratio(static_cast<std::uint32_t>(js));
-            part_penalty[idx] +=
-                dh * system.demand().requests(server, js) * (c_new - c_old);
-          }
-        }
-        if ((kind & kRepairRelative) != 0) {
-          part_relative[idx] = columns->relative_gain(server, site);
-        }
-        still_exact[idx] = 1;
-      } else {
-        // Tier repairs re-price from the (already patched) shared tables —
-        // both components are O(1)-ish, so no term cache is needed.
-        if ((kind & kRepairPenalty) != 0) {
-          part_penalty[idx] = tier->penalty(server, site);
-        }
-        if ((kind & kRepairRelative) != 0) {
-          part_relative[idx] = columns->relative_gain(server, site);
-        }
-      }
-      val[idx] = part_local[idx] + part_relative[idx] - part_penalty[idx] -
-                 options.add_cost_per_byte *
-                     static_cast<double>(system.site_bytes()[site]);
-      return;
-    }
-    if ((kind & kRepairPenalty) != 0) {
-      if (term_cache) {
-        double* terms = &pen_terms[idx * m];
-        double term = 0.0;
-        if (js != site &&
-            !states[server].is_replicated(static_cast<std::uint32_t>(js))) {
-          const double c = result.nearest.cost(server, js);
-          if (c != 0.0) {
-            const double dh =
-                hit[static_cast<std::size_t>(server) * m + js] -
-                states[server]
-                    .what_if_replicate(static_cast<std::uint32_t>(site))
-                    .hit_ratio(static_cast<std::uint32_t>(js));
-            term = dh * system.demand().requests(server, js) * c;
-          }
-        }
-        terms[js] = term;
-        double penalty = 0.0;
-        for (std::size_t s = 0; s < m; ++s) penalty += terms[s];
-        part_penalty[idx] = penalty;
-      } else {
-        part_penalty[idx] = hybrid_cache_penalty(
-            system, result.nearest, states[server], hit, server, site,
-            nullptr);
-      }
-    }
-    if ((kind & kRepairRelative) != 0) {
-      part_relative[idx] =
-          hybrid_relative_gain(system, result.placement, result.nearest, hit,
-                               flow.data(), server, site);
-    }
-    HybridBenefitParts parts;
-    parts.local_gain = part_local[idx];
-    parts.cache_penalty = part_penalty[idx];
-    parts.relative_gain = part_relative[idx];
-    val[idx] = parts.total() - options.add_cost_per_byte *
-                                   static_cast<double>(system.site_bytes()[site]);
+  auto push = [&](std::size_t idx) {
+    heap.push_back({key[idx], static_cast<sys::ServerIndex>(idx / m),
+                    static_cast<sys::SiteIndex>(idx % m), version[idx]});
+    std::push_heap(heap.begin(), heap.end(), worse);
   };
 
-  // Initial build: evaluate every candidate once (this is the one full
-  // sweep; afterwards only invalidated candidates are touched).
+  // Initial build: evaluate every candidate once (the one full sweep;
+  // afterwards only the commit's row and surfacing bounds are priced).
   obs::ScopedSpan initial_span(spans, sp_initial, "placement");
-  std::chrono::steady_clock::time_point eval_start;
-  if (t_eval != nullptr) eval_start = std::chrono::steady_clock::now();
+  auto eval_start = std::chrono::steady_clock::now();
   util::parallel_for(0, n, [&](std::size_t i) {
     for (std::size_t j = 0; j < m; ++j) evaluate(i * m + j);
   });
   std::uint64_t pending_candidates = 0;
   heap.reserve(n * m);
   for (std::size_t idx = 0; idx < n * m; ++idx) {
-    if (!eval_ok[idx]) {
-      dead[idx] = 1;
-      continue;
-    }
+    if (dead[idx] != 0) continue;
     ++pending_candidates;
-    heap.push_back({val[idx], static_cast<sys::ServerIndex>(idx / m),
+    heap.push_back({key[idx], static_cast<sys::ServerIndex>(idx / m),
                     static_cast<sys::SiteIndex>(idx % m), version[idx]});
   }
   std::make_heap(heap.begin(), heap.end(), worse);
-  double pending_eval_ms = 0.0;
+  double pending_eval_ms = elapsed_ms(eval_start);
   if (t_eval != nullptr) {
-    const auto ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - eval_start)
-            .count());
-    t_eval->record_ns(ns);
-    pending_eval_ms = static_cast<double>(ns) * 1e-6;
+    t_eval->record_ns(static_cast<std::uint64_t>(pending_eval_ms * 1e6));
   }
   initial_span.arg("candidates", static_cast<double>(heap.size()));
   initial_span.stop();
@@ -405,6 +280,7 @@ PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
   const std::size_t seeded = result.placement.replica_count();
   std::uint64_t total_candidates = pending_candidates;
   std::uint64_t reevaluations = 0;
+  std::uint64_t verifications = 0;
   std::uint64_t repairs = 0;
   std::uint64_t invalidations = 0;
   std::uint64_t stale_discarded = 0;
@@ -419,131 +295,74 @@ PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
     }
     obs::ScopedSpan iter_span(spans, sp_iter, "placement");
     iter_span.arg("iteration", static_cast<double>(iteration));
-    // Lazy deletion: discard entries whose candidate was re-evaluated or
-    // died since they were pushed.
-    auto discard_stale = [&] {
-      while (!heap.empty()) {
-        const HeapEntry& top = heap.front();
-        const std::size_t idx =
-            static_cast<std::size_t>(top.server) * m + top.site;
-        if (top.version != version[idx]) {
-          std::pop_heap(heap.begin(), heap.end(), worse);
-          heap.pop_back();
-          ++stale_discarded;
-          continue;
-        }
+
+    // Settle the top: discard stale entries (lazy deletion) and re-price a
+    // bound top exactly, until an exact top remains or the top key says
+    // no candidate can have positive benefit.
+    eval_start = std::chrono::steady_clock::now();
+    std::uint64_t verified = 0;
+    while (!heap.empty()) {
+      const HeapEntry top = heap.front();
+      const std::size_t idx =
+          static_cast<std::size_t>(top.server) * m + top.site;
+      if (top.version == version[idx] &&
+          (exact[idx] != 0 || top.key <= 0.0)) {
         break;
       }
-    };
-    discard_stale();
-
-    // Error-gated exact fallback (closed-form tier only): tier prices RANK
-    // the heap; the commit decision is always exact.  Each round exact
-    // re-prices every live, unverified entry whose tier benefit lands
-    // within the margin band of the current top (the top itself included),
-    // stamps them, and reinserts; it stops once the top is exact-priced
-    // and no unverified runner remains inside its band.  Stop decisions
-    // are therefore exact-anchored too: an unverified top at or below
-    // zero is within its own band and gets verified before the loop can
-    // break on it.
-    if (tiered) {
-      // Verification is exact-model work — it counts toward the eval
-      // timer so tier speedup numbers cannot hide fallback cost.
-      std::chrono::steady_clock::time_point verify_start;
-      if (t_eval != nullptr) verify_start = std::chrono::steady_clock::now();
-      std::vector<HeapEntry> repriced;
-      for (;;) {
-        discard_stale();
-        if (heap.empty()) break;
-        const HeapEntry top = heap.front();
-        // The band tracks the current top benefit, tightening as the
-        // frontier decays — a frozen run-level scale would drag the whole
-        // post-commit invalidation set into exact re-pricing every
-        // iteration once benefits shrink below it.
-        const double band = kTierFallbackMargin * std::abs(top.benefit);
-        const std::size_t tidx =
-            static_cast<std::size_t>(top.server) * m + top.site;
-        // Settled: exact top, nothing unverified close enough to contest.
-        bool pending = false;
-        for (const HeapEntry& e : heap) {
-          const std::size_t idx =
-              static_cast<std::size_t>(e.server) * m + e.site;
-          if (e.version != version[idx]) continue;  // stale duplicate
-          if (verified_stamp[idx] == version[idx]) continue;
-          if (e.benefit < top.benefit - band) continue;
-          pending = true;
-          break;
-        }
-        if (!pending && verified_stamp[tidx] == version[tidx]) break;
-
-        repriced.clear();
-        for (const HeapEntry& e : heap) {
-          const std::size_t idx =
-              static_cast<std::size_t>(e.server) * m + e.site;
-          if (e.version != version[idx]) continue;
-          if (verified_stamp[idx] == version[idx]) continue;
-          if (e.benefit < top.benefit - band) continue;
-          ++tier_fallbacks;
-          if (idx != tidx) ++tier_margin_hits;
-          part_penalty[idx] = hybrid_cache_penalty(
-              system, result.nearest, states[e.server], hit, e.server,
-              e.site, nullptr);
-          val[idx] = part_local[idx] + part_relative[idx] -
-                     part_penalty[idx] -
-                     options.add_cost_per_byte *
-                         static_cast<double>(system.site_bytes()[e.site]);
-          ++version[idx];
-          verified_stamp[idx] = version[idx];
-          repriced.push_back({val[idx], e.server, e.site, version[idx]});
-        }
-        for (const HeapEntry& e : repriced) {
-          heap.push_back(e);
-          std::push_heap(heap.begin(), heap.end(), worse);
-        }
-        // Loop: re-pricing may have surfaced a different (possibly still
-        // unverified) top whose own band needs settling.
+      std::pop_heap(heap.begin(), heap.end(), worse);
+      heap.pop_back();
+      if (top.version != version[idx]) {
+        ++stale_discarded;
+        continue;
       }
+      evaluate(idx);
+      if (dead[idx] != 0) continue;
+      CDN_CHECK(key[idx] <= top.key,
+                "hybrid greedy: exact benefit of candidate (" +
+                    std::to_string(top.server) + ", " +
+                    std::to_string(top.site) +
+                    ") exceeds its certified bound; refusing to commit "
+                    "from a broken heap");
+      ++verified;
+      ++version[idx];
+      push(idx);
+    }
+    verifications += verified;
+    total_candidates += verified;
+    pending_candidates += verified;
+    if (verified != 0) {
+      const double ms = elapsed_ms(eval_start);
+      pending_eval_ms += ms;
       if (t_eval != nullptr) {
-        t_eval->record_ns(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - verify_start)
-                .count()));
+        t_eval->record_ns(static_cast<std::uint64_t>(ms * 1e6));
       }
     }
-    if (heap.empty()) break;
+    iter_span.arg("verified", static_cast<double>(verified));
+    if (heap.empty() || heap.front().key <= 0.0) break;
+
     const HeapEntry winner = heap.front();
-    if (winner.benefit <= 0.0) break;
     std::pop_heap(heap.begin(), heap.end(), worse);
     heap.pop_back();
     const auto ws = winner.server;
     const auto js = winner.site;
     const std::size_t ws_row = static_cast<std::size_t>(ws) * m;
+    const std::size_t widx = ws_row + js;
+    CDN_DCHECK(exact[widx] != 0, "committing a candidate priced by a bound");
 
-    // Benefit decomposition of the winner, against the pre-commit state.
+    // The winner's decomposition is exact, against the pre-commit state.
     HybridBenefitParts parts;
-    if (iteration_log != nullptr) {
-      if (tiered) {
-        const std::size_t widx = ws_row + js;
-        parts.local_gain = part_local[widx];
-        parts.cache_penalty = part_penalty[widx];
-        parts.relative_gain = part_relative[widx];
-      } else {
-        parts = hybrid_candidate_benefit_parts(system, result.placement,
-                                               result.nearest, states[ws], hit,
-                                               flow.data(), ws, js);
-      }
-    }
+    parts.local_gain = part_local[widx];
+    parts.cache_penalty = part_penalty[widx];
+    parts.relative_gain = part_relative[widx];
 
     std::vector<sys::ServerIndex> changed_servers;
     {
       obs::ScopedTimer commit_timer(t_commit);
-      if (tiered) {
-        // Pre-commit nearest costs of the committed column, for the
-        // exact-preserving penalty patch in repair().
-        for (std::size_t i = 0; i < n; ++i) {
-          old_cost_js[i] =
-              result.nearest.cost(static_cast<sys::ServerIndex>(i), js);
-        }
+      // Pre-commit nearest costs of the committed column, for the penalty
+      // patches below.
+      for (std::size_t i = 0; i < n; ++i) {
+        old_cost_js[i] =
+            result.nearest.cost(static_cast<sys::ServerIndex>(i), js);
       }
       result.placement.add(ws, js);
       changed_servers = result.nearest.on_replica_added(ws, js);
@@ -556,15 +375,6 @@ PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
             states[ws].hit_ratio(static_cast<std::uint32_t>(j));
       }
       refresh_miss_flow_row(system, hit, ws, flow);
-      if (tiered) {
-        // Patch the shared tables before the batch re-pricing below reads
-        // them: cost deltas fold into the changed servers' g/Phi/A tables
-        // in O(grid); ws's own table rebuilds lazily (its epoch moved).
-        for (const sys::ServerIndex k : changed_servers) {
-          if (k != ws) tier->on_cost_changed(k, js);
-        }
-        columns->on_commit(result.nearest, flow, ws, js, changed_servers);
-      }
       result.cost_trajectory.push_back(current_cost());
     }
 
@@ -572,16 +382,45 @@ PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
       iteration_log->add_row(
           {static_cast<double>(iteration), static_cast<double>(ws),
            static_cast<double>(js), static_cast<double>(pending_candidates),
-           winner.benefit, parts.local_gain, parts.relative_gain,
+           winner.key, parts.local_gain, parts.relative_gain,
            parts.cache_penalty,
            static_cast<double>(system.site_bytes()[js]),
            result.cost_trajectory.back(), pending_eval_ms});
     }
     ++iteration;
 
-    // --- Invalidation: collect exactly the candidates whose inputs the
-    // commit changed, tagged with WHICH term went stale (see the file
-    // comment for the derivation).  kFull subsumes the repairs.
+    obs::ScopedSpan reeval_span(spans, sp_reeval, "placement");
+    eval_start = std::chrono::steady_clock::now();
+
+    // Row i*: exact re-evaluation, parallel over sites.  Every entry the
+    // row had goes stale; the candidates that still fit are pushed back.
+    row_live.clear();
+    for (std::size_t j = 0; j < m; ++j) {
+      if (dead[ws_row + j] == 0) row_live.push_back(ws_row + j);
+    }
+    util::parallel_for(0, row_live.size(),
+                       [&](std::size_t t) { evaluate(row_live[t]); });
+    std::uint64_t row_alive = 0;
+    for (const std::size_t idx : row_live) {
+      ++version[idx];
+      if (dead[idx] != 0) continue;
+      ++row_alive;
+      push(idx);
+    }
+
+    // Column j*: keys stay, as bounds.
+    std::uint64_t demoted = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t idx = i * m + js;
+      if (i == ws || dead[idx] != 0) continue;
+      exact[idx] = 0;
+      ++demoted;
+    }
+
+    // Patches: collect the candidates with a stale penalty or relative
+    // term, tagged with which (both may apply).
+    constexpr std::uint8_t kPenalty = 1;
+    constexpr std::uint8_t kRelative = 2;
     ++commit_id;
     marked.clear();
     auto mark = [&](std::size_t idx, std::uint8_t kind) {
@@ -594,12 +433,12 @@ PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
       }
       mark_kind[idx] = static_cast<std::uint8_t>(mark_kind[idx] | kind);
     };
-    for (std::size_t j = 0; j < m; ++j) mark(ws_row + j, kFull);
-    for (std::size_t i = 0; i < n; ++i) mark(i * m + js, kFull);
     for (const sys::ServerIndex i : changed_servers) {
       if (i == ws) continue;
       const std::size_t row = static_cast<std::size_t>(i) * m;
-      for (std::size_t j = 0; j < m; ++j) mark(row + j, kRepairPenalty);
+      for (std::size_t j = 0; j < m; ++j) {
+        if (j != js) mark(row + j, kPenalty);
+      }
     }
     for (std::size_t j = 0; j < m; ++j) {
       if (j == js || old_flow[j] == flow[ws_row + j]) continue;
@@ -609,80 +448,72 @@ PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
       for (std::size_t i = 0; i < n; ++i) {
         if (i == ws) continue;
         if (dist.server_to_server(ws, static_cast<sys::ServerIndex>(i)) < c) {
-          mark(i * m + j, kRepairRelative);
+          mark(i * m + j, kRelative);
         }
       }
     }
-    invalidations += marked.size();
+
+    // O(1) patches, parallel over candidates: each touches only its own
+    // books and its own (server, site) what-if memo slot.
+    util::parallel_for(
+        0, marked.size(),
+        [&](std::size_t t) {
+          const std::size_t idx = marked[t];
+          const auto server = static_cast<sys::ServerIndex>(idx / m);
+          const auto site = static_cast<sys::SiteIndex>(idx % m);
+          if ((mark_kind[idx] & kPenalty) != 0) {
+            // The penalty's j* term, t(C) = dh * r * C, formed as
+            // hybrid_candidate_benefit_parts forms it.
+            const double dh =
+                hit[static_cast<std::size_t>(server) * m + js] -
+                states[server]
+                    .what_if_replicate(static_cast<std::uint32_t>(site))
+                    .hit_ratio(static_cast<std::uint32_t>(js));
+            const double dr = dh * demand.requests(server, js);
+            part_penalty[idx] +=
+                dr * result.nearest.cost(server, js) - dr * old_cost_js[server];
+            ++patches[idx];
+          }
+          if ((mark_kind[idx] & kRelative) != 0) {
+            // i*'s relative term, dC * flow, formed as
+            // hybrid_candidate_benefit_parts forms it.
+            const double dc = result.nearest.cost(ws, site) -
+                              dist.server_to_server(ws, server);
+            part_relative[idx] +=
+                dc * flow[ws_row + site] - dc * old_flow[site];
+            ++patches[idx];
+          }
+          key[idx] = part_local[idx] + part_relative[idx] -
+                     part_penalty[idx] - add_cost(site) +
+                     (slack_base + 4.0 * static_cast<double>(patches[idx])) *
+                         slack_unit;
+          exact[idx] = 0;
+        },
+        /*grain=*/256);
+    for (const std::uint32_t idx : marked) {
+      ++version[idx];
+      push(idx);
+    }
+
+    pending_candidates = row_alive;
+    reevaluations += row_alive;
+    total_candidates += row_alive;
+    repairs += marked.size();
+    const std::uint64_t invalidated =
+        row_live.size() + demoted + marked.size();
+    invalidations += invalidated;
     if (inval_series != nullptr) {
-      inval_series->push(static_cast<double>(marked.size()));
+      inval_series->push(static_cast<double>(invalidated));
     }
     if (spans != nullptr) {
       spans->instant(sp_inval, "placement", "marked",
-                     static_cast<double>(marked.size()));
+                     static_cast<double>(invalidated));
     }
-
-    // --- Batched re-evaluation / repair, parallel across servers, serial
-    // within a server (the WhatIf memo is per-state mutable).  Sorting makes
-    // the groups contiguous and the later heap pushes deterministic.
-    obs::ScopedSpan reeval_span(spans, sp_reeval, "placement");
-    reeval_span.arg("marked", static_cast<double>(marked.size()));
-    std::sort(marked.begin(), marked.end());
-    if (t_eval != nullptr) eval_start = std::chrono::steady_clock::now();
-    std::vector<std::pair<std::size_t, std::size_t>> groups;
-    for (std::size_t b = 0; b < marked.size();) {
-      const std::size_t server = marked[b] / m;
-      std::size_t e = b + 1;
-      while (e < marked.size() && marked[e] / m == server) ++e;
-      groups.emplace_back(b, e);
-      b = e;
-    }
-    util::parallel_for(0, groups.size(), [&](std::size_t g) {
-      for (std::size_t t = groups[g].first; t < groups[g].second; ++t) {
-        const std::uint32_t idx = marked[t];
-        if ((mark_kind[idx] & kFull) != 0) {
-          evaluate(idx);
-        } else {
-          repair(idx, mark_kind[idx], js);
-        }
-      }
-    });
-    std::uint64_t batch_alive = 0;
-    std::uint64_t batch_evals = 0;
-    std::uint64_t batch_repairs = 0;
-    for (const std::uint32_t idx : marked) {
-      ++version[idx];
-      if (!eval_ok[idx]) {
-        dead[idx] = 1;
-        continue;
-      }
-      if (still_exact[idx] != 0) {
-        // Exact-preserving patch: the new version is born verified.
-        verified_stamp[idx] = version[idx];
-        still_exact[idx] = 0;
-      }
-      if ((mark_kind[idx] & kFull) != 0) {
-        ++batch_evals;
-      } else {
-        ++batch_repairs;
-      }
-      ++batch_alive;
-      heap.push_back({val[idx], static_cast<sys::ServerIndex>(idx / m),
-                      static_cast<sys::SiteIndex>(idx % m), version[idx]});
-      std::push_heap(heap.begin(), heap.end(), worse);
-    }
-    pending_candidates = batch_alive;
-    reevaluations += batch_evals;
-    repairs += batch_repairs;
-    total_candidates += batch_evals;
+    pending_eval_ms = elapsed_ms(eval_start);
     if (t_eval != nullptr) {
-      const auto ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - eval_start)
-              .count());
-      t_eval->record_ns(ns);
-      pending_eval_ms = static_cast<double>(ns) * 1e-6;
+      t_eval->record_ns(static_cast<std::uint64_t>(pending_eval_ms * 1e6));
     }
+    reeval_span.arg("marked", static_cast<double>(invalidated));
     reeval_span.stop();
     peak_heap = std::max(peak_heap, heap.size());
     if (spans != nullptr) {
@@ -704,16 +535,12 @@ PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
   if (metrics != nullptr) {
     metrics->counter(pfx + "candidates_evaluated").add(total_candidates);
     metrics->counter(pfx + "heap/reevaluations").add(reevaluations);
+    metrics->counter(pfx + "heap/verifications").add(verifications);
     metrics->counter(pfx + "heap/repairs").add(repairs);
     metrics->counter(pfx + "heap/invalidations").add(invalidations);
     metrics->counter(pfx + "heap/stale_discarded").add(stale_discarded);
     metrics->counter("model/curve_clamped")
         .add(context.curve().clamped_evaluations());
-    if (tiered) {
-      metrics->counter(pfx + "tier_evaluations").add(tier->evaluations());
-      metrics->counter(pfx + "tier_fallbacks").add(tier_fallbacks);
-      metrics->counter(pfx + "tier_margin_hits").add(tier_margin_hits);
-    }
     metrics->gauge(pfx + "heap/peak_size")
         .set(static_cast<double>(peak_heap));
     metrics->gauge(pfx + "replicas_created")

@@ -4,24 +4,6 @@
 
 namespace cdn::placement {
 
-PlacementModel parse_placement_model(const std::string& name) {
-  if (name == "exact") return PlacementModel::kExact;
-  if (name == "closed-form") return PlacementModel::kClosedForm;
-  CDN_EXPECT(false, "unknown placement model '" + name +
-                        "' (expected exact or closed-form)");
-  return PlacementModel::kExact;
-}
-
-const char* placement_model_name(PlacementModel model) {
-  switch (model) {
-    case PlacementModel::kExact:
-      return "exact";
-    case PlacementModel::kClosedForm:
-      return "closed-form";
-  }
-  return "exact";
-}
-
 ModelContext::ModelContext(const sys::CdnSystem& system,
                            model::PbMode pb_mode)
     : system_(&system),

@@ -4,7 +4,6 @@
 
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "src/cdn/cost.h"
@@ -14,32 +13,6 @@
 #include "src/placement/placement_result.h"
 
 namespace cdn::placement {
-
-/// Which model tier prices per-candidate *hybrid placement* evaluations
-/// (the simulation-side twin is sim::... --hit-model / SteadyStateModel).
-///
-///   * kExact      — every candidate runs the full Eq. 1/Eq. 2 what-if
-///     (byte-identical to the pre-tier engine);
-///   * kClosedForm — candidates are priced from per-server tabulated
-///     penalty tables anchored to the O(1) closed-form characteristic time
-///     (Laoutaris), with an error-gated exact fallback near the commit
-///     threshold.
-///
-/// In both tiers the hit matrix, miss flows, cost trajectory and final
-/// model states stay EXACT — the tier only prices the candidate *ranking*,
-/// and near-threshold winners are re-verified with the exact model before
-/// commit.
-enum class PlacementModel {
-  kExact,
-  kClosedForm,
-};
-
-/// Parses "exact" / "closed-form" (the --placement-model CLI values);
-/// throws PreconditionError on anything else.
-PlacementModel parse_placement_model(const std::string& name);
-
-/// The CLI name of a tier (inverse of parse_placement_model).
-const char* placement_model_name(PlacementModel model);
 
 /// Owns the model machinery shared by all servers of one system: the H(z)
 /// table (one per (theta, L)) and the model configuration.

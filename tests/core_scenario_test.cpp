@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_set>
 
 #include "src/core/experiment.h"
@@ -142,6 +143,18 @@ TEST(ScenarioTest, RejectsZeroServers) {
   auto cfg = tiny_config();
   cfg.server_count = 0;
   EXPECT_THROW(Scenario{cfg}, cdn::PreconditionError);
+}
+
+TEST(ModelTierNoteTest, MismatchNoteFlagsIncoherentPairs) {
+  using cdn::core::model_tier_mismatch_note;
+  // Hybrid placement is priced with the exact Eq. 1/Eq. 2 model, which
+  // --hit-model=empirical reads: that pair is silent.
+  EXPECT_EQ(model_tier_mismatch_note("empirical"), "");
+  // Every other hit model gets a note naming the flag and its value.
+  for (const std::string hit : {"closed-form", "che"}) {
+    const std::string note = model_tier_mismatch_note(hit);
+    EXPECT_NE(note.find("--hit-model=" + hit), std::string::npos) << note;
+  }
 }
 
 }  // namespace

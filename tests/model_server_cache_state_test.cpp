@@ -6,6 +6,7 @@
 
 #include "src/model/server_cache_state.h"
 #include "src/util/error.h"
+#include "src/util/thread_pool.h"
 
 namespace {
 
@@ -178,6 +179,61 @@ TEST(ServerCacheStateTest, GuardsAgainstMisuse) {
   EXPECT_THROW(state.replicate(0), cdn::PreconditionError);
   EXPECT_THROW(state.what_if_replicate(0), cdn::PreconditionError);
   EXPECT_THROW(state.what_if_replicate(1), cdn::PreconditionError);  // no fit
+}
+
+TEST(ServerCacheStateTest, WhatIfOnDistinctSitesIsSafeInParallel) {
+  // The placement engine calls what_if_replicate on distinct sites of one
+  // state from the shared pool; each call writes only its own memo slot.
+  // Parallel passes (memo misses, then memo hits, then misses again after a
+  // mutation) must equal a serial pass on a twin state bit for bit.
+  constexpr std::uint32_t kSites = 256;
+  const ZipfDistribution zipf(1000, 1.0);
+  const HitRatioCurve curve(zipf);
+  std::vector<double> rates(kSites);
+  std::vector<std::uint64_t> bytes(kSites);
+  for (std::uint32_t j = 0; j < kSites; ++j) {
+    rates[j] = 1000.0 / (1.0 + j);
+    bytes[j] = 1000 + 37 * j;
+  }
+  const std::vector<double> lambdas(kSites, 0.0);
+  const auto make = [&] {
+    return ServerCacheState(rates, bytes, lambdas, 2'000'000, 10.0, zipf,
+                            curve);
+  };
+  struct Pass {
+    std::vector<double> k = std::vector<double>(kSites, -1.0);
+    std::vector<double> h = std::vector<double>(kSites, -1.0);
+  };
+  const auto price = [](const ServerCacheState& s, std::uint32_t j,
+                        Pass& out) {
+    if (s.is_replicated(j)) return;
+    const auto what_if = s.what_if_replicate(j);
+    out.k[j] = what_if.characteristic_time();
+    out.h[j] = what_if.hit_ratio((j + 1) % kSites);
+  };
+  const auto expect_same = [](const Pass& a, const Pass& b) {
+    for (std::uint32_t j = 0; j < kSites; ++j) {
+      EXPECT_EQ(a.k[j], b.k[j]) << "site " << j;
+      EXPECT_EQ(a.h[j], b.h[j]) << "site " << j;
+    }
+  };
+
+  ServerCacheState shared = make();
+  ServerCacheState serial = make();
+  for (int round = 0; round < 2; ++round) {
+    Pass serial_pass;
+    for (std::uint32_t j = 0; j < kSites; ++j) price(serial, j, serial_pass);
+    for (int repeat = 0; repeat < 2; ++repeat) {  // memo misses, then hits
+      Pass parallel_pass;
+      cdn::util::parallel_for(0, kSites, [&](std::size_t j) {
+        price(shared, static_cast<std::uint32_t>(j), parallel_pass);
+      });
+      expect_same(serial_pass, parallel_pass);
+    }
+    // New epoch: every memo slot is stale again.
+    shared.replicate(static_cast<std::uint32_t>(round));
+    serial.replicate(static_cast<std::uint32_t>(round));
+  }
 }
 
 TEST(ServerCacheStateTest, RejectsInvalidConstruction) {

@@ -1,18 +1,16 @@
 // Literal digests of the placement engines.  The other placement tests
 // compare runs with each other: placement_engine_equivalence_test checks the
 // engines against a test oracle that shares hybrid_candidate_benefit,
-// ModelContext and total_remote_cost with them, and the tier gate allows a
-// 1 % cost gap.  A drift in a shared helper would pass both; these pins
-// would not.  Each value is an FNV-1a over the placement digest, the cost
-// trajectory, the modelled hit matrix and the predicted total cost of one
-// fixed TestSystem run.  A deliberate change to what placement computes must
-// re-record them and say why.
+// ModelContext and total_remote_cost with them.  A drift in a shared helper
+// would pass that comparison; these pins would not.  Each value is an FNV-1a
+// over the placement digest, the cost trajectory, the modelled hit matrix
+// and the predicted total cost of one fixed TestSystem run.  A deliberate
+// change to what placement computes must re-record them and say why.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
-#include "src/obs/registry.h"
 #include "src/placement/fixed_split.h"
 #include "src/placement/greedy_global.h"
 #include "src/placement/hybrid_greedy.h"
@@ -82,23 +80,6 @@ TEST_F(PlacementDigestPinTest, HybridExactPerIterationPb) {
   HybridGreedyOptions options;
   options.pb_mode = model::PbMode::kPerIteration;
   EXPECT_EQ(result_digest(hybrid(options)), 0x9612b952d4be18b4ull);
-}
-
-TEST_F(PlacementDigestPinTest, HybridClosedForm) {
-  // The tier only ranks candidates and every commit is verified exactly; on
-  // this system it commits the exact run's replicas in the same order, so
-  // the pin equals the default run's.
-  obs::Registry registry;
-  HybridGreedyOptions options;
-  options.placement_model = placement::PlacementModel::kClosedForm;
-  options.metrics = &registry;
-  const auto result = hybrid(options);
-  EXPECT_EQ(result.replicas_created, 30u);
-  const auto* margin_hits =
-      registry.find_counter("placement/hybrid/tier_margin_hits");
-  ASSERT_NE(margin_hits, nullptr);
-  EXPECT_EQ(margin_hits->value(), 51u);
-  EXPECT_EQ(result_digest(result), 0x40c562032befbf7cull);
 }
 
 TEST_F(PlacementDigestPinTest, GreedyGlobal) {

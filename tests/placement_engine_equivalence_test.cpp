@@ -10,7 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "src/placement/greedy_global.h"
 #include "src/placement/hybrid_greedy.h"
 #include "src/placement/local_search.h"
+#include "src/placement/model_support.h"
 #include "tests/placement_oracle.h"
 #include "tests/test_support.h"
 
@@ -40,7 +44,15 @@ struct EngineRun {
   PlacementResult result;
   std::vector<std::string> log_columns;
   std::vector<std::vector<double>> log_rows;
+  std::uint64_t repairs = 0;        // O(1) bound patches
+  std::uint64_t verifications = 0;  // bound tops re-priced exactly
 };
+
+std::uint64_t counter_value(const cdn::obs::Registry& registry,
+                            const std::string& name) {
+  const auto* counter = registry.find_counter(name);
+  return counter != nullptr ? counter->value() : 0;
+}
 
 EngineRun run_hybrid(const cdn::sys::CdnSystem& system,
                      HybridGreedyOptions options) {
@@ -52,6 +64,9 @@ EngineRun run_hybrid(const cdn::sys::CdnSystem& system,
     run.log_columns = log->columns();
     run.log_rows = log->rows();
   }
+  run.repairs = counter_value(registry, "placement/hybrid/heap/repairs");
+  run.verifications =
+      counter_value(registry, "placement/hybrid/heap/verifications");
   return run;
 }
 
@@ -160,12 +175,84 @@ TEST(PlacementEngineEquivalenceTest, HybridTinyStorageNoReplicas) {
 }
 
 TEST(PlacementEngineEquivalenceTest, HybridTwentyFourServers) {
-  // Large enough that every invalidation class (full re-evaluation, penalty
-  // repair, relative repair) fires many times per run.
+  // Large enough that every invalidation class (row re-evaluation, column
+  // bound, penalty patch, relative patch) fires many times per run, and
+  // that patched bounds surface and get verified: the comparison covers
+  // both the bound path and the verification path.
   const auto t = TestSystem::make(24, 12, 6, 100, 0.08);
   const OracleRun ref = oracle_hybrid_greedy(*t.system);
-  expect_equivalent(*t.system, ref, run_hybrid(*t.system, {}));
+  const EngineRun inc = run_hybrid(*t.system, {});
+  expect_equivalent(*t.system, ref, inc);
   EXPECT_GE(ref.result.replicas_created, 20u);
+  EXPECT_GT(inc.repairs, 0u);
+  EXPECT_GT(inc.verifications, 0u);
+}
+
+/// `servers` identical servers: the same demand row everywhere, every
+/// server-to-server distance 1 and one primary distance for every (server,
+/// site), so a candidate's benefit does not depend on its server.
+TestSystem symmetric_system(std::size_t servers) {
+  TestSystem t;
+  cdn::workload::SurgeParams params;
+  params.objects_per_site = 100;
+  const std::vector<cdn::workload::PopularityClass> classes{
+      {6, 1.0, "low"}, {2, 8.0, "high"}};
+  cdn::util::Rng rng(11);
+  t.catalog = std::make_unique<cdn::workload::SiteCatalog>(
+      cdn::workload::SiteCatalog::generate(params, classes, rng));
+  const std::size_t sites = t.catalog->site_count();
+  cdn::util::Rng demand_rng(12);
+  const auto one_row = cdn::workload::DemandMatrix::generate(
+      *t.catalog, 1, 1e6, demand_rng);
+  std::vector<double> values;
+  for (std::size_t i = 0; i < servers; ++i) {
+    for (std::size_t j = 0; j < sites; ++j) {
+      values.push_back(one_row.requests(0, static_cast<std::uint32_t>(j)));
+    }
+  }
+  t.demand = std::make_unique<cdn::workload::DemandMatrix>(
+      cdn::workload::DemandMatrix::from_values(servers, sites, values));
+  std::vector<double> ss(servers * servers);
+  for (std::size_t i = 0; i < servers; ++i) {
+    for (std::size_t k = 0; k < servers; ++k) {
+      ss[i * servers + k] = i == k ? 0.0 : 1.0;
+    }
+  }
+  t.distances = std::make_unique<cdn::sys::DistanceOracle>(
+      servers, sites, std::move(ss),
+      std::vector<double>(servers * sites, 6.0));
+  t.system = std::make_unique<cdn::sys::CdnSystem>(*t.catalog, *t.demand,
+                                                   *t.distances, 0.15);
+  return t;
+}
+
+TEST(PlacementEngineEquivalenceTest, HybridExactTiesFollowTheOracle) {
+  const auto t = symmetric_system(5);
+  const cdn::sys::CdnSystem& system = *t.system;
+
+  // The fixture must really tie: on the initial state at least two
+  // candidates share the top benefit bit for bit.
+  const cdn::placement::ModelContext context(system);
+  const auto states = context.make_states();
+  const cdn::sys::ReplicaPlacement empty(system.server_storage(),
+                                         system.site_bytes());
+  const cdn::sys::NearestReplicaIndex nearest(system.distances(), empty);
+  const std::vector<double> hit = cdn::placement::modeled_hit_matrix(states);
+  std::vector<double> benefits;
+  for (cdn::sys::ServerIndex i = 0; i < system.server_count(); ++i) {
+    for (cdn::sys::SiteIndex j = 0; j < system.site_count(); ++j) {
+      if (!empty.can_add(i, j)) continue;
+      benefits.push_back(cdn::placement::hybrid_candidate_benefit(
+          system, empty, nearest, states[i], hit, i, j));
+    }
+  }
+  ASSERT_FALSE(benefits.empty());
+  const double top = *std::max_element(benefits.begin(), benefits.end());
+  ASSERT_GT(top, 0.0);
+  ASSERT_GE(std::count(benefits.begin(), benefits.end(), top), 2)
+      << "fixture regression: the top benefit is not tied";
+
+  expect_hybrid_engines_agree(system);
 }
 
 TEST(PlacementEngineEquivalenceTest, HeapMetricsAndClampCounterExported) {

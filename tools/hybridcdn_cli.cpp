@@ -43,7 +43,7 @@ extern "C" void handle_stop_signal(int) {
 /// Parses "hybrid,caching,cache20,..." into mechanism specs.
 std::vector<core::MechanismSpec> parse_mechanisms(
     const std::string& csv, std::uint64_t seed, obs::Registry* metrics,
-    obs::SpanTracer* spans, placement::PlacementModel placement_model) {
+    obs::SpanTracer* spans) {
   std::vector<core::MechanismSpec> specs;
   std::stringstream ss(csv);
   std::string item;
@@ -53,7 +53,7 @@ std::vector<core::MechanismSpec> parse_mechanisms(
     } else if (item == "caching") {
       specs.push_back(core::caching_mechanism());
     } else if (item == "hybrid") {
-      specs.push_back(core::hybrid_mechanism(metrics, spans, placement_model));
+      specs.push_back(core::hybrid_mechanism(metrics, spans));
     } else if (item == "popularity") {
       specs.push_back(core::popularity_mechanism());
     } else if (item == "random") {
@@ -119,9 +119,6 @@ int main(int argc, char** argv) {
   cli.add_flag("hit-model", "empirical",
                "hit-ratio model tier of the flow engine: "
                "empirical|closed-form|che (ignored by --engine=event)");
-  cli.add_flag("placement-model", "exact",
-               "model tier pricing hybrid placement candidates: "
-               "exact|closed-form (docs/PERFORMANCE.md)");
   cli.add_flag("threads", "1",
                "simulation threads: 1 = one-shard reference run, "
                "0 = all hardware threads, N = N workers over the shards");
@@ -212,12 +209,8 @@ int main(int argc, char** argv) {
                  "unknown --hit-model: " + hit_model_name +
                      " (expected empirical|closed-form|che)");
     }
-    const std::string placement_model_name =
-        cli.get_string("placement-model");
-    const placement::PlacementModel placement_model =
-        placement::parse_placement_model(placement_model_name);
     const std::string tier_note =
-        core::model_tier_mismatch_note(hit_model_name, placement_model_name);
+        core::model_tier_mismatch_note(hit_model_name);
     if (!tier_note.empty()) std::cerr << tier_note << '\n';
     if (cli.get_bool("progress")) {
       sim.progress_every = std::max<std::uint64_t>(1, sim.total_requests / 20);
@@ -343,7 +336,7 @@ int main(int argc, char** argv) {
       runs = core::run_mechanisms(
           scenario,
           parse_mechanisms(cli.get_string("mechanisms"), cfg.seed, metrics,
-                           spans, placement_model),
+                           spans),
           sim, metrics, sink ? &*sink : nullptr, spans);
     } catch (const recover::Interrupted& e) {
       // Graceful shutdown: the engine already flushed its checkpoint; flush
