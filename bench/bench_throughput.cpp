@@ -101,7 +101,8 @@ double batch_gen_requests_per_sec(const sys::CdnSystem& system,
                                   std::uint64_t requests) {
   workload::RequestStream stream(system.catalog(), system.demand(), 99);
   workload::RequestBatch batch;
-  constexpr std::size_t kBatch = 4096;  // the engines' chunk size
+  // A multi-shard run's chunk; the one-shard run generates blocks of 65536.
+  constexpr std::size_t kBatch = 4096;
   std::uint64_t generated = 0;
   const auto start = std::chrono::steady_clock::now();
   while (generated < requests) {

@@ -14,6 +14,10 @@ Compares a candidate artifact against a committed baseline
   * metric missing from the candidate    -> FAIL (silently dropping a
                                             gated metric is itself a
                                             regression)
+  * manifest build type or flags differ  -> FAIL before any metric is
+                                            compared (a Debug run against a
+                                            Release baseline measures the
+                                            build, not the change)
 
 Extra metrics in the candidate are reported but never fail — add them to
 the baseline to start gating them.
@@ -63,6 +67,18 @@ def compare(baseline, candidate, log=print):
             f"bench name mismatch: baseline {baseline['bench']!r} vs "
             f"candidate {candidate['bench']!r}"
         )
+        return failures
+
+    base_build = baseline.get("manifest", {}).get("build", {})
+    cand_build = candidate.get("manifest", {}).get("build", {})
+    for field in ("type", "flags"):
+        if base_build.get(field) != cand_build.get(field):
+            failures.append(
+                f"build {field} mismatch: baseline "
+                f"{base_build.get(field)!r} vs candidate "
+                f"{cand_build.get(field)!r}"
+            )
+    if failures:
         return failures
 
     base_tool = baseline.get("manifest", {}).get("tool")
@@ -128,6 +144,7 @@ def self_test():
     baseline = {
         "schema_version": 1,
         "bench": "selftest",
+        "manifest": {"build": {"type": "Release", "flags": "ndebug"}},
         "metrics": {
             "throughput": {
                 "value": 100.0,
@@ -152,45 +169,55 @@ def self_test():
 
     def run(mutate):
         cand = json.loads(json.dumps(baseline))
-        mutate(cand["metrics"])
+        mutate(cand["metrics"], cand["manifest"]["build"])
         return compare(baseline, cand, log=lambda *_: None)
 
     cases = [
         # (description, mutation, should_fail)
-        ("unchanged candidate passes", lambda m: None, False),
+        ("unchanged candidate passes", lambda m, b: None, False),
         (
             "injected 20% throughput drop fails (> 10% threshold)",
-            lambda m: m["throughput"].update(value=80.0),
+            lambda m, b: m["throughput"].update(value=80.0),
             True,
         ),
         (
             "5% throughput drop passes (<= 10% threshold)",
-            lambda m: m["throughput"].update(value=95.0),
+            lambda m, b: m["throughput"].update(value=95.0),
             False,
         ),
         (
             "throughput improvement passes",
-            lambda m: m["throughput"].update(value=200.0),
+            lambda m, b: m["throughput"].update(value=200.0),
             False,
         ),
         (
             "injected 20% latency rise fails (lower-is-better)",
-            lambda m: m["latency"].update(value=12.0),
+            lambda m, b: m["latency"].update(value=12.0),
             True,
         ),
         (
             "latency improvement passes",
-            lambda m: m["latency"].update(value=5.0),
+            lambda m, b: m["latency"].update(value=5.0),
             False,
         ),
         (
             "exact metric drift fails in either direction",
-            lambda m: m["replicas"].update(value=43.0),
+            lambda m, b: m["replicas"].update(value=43.0),
             True,
         ),
         (
             "missing gated metric fails",
-            lambda m: m.pop("latency"),
+            lambda m, b: m.pop("latency"),
+            True,
+        ),
+        (
+            "Debug candidate against a Release baseline fails",
+            lambda m, b: b.update(type="Debug", flags="assertions"),
+            True,
+        ),
+        (
+            "same build type with other flags fails",
+            lambda m, b: b.update(flags="ndebug,asan"),
             True,
         ),
     ]

@@ -36,9 +36,16 @@ constexpr std::uint64_t kLambdaSalt = 0x94d049bb133111ebull;
 constexpr std::uint64_t kLambdaMix = 0x5bd1e995u;
 constexpr std::uint64_t kSurgeMix = 0x9e3779b9u;
 
-/// Chunks of the request loop start on multiples of this many requests;
-/// those are also the points where multi-shard workers poll the stop flag.
+/// Chunks of a multi-shard run's request loop start on multiples of this
+/// many requests; those are also the points where its workers poll the stop
+/// flag.
 constexpr std::uint64_t kChunk = 4096;
+/// The one-shard run's chunks (blocks) start on multiples of this many
+/// requests: long enough that each server's cache serves a run of its own
+/// accesses while its state is still in the CPU caches.  Multi-shard runs
+/// keep kChunk: each shard owns only N/S servers already.
+constexpr std::uint64_t kBlock = 65536;
+static_assert(kBlock % kChunk == 0, "blocks must be whole chunks");
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
 using Clock = std::chrono::steady_clock;
@@ -199,6 +206,28 @@ void restore_window(util::ByteReader& r, WindowAccumulator& win) {
   win.failover = r.u64();
   win.degraded_latency_ms = r.f64();
 }
+
+/// What a request asks of its first-hop server, decided in stream order
+/// before any cache is touched.
+enum class Kind : std::uint8_t {
+  kReplica,      // the server replicates the site
+  kEligible,     // one cache access decides hit or miss
+  kRefresh,      // flagged, refresh mode: a cache access and the nearest copy
+  kUncacheable,  // flagged, uncacheable mode: the nearest copy only
+};
+
+constexpr bool touches_cache(Kind kind) {
+  return kind == Kind::kEligible || kind == Kind::kRefresh;
+}
+
+/// Scratch of the healthy body's three passes, reused across chunks.
+struct ChunkScratch {
+  workload::RequestBatch batch;
+  std::vector<Kind> kind;
+  std::vector<std::uint8_t> hit;     // set by pass 2 for cache accesses
+  std::vector<std::uint32_t> order;  // cache accesses grouped by server
+  std::vector<std::uint32_t> group;  // group boundaries in `order`
+};
 
 /// What happened to one request.
 struct Outcome {
@@ -523,8 +552,9 @@ class EventRun {
                                sp_shard_, "sim");
     shard_span.arg("shard", static_cast<double>(s));
     const std::uint64_t measured = sh.total - sh.warmup;
-    workload::RequestBatch batch;
-    // Chunked loop (docs/PERFORMANCE.md): a chunk ends at the next chunk
+    const std::uint64_t stride = shape_.reference ? kBlock : kChunk;
+    ChunkScratch scratch;
+    // Chunked loop (docs/PERFORMANCE.md): a chunk ends at the next stride
     // multiple, the warm-up edge or the next window boundary, so the
     // request bodies carry no boundary compares.
     while (sh.t < end) {
@@ -539,7 +569,7 @@ class EventRun {
           caches_[server]->reset_stats();
         }
       }
-      std::uint64_t chunk_end = std::min(end, (t / kChunk + 1) * kChunk);
+      std::uint64_t chunk_end = std::min(end, (t / stride + 1) * stride);
       if (t < sh.warmup) chunk_end = std::min(chunk_end, sh.warmup);
       WindowAccumulator* win = nullptr;
       if (t >= sh.warmup && window_count_ > 0) {
@@ -552,32 +582,70 @@ class EventRun {
       if (per_request_) {
         request_chunk(sh, t, chunk_end, win);
       } else {
-        healthy_chunk(sh, batch, t, chunk_end, win);
+        healthy_chunk(s, scratch, t, chunk_end, win);
       }
       sh.t = chunk_end;
     }
   }
 
-  /// The batched healthy body: requests are generated in SoA batches and
-  /// served by healthy_step.  Accounting accumulates per request in stream
-  /// order, floating-point sums included, so the report does not depend on
-  /// where chunks end (sim_batch_parity_test replays the same stream
-  /// through request_chunk).
-  void healthy_chunk(Shard& sh, workload::RequestBatch& batch,
-                     std::uint64_t t, std::uint64_t end,
-                     WindowAccumulator* win) {
-    const bool measured = t >= sh.warmup;
+  /// The batched healthy body, in three passes over one SoA batch:
+  ///   1. in stream order, generate the requests and classify them, which
+  ///      draws the lambda RNG exactly as the per-request body does;
+  ///   2. group the cache accesses by first-hop server (a counting sort of
+  ///      request indices) and let each cache serve its own accesses in
+  ///      stream order, so its state stays in the CPU caches for its whole
+  ///      share of the chunk;
+  ///   3. in stream order, build and book every outcome.
+  /// Each cache sees exactly its own subsequence in order and every sum
+  /// accumulates in stream order, so the report does not depend on where
+  /// chunks end (sim_batch_parity_test replays the same stream through
+  /// request_chunk).
+  void healthy_chunk(std::size_t s, ChunkScratch& scratch, std::uint64_t t,
+                     std::uint64_t end, WindowAccumulator* win) {
+    Shard& sh = shards_[s];
     const auto count = static_cast<std::size_t>(end - t);
+    workload::RequestBatch& batch = scratch.batch;
+    std::vector<Kind>& kind = scratch.kind;
+    std::vector<std::uint8_t>& hit = scratch.hit;
+    std::vector<std::uint32_t>& order = scratch.order;
+    std::vector<std::uint32_t>& group = scratch.group;
     sh.stream->next_batch(batch, count);
+    kind.resize(count);
+    hit.resize(count);
+    order.resize(count);
+    // Round-robin ownership: server i is shard s's local server i / S.
+    const std::vector<workload::ServerId>& owned = plan_.servers[s];
+    const std::size_t shard_count = shards_.size();
+    group.assign(owned.size() + 1, 0);
+    for (std::size_t i = 0; i < count; ++i) {
+      kind[i] = classify(sh.lambda_rng, batch.server[i], batch.site[i]);
+      if (touches_cache(kind[i])) ++group[batch.server[i] / shard_count + 1];
+    }
+    // group[l] becomes where local server l's accesses start; the scatter
+    // then advances it to where they end.
+    for (std::size_t l = 1; l <= owned.size(); ++l) group[l] += group[l - 1];
+    for (std::size_t i = 0; i < count; ++i) {
+      if (!touches_cache(kind[i])) continue;
+      order[group[batch.server[i] / shard_count]++] =
+          static_cast<std::uint32_t>(i);
+    }
+    std::size_t k = 0;
+    for (std::size_t l = 0; l < owned.size(); ++l) {
+      cache::CachePolicy& cache = *caches_[owned[l]];
+      for (; k < group[l]; ++k) {
+        const std::uint32_t i = order[k];
+        hit[i] = access(cache, batch.site[i], batch.rank[i]) ? 1 : 0;
+      }
+    }
+    const bool measured = t >= sh.warmup;
     for (std::size_t i = 0; i < count; ++i) {
       const workload::ServerId server = batch.server[i];
       const workload::SiteId site = batch.site[i];
-      const std::uint32_t rank = batch.rank[i];
-      const Outcome o = healthy_step(sh.lambda_rng, server, site, rank);
+      const Outcome o = outcome(kind[i], hit[i] != 0, server, site);
       const double latency_ms = config_.latency.latency_ms(o.hops);
       if (measured) record(sh, win, server, o, latency_ms);
       if (sink_ != nullptr && sink_->should_sample()) {
-        trace(t + i, server, site, rank, o, latency_ms, measured);
+        trace(t + i, server, site, batch.rank[i], o, latency_ms, measured);
       }
     }
   }
@@ -619,7 +687,10 @@ class EventRun {
       Outcome o;
       double latency_ms;
       if (!timeline_) {
-        o = healthy_step(sh.lambda_rng, req.server, req.site, req.rank);
+        const Kind kind = classify(sh.lambda_rng, req.server, req.site);
+        const bool hit = touches_cache(kind) &&
+                         access(*caches_[req.server], req.site, req.rank);
+        o = outcome(kind, hit, req.server, req.site);
         latency_ms = config_.latency.latency_ms(o.hops);
       } else {
         o = fault_step(sh.lambda_rng, req);
@@ -638,45 +709,57 @@ class EventRun {
     }
   }
 
-  /// Serves one request when every server is up: a replicated site or a
-  /// cache hit stays local, anything else pays the precomputed redirect
-  /// cost.  The RNG draw order (one bernoulli per non-replicated request,
-  /// nothing for replicated ones) is the contract that keeps the reference
-  /// run bit-identical and the shard decomposition exact.
-  Outcome healthy_step(util::Rng& lambda_rng, workload::ServerId server,
-                       workload::SiteId site, std::uint32_t rank) const {
+  /// What a request at a live first-hop server needs.  The RNG draw order
+  /// (one bernoulli per non-replicated request, nothing for replicated
+  /// ones) is the contract that keeps the reference run bit-identical and
+  /// the shard decomposition exact.
+  Kind classify(util::Rng& lambda_rng, workload::ServerId server,
+                workload::SiteId site) const {
+    // Replicas are always consistent (the CDN pushes invalidations to
+    // them); even flagged requests are served locally.
+    if (result_.placement.is_replicated(server, site)) return Kind::kReplica;
+    if (!lambda_rng.bernoulli(site_lambda_[site])) return Kind::kEligible;
+    return uncacheable_mode_ ? Kind::kUncacheable : Kind::kRefresh;
+  }
+
+  /// One cache access for object `rank` of `site`; true on a hit.  A miss
+  /// admits the object, and so does a refresh, whose re-fetched copy stays
+  /// cached with updated recency.
+  bool access(cache::CachePolicy& cache, workload::SiteId site,
+              std::uint32_t rank) const {
+    return cache.access(catalog_.object_id(site, rank),
+                        catalog_.object_bytes(site, rank));
+  }
+
+  /// The outcome of a request when every server is up, given its kind and,
+  /// for an eligible one, whether its cache access hit: a replicated site
+  /// or a cache hit stays local, anything else pays the precomputed
+  /// redirect cost.
+  Outcome outcome(Kind kind, bool hit, workload::ServerId server,
+                  workload::SiteId site) const {
     Outcome o;
-    if (result_.placement.is_replicated(server, site)) {
-      // Replicas are always consistent (the CDN pushes invalidations to
-      // them); even flagged requests are served locally.
-      o.served_locally = true;
-      return o;
-    }
-    const bool flagged = lambda_rng.bernoulli(site_lambda_[site]);
-    const cache::ObjectKey key = catalog_.object_id(site, rank);
-    const std::uint64_t bytes = catalog_.object_bytes(site, rank);
-    cache::CachePolicy& cache = *caches_[server];
-    if (flagged && uncacheable_mode_) {
-      // Never cached; straight to the nearest copy.
-      o.hops = result_.nearest.cost(server, site);
-      o.cause = obs::EventCause::kUncacheable;
-    } else if (flagged) {
-      // kRefresh: must touch the remote copy; the (re-)fetched object stays
-      // cached with updated recency.
-      cache.access(key, bytes);
-      o.hops = result_.nearest.cost(server, site);
-      o.cause = obs::EventCause::kStaleRefresh;
-    } else {
-      o.cache_eligible = true;
-      o.cache_hit = cache.access(key, bytes);
-      if (o.cache_hit) {
+    switch (kind) {
+      case Kind::kReplica:
         o.served_locally = true;
-        o.cause = obs::EventCause::kCacheHit;
-      } else {
-        o.hops = result_.nearest.cost(server, site);
+        return o;
+      case Kind::kEligible:
+        o.cache_eligible = true;
+        o.cache_hit = hit;
+        if (hit) {
+          o.served_locally = true;
+          o.cause = obs::EventCause::kCacheHit;
+          return o;
+        }
         o.cause = obs::EventCause::kCacheMiss;
-      }
+        break;
+      case Kind::kRefresh:
+        o.cause = obs::EventCause::kStaleRefresh;
+        break;
+      case Kind::kUncacheable:
+        o.cause = obs::EventCause::kUncacheable;
+        break;
     }
+    o.hops = result_.nearest.cost(server, site);
     return o;
   }
 
@@ -714,12 +797,11 @@ class EventRun {
       redirect_to(find_live(), obs::EventCause::kFailover);
       return o;
     }
-    if (result_.placement.is_replicated(server, site)) {
-      // Replicas are always consistent; even flagged requests stay local.
+    const Kind kind = classify(lambda_rng, server, site);
+    if (kind == Kind::kReplica) {
       o.served_locally = true;
       return o;
     }
-    const bool flagged = lambda_rng.bernoulli(site_lambda_[site]);
     cache::CachePolicy& cache = *caches_[server];
     const cache::ObjectKey key = catalog_.object_id(site, req.rank);
     const std::uint64_t bytes = catalog_.object_bytes(site, req.rank);
@@ -734,9 +816,9 @@ class EventRun {
       ++o.attempts;
       return find_live();
     };
-    if (flagged && uncacheable_mode_) {
+    if (kind == Kind::kUncacheable) {
       redirect_to(resolve(), obs::EventCause::kUncacheable);
-    } else if (flagged) {
+    } else if (kind == Kind::kRefresh) {
       const auto live = resolve();
       if (live) cache.access(key, bytes);  // refreshed copy stays cached
       redirect_to(live, obs::EventCause::kStaleRefresh);

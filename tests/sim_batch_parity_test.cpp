@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <tuple>
@@ -79,12 +80,15 @@ TEST_P(BatchParityTest, LiveRunMatchesTraceReplayExactly) {
 INSTANTIATE_TEST_SUITE_P(
     PoliciesAndStaleness, BatchParityTest,
     ::testing::Combine(::testing::Values(PolicyKind::kLru, PolicyKind::kFifo,
-                                         PolicyKind::kClock),
+                                         PolicyKind::kLfu, PolicyKind::kClock,
+                                         PolicyKind::kDelayedLru),
                        ::testing::Values(StalenessMode::kRefresh,
                                          StalenessMode::kUncacheable)),
     [](const auto& suite_info) {
+      // gtest names allow [A-Za-z0-9_] only ("delayed-lru").
       std::string name =
           cdn::cache::policy_name(std::get<0>(suite_info.param));
+      std::replace(name.begin(), name.end(), '-', '_');
       name += std::get<1>(suite_info.param) == StalenessMode::kRefresh
                   ? "Refresh"
                   : "Uncacheable";
