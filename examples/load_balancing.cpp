@@ -13,6 +13,7 @@
 #include <iostream>
 
 #include "src/core/hybridcdn.h"
+#include "src/redirect/server_selection.h"
 
 int main(int argc, char** argv) {
   using namespace cdn;

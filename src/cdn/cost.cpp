@@ -32,4 +32,20 @@ double cost_per_request(const workload::DemandMatrix& demand,
   return total_remote_cost(demand, nearest, hit_ratio) / total;
 }
 
+double replication_benefit(const workload::DemandMatrix& demand,
+                           const DistanceOracle& distances,
+                           const ReplicaPlacement& placement,
+                           const NearestReplicaIndex& nearest,
+                           ServerIndex server, SiteIndex site) {
+  double b = demand.requests(server, site) * nearest.cost(server, site);
+  for (std::size_t k = 0; k < demand.server_count(); ++k) {
+    const auto other = static_cast<ServerIndex>(k);
+    if (other == server || placement.is_replicated(other, site)) continue;
+    const double delta =
+        nearest.cost(other, site) - distances.server_to_server(other, server);
+    if (delta > 0.0) b += delta * demand.requests(other, site);
+  }
+  return b;
+}
+
 }  // namespace cdn::sys

@@ -29,4 +29,14 @@ double cost_per_request(const workload::DemandMatrix& demand,
                         const NearestReplicaIndex& nearest,
                         const HitRatioFn& hit_ratio = {});
 
+/// Drop in D from replicating `site` at `server` under pure replication:
+/// the server's own redirected traffic plus every other server's saving
+/// from a closer copy.  Reads only column `site` of `placement` and
+/// `nearest`, so a commit to one site leaves other sites' benefits valid.
+double replication_benefit(const workload::DemandMatrix& demand,
+                           const DistanceOracle& distances,
+                           const ReplicaPlacement& placement,
+                           const NearestReplicaIndex& nearest,
+                           ServerIndex server, SiteIndex site);
+
 }  // namespace cdn::sys

@@ -10,25 +10,6 @@ namespace cdn::cluster {
 
 namespace {
 
-/// Benefit of replicating `unit` at `server` (pure replication objective):
-/// the holder's own redirected traffic plus every other server's saving
-/// from a closer copy.
-double unit_benefit(const workload::DemandMatrix& demand,
-                    const sys::DistanceOracle& distances,
-                    const sys::ReplicaPlacement& placement,
-                    const sys::NearestReplicaIndex& nearest,
-                    sys::ServerIndex server, sys::SiteIndex unit) {
-  double b = demand.requests(server, unit) * nearest.cost(server, unit);
-  for (std::size_t k = 0; k < demand.server_count(); ++k) {
-    const auto other = static_cast<sys::ServerIndex>(k);
-    if (other == server || placement.is_replicated(other, unit)) continue;
-    const double delta =
-        nearest.cost(other, unit) - distances.server_to_server(other, server);
-    if (delta > 0.0) b += delta * demand.requests(other, unit);
-  }
-  return b;
-}
-
 struct HeapEntry {
   double benefit;
   sys::ServerIndex server;
@@ -66,8 +47,9 @@ LazyGreedyOutput lazy_greedy_replication(
       const auto server = static_cast<sys::ServerIndex>(i);
       const auto unit = static_cast<sys::SiteIndex>(j);
       if (!out.placement.can_add(server, unit)) continue;
-      const double b = unit_benefit(unit_demand, unit_distances,
-                                    out.placement, out.nearest, server, unit);
+      const double b = sys::replication_benefit(
+          unit_demand, unit_distances, out.placement, out.nearest, server,
+          unit);
       if (b > 0.0) heap.push({b, server, unit});
     }
   }
@@ -79,9 +61,9 @@ LazyGreedyOutput lazy_greedy_replication(
     if (!out.placement.can_add(top.server, top.unit)) continue;
     // Benefits only shrink over time, so a fresh value that still beats the
     // next-best stale bound is globally maximal.
-    const double fresh =
-        unit_benefit(unit_demand, unit_distances, out.placement, out.nearest,
-                     top.server, top.unit);
+    const double fresh = sys::replication_benefit(
+        unit_demand, unit_distances, out.placement, out.nearest, top.server,
+        top.unit);
     if (fresh <= 0.0) continue;
     if (!heap.empty() && fresh < heap.top().benefit) {
       top.benefit = fresh;
@@ -100,6 +82,25 @@ LazyGreedyOutput lazy_greedy_replication(
   return out;
 }
 
+workload::DemandMatrix cluster_demand(const workload::DemandMatrix& demand,
+                                      const ClusterScheme& scheme) {
+  CDN_EXPECT(demand.site_count() * scheme.clusters_per_site() ==
+                 scheme.cluster_count(),
+             "demand matrix and cluster scheme disagree on the site count");
+  const std::size_t n = demand.server_count();
+  const std::size_t total = scheme.cluster_count();
+  std::vector<double> values;
+  values.reserve(n * total);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto server = static_cast<sys::ServerIndex>(i);
+    for (ClusterId c = 0; c < total; ++c) {
+      const Cluster& cl = scheme.cluster(c);
+      values.push_back(demand.requests(server, cl.site) * cl.mass);
+    }
+  }
+  return workload::DemandMatrix::from_values(n, total, values);
+}
+
 ClusterPlacementResult cluster_greedy_global(
     const sys::CdnSystem& system, std::uint32_t clusters_per_site) {
   ClusterScheme scheme(system.catalog(), clusters_per_site);
@@ -107,19 +108,8 @@ ClusterPlacementResult cluster_greedy_global(
   const std::size_t total = scheme.cluster_count();
 
   // Expand demand and distances from sites to clusters.
-  std::vector<double> demand_values;
-  demand_values.reserve(n * total);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto server = static_cast<sys::ServerIndex>(i);
-    for (ClusterId c = 0; c < total; ++c) {
-      const Cluster& cl = scheme.cluster(c);
-      demand_values.push_back(
-          system.demand().requests(server, cl.site) * cl.mass);
-    }
-  }
-  const auto cluster_demand =
-      workload::DemandMatrix::from_values(n, total, demand_values);
-
+  const workload::DemandMatrix unit_demand =
+      cluster_demand(system.demand(), scheme);
   std::vector<double> ss(n * n);
   std::vector<double> sp(n * total);
   for (std::size_t i = 0; i < n; ++i) {
@@ -135,7 +125,7 @@ ClusterPlacementResult cluster_greedy_global(
   auto cluster_distances = std::make_unique<sys::DistanceOracle>(
       n, total, std::move(ss), std::move(sp));
 
-  auto greedy = lazy_greedy_replication(cluster_demand, *cluster_distances,
+  auto greedy = lazy_greedy_replication(unit_demand, *cluster_distances,
                                         system.server_storage(),
                                         scheme.cluster_bytes());
 

@@ -56,6 +56,14 @@ LazyGreedyOutput lazy_greedy_replication(
     const std::vector<std::uint64_t>& server_budgets,
     const std::vector<std::uint64_t>& unit_bytes);
 
+/// `demand` (N x M, per server and site) expanded to N x U over the cluster
+/// units of `scheme`: each site's requests split by its clusters' masses.
+/// Under an i.i.d. request stream a cluster placement has no caches, so
+/// its expected cost per request is exactly
+/// sys::cost_per_request(cluster_demand(demand, scheme), nearest).
+workload::DemandMatrix cluster_demand(const workload::DemandMatrix& demand,
+                                      const ClusterScheme& scheme);
+
 /// Per-cluster greedy-global on a CDN system: splits every site into
 /// `clusters_per_site` popularity clusters and places cluster replicas.
 /// Pure replication — no caching (the comparator of [6]).

@@ -12,28 +12,6 @@ namespace cdn::placement {
 
 namespace {
 
-/// Benefit of replicating `site` at `server` under pure replication.
-/// Reads only column `site` of the nearest index and the placement, which
-/// is what lets the engine invalidate one column per commit.
-double replication_benefit(const sys::CdnSystem& system,
-                           const sys::ReplicaPlacement& placement,
-                           const sys::NearestReplicaIndex& nearest,
-                           sys::ServerIndex server, sys::SiteIndex site) {
-  const auto& demand = system.demand();
-  const auto& dist = system.distances();
-  double b = demand.requests(server, site) * nearest.cost(server, site);
-  for (std::size_t k = 0; k < system.server_count(); ++k) {
-    const auto other = static_cast<sys::ServerIndex>(k);
-    if (other == server || placement.is_replicated(other, site)) continue;
-    const double delta =
-        nearest.cost(other, site) - dist.server_to_server(other, server);
-    if (delta > 0.0) {
-      b += delta * demand.requests(other, site);
-    }
-  }
-  return b;
-}
-
 void finalize_replication_result(const sys::CdnSystem& system,
                                  PlacementResult& result) {
   result.modeled_hit.assign(
@@ -64,7 +42,7 @@ struct WorseThan {
 
 }  // namespace
 
-// Lazy-heap engine.  replication_benefit(i, j) reads only column j of the
+// Lazy-heap engine.  sys::replication_benefit(i, j) reads only column j of the
 // nearest index and the placement, so a commit of (i*, j*) invalidates
 // exactly column j* (N re-evaluations) plus the feasibility of row i*
 // (budget shrank; benefit values there are untouched, the entries just die
@@ -135,8 +113,9 @@ PlacementResult greedy_global_with_budgets(
         continue;
       }
       alive_scratch[i * m + j] = 1;
-      val[i * m + j] = replication_benefit(system, result.placement,
-                                           result.nearest, server, site);
+      val[i * m + j] = sys::replication_benefit(
+          system.demand(), system.distances(), result.placement,
+          result.nearest, server, site);
     }
   });
   std::uint64_t pending_candidates = 0;
@@ -234,8 +213,9 @@ PlacementResult greedy_global_with_budgets(
         dead[idx] = 1;
         continue;
       }
-      val[idx] = replication_benefit(system, result.placement, result.nearest,
-                                     server, js);
+      val[idx] = sys::replication_benefit(system.demand(),
+                                          system.distances(), result.placement,
+                                          result.nearest, server, js);
       ++batch_alive;
       heap.push_back({val[idx], server, js, version[idx]});
       std::push_heap(heap.begin(), heap.end(), worse);

@@ -5,15 +5,8 @@
 // discusses the real mechanisms — strong consistency via server-based
 // invalidation [18] and weak consistency via TTLs — and cites [22] for
 // object modification intervals between one and 24 hours.  This module
-// implements that machinery so the simulator can run any of:
-//
-//   * kBernoulli   — the paper's lambda model (reference behaviour);
-//   * kTtl         — weak consistency: a cached copy older than the TTL is
-//                    revalidated at the nearest copy (remote latency); a
-//                    younger copy is served even if stale (counted);
-//   * kInvalidation— strong consistency: a modification instantly
-//                    invalidates every cached copy, so the next request
-//                    misses; served copies are never stale.
+// holds that machinery; the event engine runs it as the staleness modes
+// StalenessMode::kTtl and StalenessMode::kInvalidation (simulator.h).
 //
 // Modification times are a deterministic pseudo-random renewal process per
 // object (exponential inter-update times), so runs are reproducible and no
@@ -29,11 +22,10 @@
 
 namespace cdn::sim {
 
-enum class ConsistencyMode {
-  kBernoulli,     // the paper's lambda model
-  kTtl,           // weak consistency
-  kInvalidation,  // strong consistency (server-based invalidation)
-};
+/// Virtual seconds between consecutive requests of a kTtl or kInvalidation
+/// run: request t (the global request index) arrives at
+/// t * kSecondsPerRequest.
+inline constexpr double kSecondsPerRequest = 0.01;
 
 /// Deterministic per-object modification process: exponential inter-update
 /// times with a mean drawn per object from [min_interval, max_interval]
@@ -82,18 +74,15 @@ class FreshnessTable {
   std::unordered_map<workload::ObjectId, double> fetched_;
 };
 
+/// Parameters of the kTtl and kInvalidation staleness modes, in virtual
+/// seconds.  The modification process is seeded from the run seed.
 struct ConsistencyConfig {
-  ConsistencyMode mode = ConsistencyMode::kBernoulli;
-  /// TTL for kTtl mode, in virtual-time units.
+  /// TTL of a cached copy under kTtl.
   double ttl = 3600.0;
-  /// Object modification process parameters (kTtl / kInvalidation),
-  /// defaults spanning 1h..24h as reported by [22].
+  /// Object modification process parameters, defaults spanning 1h..24h as
+  /// reported by [22].
   double min_mean_update_interval = 3600.0;
   double max_mean_update_interval = 86400.0;
-  /// Virtual seconds between consecutive requests (sets the wall-clock
-  /// scale of the request stream).
-  double seconds_per_request = 0.01;
-  std::uint64_t seed = 1234;
 };
 
 }  // namespace cdn::sim

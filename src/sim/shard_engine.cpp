@@ -32,9 +32,11 @@ namespace {
 constexpr std::uint64_t kPlanSalt = 0x9e3779b97f4a7c15ull;
 constexpr std::uint64_t kStreamSalt = 0xbf58476d1ce4e5b9ull;
 constexpr std::uint64_t kLambdaSalt = 0x94d049bb133111ebull;
-// The reference run's lambda and surge RNGs are seeded `seed ^ mix`.
+// The reference run's lambda and surge RNGs and the consistency modes'
+// modification process are seeded `seed ^ mix`.
 constexpr std::uint64_t kLambdaMix = 0x5bd1e995u;
 constexpr std::uint64_t kSurgeMix = 0x9e3779b9u;
+constexpr std::uint64_t kUpdateMix = 0x2545f491u;
 
 /// Chunks of a multi-shard run's request loop start on multiples of this
 /// many requests; those are also the points where its workers poll the stop
@@ -49,6 +51,12 @@ static_assert(kBlock % kChunk == 0, "blocks must be whole chunks");
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
 using Clock = std::chrono::steady_clock;
+
+/// The kTtl and kInvalidation modes run on the global request clock.
+bool consistency_mode(const SimulationConfig& config) {
+  return config.staleness == StalenessMode::kTtl ||
+         config.staleness == StalenessMode::kInvalidation;
+}
 
 /// Independent substream seed for (seed, shard, salt) — SplitMix64 over a
 /// salted mix, the same construction as util::Rng::fork but reproducible
@@ -264,6 +272,9 @@ struct alignas(64) Shard {
   std::uint64_t failover = 0;
   std::uint64_t retries = 0;
   std::uint64_t cold_restarts = 0;
+  std::uint64_t stale_served = 0;
+  std::uint64_t validations = 0;
+  std::uint64_t invalidation_misses = 0;
   util::LatencyDistribution latency;
   std::array<std::uint64_t, obs::kEventCauseCount> causes{};
   std::vector<WindowAccumulator> windows;  // one per window
@@ -282,10 +293,11 @@ class EventRun {
         config_(config),
         shape_(event_shape(config, system.server_count())),
         per_request_((config.faults != nullptr && !config.faults->empty()) ||
-                     config.trace != nullptr),
+                     config.trace != nullptr || consistency_mode(config)),
         poll_stop_(!shape_.reference && config.stop != nullptr),
         slo_active_(config.slo_ms > 0.0),
         uncacheable_mode_(config.staleness == StalenessMode::kUncacheable),
+        ttl_mode_(config.staleness == StalenessMode::kTtl),
         sink_(config.trace_sink),
         spans_(config.spans) {
     const std::size_t n = system.server_count();
@@ -318,6 +330,9 @@ class EventRun {
     for (std::size_t j = 0; j < m; ++j) {
       site_lambda_[j] =
           catalog_.uncacheable_fraction(static_cast<workload::SiteId>(j));
+      CDN_EXPECT(site_lambda_[j] == 0.0 || !consistency_mode(config),
+                 "TTL and invalidation consistency replace the lambda "
+                 "staleness model; set the uncacheable fraction to 0");
     }
     // Caches are allocated shard by shard, so one worker's caches sit
     // together in memory.
@@ -372,6 +387,12 @@ class EventRun {
       }
     }
 
+    if (consistency_mode(config)) {
+      updates_.emplace(config.consistency.min_mean_update_interval,
+                       config.consistency.max_mean_update_interval,
+                       config.seed ^ kUpdateMix);
+      freshness_.resize(n);
+    }
     if (config.faults != nullptr && !config.faults->empty()) {
       timeline_.emplace(*config.faults, n, m);
       holders_.resize(m);
@@ -505,6 +526,9 @@ class EventRun {
       report.failover_requests += sh.failover;
       report.retry_attempts += sh.retries;
       report.cold_restarts += sh.cold_restarts;
+      report.stale_served += sh.stale_served;
+      report.validations += sh.validations;
+      report.invalidation_misses += sh.invalidation_misses;
       for (std::size_t c = 0; c < causes.size(); ++c) causes[c] += sh.causes[c];
       for (std::size_t w = 0; w < window_count_; ++w) {
         windows[w] += sh.windows[w];
@@ -650,9 +674,10 @@ class EventRun {
     }
   }
 
-  /// The per-request body of fault schedules and trace replay: requests
-  /// come one at a time from the trace or the stream, on the global clock
-  /// the fault timeline runs on.
+  /// The per-request body of fault schedules, trace replay and the
+  /// consistency modes: requests come one at a time from the trace or the
+  /// stream, on the global clock the fault timeline and the modification
+  /// process run on.
   void request_chunk(Shard& sh, std::uint64_t t, std::uint64_t end,
                      WindowAccumulator* win) {
     const bool measured = t >= sh.warmup;
@@ -686,7 +711,10 @@ class EventRun {
       }
       Outcome o;
       double latency_ms;
-      if (!timeline_) {
+      if (updates_) {
+        o = consistency_step(sh, req, t, measured);
+        latency_ms = config_.latency.latency_ms(o.hops);
+      } else if (!timeline_) {
         const Kind kind = classify(sh.lambda_rng, req.server, req.site);
         const bool hit = touches_cache(kind) &&
                          access(*caches_[req.server], req.site, req.rank);
@@ -836,6 +864,59 @@ class EventRun {
         redirect_to(live, obs::EventCause::kCacheMiss);
       }
     }
+    return o;
+  }
+
+  /// Serves one request of a kTtl or kInvalidation run, which arrives at
+  /// virtual time t * kSecondsPerRequest.  It draws no lambda: staleness
+  /// comes from the object's modification process, checked against the
+  /// time the first-hop server fetched its copy.  Only measured requests
+  /// count toward the consistency counters.
+  Outcome consistency_step(Shard& sh, const workload::Request& req,
+                           std::uint64_t t, bool measured) {
+    Outcome o;
+    if (result_.placement.is_replicated(req.server, req.site)) {
+      o.served_locally = true;  // replicas are push-updated, always fresh
+      return o;
+    }
+    o.cache_eligible = true;
+    const double now = static_cast<double>(t) * kSecondsPerRequest;
+    cache::CachePolicy& cache = *caches_[req.server];
+    FreshnessTable& fresh = freshness_[req.server];
+    const cache::ObjectKey key = catalog_.object_id(req.site, req.rank);
+    bool hit = cache.lookup(key);
+    if (hit && !ttl_mode_ &&
+        updates_->last_modification(key, now) > fresh.fetch_time(key)) {
+      // A modification voided the copy: it is gone before it is served.
+      cache.erase(key);
+      fresh.erase(key);
+      hit = false;
+      if (measured) ++sh.invalidation_misses;
+    }
+    if (hit && ttl_mode_ &&
+        now - fresh.fetch_time(key) > config_.consistency.ttl) {
+      // Expired: revalidate at the nearest copy, a full remote round.
+      fresh.on_fetch(key, now);
+      o.cause = obs::EventCause::kStaleRefresh;
+      o.hops = result_.nearest.cost(req.server, req.site);
+      if (measured) ++sh.validations;
+      return o;
+    }
+    if (hit) {
+      if (ttl_mode_ && measured &&
+          updates_->last_modification(key, now) > fresh.fetch_time(key)) {
+        ++sh.stale_served;  // weak consistency served a stale copy
+      }
+      o.served_locally = true;
+      o.cache_hit = true;
+      o.cause = obs::EventCause::kCacheHit;
+      return o;
+    }
+    // Miss: fetch from the nearest copy and admit.
+    cache.admit(key, catalog_.object_bytes(req.site, req.rank));
+    if (cache.contains(key)) fresh.on_fetch(key, now);
+    o.cause = obs::EventCause::kCacheMiss;
+    o.hops = result_.nearest.cost(req.server, req.site);
     return o;
   }
 
@@ -1126,10 +1207,12 @@ class EventRun {
   const placement::PlacementResult& result_;
   const SimulationConfig& config_;
   const EventShape shape_;
-  const bool per_request_;  // fault schedule or trace replay
+  // Fault schedule, trace replay or a consistency mode.
+  const bool per_request_;
   const bool poll_stop_;
   const bool slo_active_;
   const bool uncacheable_mode_;
+  const bool ttl_mode_;
   obs::TraceSink* const sink_;
   obs::SpanTracer* const spans_;
   const char* sp_shard_ = nullptr;
@@ -1151,6 +1234,10 @@ class EventRun {
   // Fault schedule state (reference runs only).
   std::optional<fault::FaultTimeline> timeline_;
   std::vector<std::vector<sys::ServerIndex>> holders_;
+  // Consistency-mode state (reference runs only): the modification process
+  // and, per server, when each cached copy was fetched or validated.
+  std::optional<ModificationProcess> updates_;
+  std::vector<FreshnessTable> freshness_;
 
   std::vector<recover::FingerprintSection> fingerprint_;
   obs::Counter* rc_written_ = nullptr;
@@ -1210,7 +1297,8 @@ EventShape event_shape(const SimulationConfig& config,
   const bool faults_active =
       config.faults != nullptr && !config.faults->empty();
   shape.reference = shape.threads == 1 || faults_active ||
-                    config.trace != nullptr || config.trace_sink != nullptr;
+                    config.trace != nullptr || config.trace_sink != nullptr ||
+                    consistency_mode(config);
   shape.shards = shape.reference ? 1
                                  : resolve_shard_count(config.shards,
                                                        shape.threads,

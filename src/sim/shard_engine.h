@@ -13,8 +13,8 @@
 // the whole stream, runs on the calling thread, is seeded from the plain
 // config seed and keeps exact latency samples; a multi-shard run is
 // statistically equivalent to it.  Runs with one thread take it, and so do
-// fault schedules, trace replay and trace sinks, which need the global
-// request clock.
+// fault schedules, trace replay, trace sinks and the kTtl and kInvalidation
+// staleness modes, which need the global request clock.
 
 #pragma once
 

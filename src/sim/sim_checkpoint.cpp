@@ -31,6 +31,14 @@ std::vector<std::uint8_t> serialize_report(const SimulationReport& report) {
     stats.save_state(w);
   }
   report.cache_totals.save_state(w);
+  // Only the kTtl and kInvalidation modes set these, so every other run
+  // keeps the bytes (and the pinned digests) it had before they existed.
+  if (report.stale_served != 0 || report.validations != 0 ||
+      report.invalidation_misses != 0) {
+    w.u64(report.stale_served);
+    w.u64(report.validations);
+    w.u64(report.invalidation_misses);
+  }
   return w.buffer();
 }
 

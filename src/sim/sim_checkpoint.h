@@ -15,7 +15,9 @@ namespace cdn::sim {
 
 /// Canonical byte serialisation of a report: every double as its exact bit
 /// pattern, every counter, the full latency distribution and per-server
-/// cache statistics.  Two reports are byte-identical iff these buffers are.
+/// cache statistics.  The three consistency counters are appended only when
+/// one of them is non-zero.  Two reports are byte-identical iff these
+/// buffers are.
 std::vector<std::uint8_t> serialize_report(const SimulationReport& report);
 
 /// FNV-1a digest of serialize_report() — a printable identity for CI diffs.

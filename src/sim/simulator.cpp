@@ -56,6 +56,22 @@ void SimulationConfig::validate() const {
                "the flow model assumes the i.i.d. request stream; "
                "use --engine=event for temporal-locality studies");
   }
+  if (staleness == StalenessMode::kTtl ||
+      staleness == StalenessMode::kInvalidation) {
+    CDN_EXPECT(engine == SimEngine::kEvent,
+               "TTL and invalidation consistency track per-object fetch "
+               "times request by request; use the event engine");
+    CDN_EXPECT(faults == nullptr || faults->empty(),
+               "TTL and invalidation consistency cannot run under a fault "
+               "schedule; drop one of them");
+    CDN_EXPECT(checkpoint_path.empty() && resume_path.empty() &&
+                   stop == nullptr,
+               "TTL and invalidation runs cannot checkpoint or resume: the "
+               "checkpoint payload holds no freshness tables or update "
+               "cursors");
+    CDN_EXPECT(staleness != StalenessMode::kTtl || consistency.ttl > 0.0,
+               "TTL must be positive");
+  }
 }
 
 SimulationReport simulate(const sys::CdnSystem& system,

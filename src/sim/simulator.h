@@ -5,7 +5,8 @@
 // at first-hop latency, anything else is redirected to the nearest copy
 // SN_j^(i) and pays the hop cost.  A lambda_j fraction of each site's
 // requests is stale/uncacheable and must touch the remote copy regardless
-// (Section 3.3 and the Figure 4 experiment).
+// (Section 3.3 and the Figure 4 experiment) — or, in the TTL and
+// invalidation modes, staleness follows per-object modification times.
 
 #pragma once
 
@@ -24,6 +25,7 @@
 #include "src/obs/span.h"
 #include "src/obs/trace.h"
 #include "src/placement/placement_result.h"
+#include "src/sim/consistency.h"
 #include "src/sim/latency_model.h"
 #include "src/util/cdf.h"
 #include "src/util/quantile_sketch.h"
@@ -31,7 +33,12 @@
 
 namespace cdn::sim {
 
-/// How lambda-flagged requests interact with the cache.
+/// How cached copies go stale.  The two lambda modes flag a catalog-given
+/// lambda_j fraction of each site's requests; the two consistency modes
+/// instead track when each object was last modified (src/sim/consistency.h,
+/// parameters in SimulationConfig::consistency) and refuse a catalog with
+/// lambda > 0.  Replicas are push-updated by the CDN and always fresh in
+/// every mode.
 enum class StalenessMode {
   /// Strong consistency (Figure 4): the object may be cached, but a flagged
   /// request must refresh it from the nearest copy — full redirection
@@ -40,6 +47,15 @@ enum class StalenessMode {
   /// Uncacheable content (Section 3.3's cgi-bin case): flagged requests
   /// bypass the cache entirely and are never admitted.
   kUncacheable,
+  /// TTL-based weak consistency: a cache hit on a copy older than the TTL
+  /// is revalidated at the nearest copy (full redirection latency); a
+  /// younger copy is served even when the object has changed since, which
+  /// counts in SimulationReport::stale_served.
+  kTtl,
+  /// Server-based invalidation [18], strong consistency: a modification
+  /// voids every cached copy, so the next request for it misses.  Served
+  /// copies are never stale.
+  kInvalidation,
 };
 
 /// Which evaluation engine simulate() runs.
@@ -53,7 +69,8 @@ enum class SimEngine {
   /// demand matrix, the placement and a steady-state hit-ratio model with
   /// no per-request loop (src/sim/flow_engine.cpp).  Orders of magnitude
   /// faster; per-request features (trace replay/sinks, fault schedules,
-  /// checkpointing, stream locality) are rejected by validate().
+  /// checkpointing, stream locality, the kTtl and kInvalidation modes) are
+  /// rejected by validate().
   kFlow,
 };
 
@@ -105,6 +122,8 @@ struct SimulationConfig {
   double warmup_fraction = 0.3;
   cache::PolicyKind policy = cache::PolicyKind::kLru;
   StalenessMode staleness = StalenessMode::kRefresh;
+  /// TTL and update intervals of the kTtl and kInvalidation modes.
+  ConsistencyConfig consistency;
   LatencyModel latency;
   std::uint64_t seed = 42;
   /// Temporal-locality knob of the request stream (0 = i.i.d., the model's
@@ -121,9 +140,9 @@ struct SimulationConfig {
   /// Simulation worker threads.  1 (the default) runs the one-shard
   /// reference case on the calling thread, bit-identical across releases
   /// (tests/sim_digest_pin_test.cpp); 0 uses one thread per hardware
-  /// thread.  Fault schedules, trace replay and trace sinks need the
-  /// global request clock, so they run the one-shard case regardless of
-  /// this knob.
+  /// thread.  Fault schedules, trace replay, trace sinks and the kTtl and
+  /// kInvalidation modes need the global request clock, so they run the
+  /// one-shard case regardless of this knob.
   std::size_t threads = 1;
   /// First-hop shard count of a multi-threaded run.  0 = auto (4 threads'
   /// worth of shards, capped at the server count).  The report is a
@@ -253,6 +272,17 @@ struct SimulationReport {
   /// Fraction of measured requests over slo_ms or failed (0 when the SLO
   /// is disabled).
   double slo_violation_fraction = 0.0;
+
+  // --- Consistency accounting (kTtl / kInvalidation; zero otherwise) ---
+
+  /// Measured requests served from cache with a copy older than the
+  /// object's last modification (kTtl only).
+  std::uint64_t stale_served = 0;
+  /// Measured TTL-expired cache hits revalidated at the nearest copy.
+  std::uint64_t validations = 0;
+  /// Measured cache hits dropped because a modification had voided the
+  /// copy (kInvalidation).
+  std::uint64_t invalidation_misses = 0;
 
   /// Final per-server cache statistics (measured window only).
   std::vector<cache::CacheStats> server_cache_stats;

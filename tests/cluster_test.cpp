@@ -6,9 +6,9 @@
 #include "src/cdn/cost.h"
 #include "src/cluster/cluster_replication.h"
 #include "src/cluster/cluster_scheme.h"
-#include "src/cluster/cluster_sim.h"
 #include "src/placement/greedy_global.h"
 #include "src/placement/hybrid_greedy.h"
+#include "src/sim/simulator.h"
 #include "src/util/error.h"
 #include "tests/test_support.h"
 
@@ -16,6 +16,14 @@ namespace {
 
 using namespace cdn;
 using cdn::test::TestSystem;
+
+/// Exact mean latency of a cluster placement over the i.i.d. stream: it has
+/// no caches, and latency is affine in hops.
+double cluster_mean_ms(const TestSystem& t,
+                       const cluster::ClusterPlacementResult& p) {
+  return sim::LatencyModel{}.latency_ms(sys::cost_per_request(
+      cluster::cluster_demand(*t.demand, p.scheme), p.nearest));
+}
 
 TEST(ClusterSchemeTest, PartitionCoversAllRanks) {
   const auto t = TestSystem::make();
@@ -144,17 +152,24 @@ TEST(ClusterReplicationTest, FinerGranularityNeverWorsensPredictedCost) {
             per_site.predicted_total_cost * 1.02);
 }
 
-TEST(ClusterReplicationTest, SimulationMatchesPrediction) {
+TEST(ClusterReplicationTest, ExactCostMatchesPrediction) {
+  // The expected cost per request over the expanded demand is the greedy's
+  // own prediction, up to summation order.
   const auto t = TestSystem::make();
   const auto result = cluster::cluster_greedy_global(*t.system, 4);
-  sim::SimulationConfig cfg;
-  cfg.total_requests = 1'000'000;
-  cfg.seed = 5;
-  const auto report = cluster::simulate_clusters(*t.system, result, cfg);
-  // Pure replication: measured hop cost converges to the prediction.
-  EXPECT_NEAR(report.mean_cost_hops / result.predicted_cost_per_request, 1.0,
-              0.02);
-  EXPECT_DOUBLE_EQ(report.cache_hit_ratio, 0.0);
+  const double expected = sys::cost_per_request(
+      cluster::cluster_demand(*t.demand, result.scheme), result.nearest);
+  EXPECT_NEAR(expected / result.predicted_cost_per_request, 1.0, 1e-9);
+}
+
+TEST(ClusterReplicationTest, ClusterDemandRejectsAnotherCatalogsScheme) {
+  const auto t = TestSystem::make();             // 8 sites
+  const auto other = TestSystem::make(4, 3, 1);  // 4 sites
+  const cluster::ClusterScheme scheme(*t.catalog, 2);
+  EXPECT_EQ(cluster::cluster_demand(*t.demand, scheme).site_count(),
+            scheme.cluster_count());
+  EXPECT_THROW(cluster::cluster_demand(*other.demand, scheme),
+               cdn::PreconditionError);
 }
 
 TEST(ClusterReplicationTest, FutureWorkOrderingRobustParts) {
@@ -174,13 +189,11 @@ TEST(ClusterReplicationTest, FutureWorkOrderingRobustParts) {
   const auto site_report = sim::simulate(*t.system, site_repl, cfg);
 
   const auto clusters = cluster::cluster_greedy_global(*t.system, 8);
-  const auto cluster_report =
-      cluster::simulate_clusters(*t.system, clusters, cfg);
 
   const auto hybrid = placement::hybrid_greedy(*t.system);
   const auto hybrid_report = sim::simulate(*t.system, hybrid, cfg);
 
-  EXPECT_LT(cluster_report.mean_latency_ms, site_report.mean_latency_ms);
+  EXPECT_LT(cluster_mean_ms(t, clusters), site_report.mean_latency_ms);
   EXPECT_LT(hybrid_report.mean_latency_ms, site_report.mean_latency_ms);
 }
 
@@ -192,11 +205,9 @@ TEST(ClusterReplicationTest, CoarseClustersLoseToHybrid) {
   cfg.total_requests = 1'000'000;
   cfg.seed = 9;
   const auto coarse = cluster::cluster_greedy_global(*t.system, 1);
-  const auto coarse_report =
-      cluster::simulate_clusters(*t.system, coarse, cfg);
   const auto hybrid = placement::hybrid_greedy(*t.system);
   const auto hybrid_report = sim::simulate(*t.system, hybrid, cfg);
-  EXPECT_LT(hybrid_report.mean_latency_ms, coarse_report.mean_latency_ms);
+  EXPECT_LT(hybrid_report.mean_latency_ms, cluster_mean_ms(t, coarse));
 }
 
 }  // namespace

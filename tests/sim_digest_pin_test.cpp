@@ -14,6 +14,7 @@
 #include "src/fault/fault_schedule.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
+#include "src/placement/fixed_split.h"
 #include "src/placement/hybrid_greedy.h"
 #include "src/sim/sim_checkpoint.h"
 #include "src/sim/simulator.h"
@@ -164,6 +165,48 @@ TEST_F(DigestPinTest, ShardedFourThreadsEightShards) {
   cfg.threads = 4;
   cfg.shards = 8;
   EXPECT_EQ(digest_of(cfg), 0x811f04f08ded01a3ull);
+}
+
+/// TTL and invalidation runs on the default TestSystem with churny objects
+/// (mean update intervals of 100-1000 virtual seconds).  The values were
+/// recorded from the stand-alone request loop these modes ran in before
+/// they became staleness modes of the event engine, hashing its report
+/// followed by its three consistency counters, which is what
+/// serialize_report appends for them.
+class ConsistencyPinTest : public ::testing::Test {
+ protected:
+  ConsistencyPinTest()
+      : t_(TestSystem::make()),
+        caching_(placement::pure_caching(*t_.system)),
+        hybrid_(placement::hybrid_greedy(*t_.system)) {}
+
+  std::uint64_t digest_of(const placement::PlacementResult& placement,
+                          sim::StalenessMode mode) const {
+    auto cfg = pin_config();
+    cfg.staleness = mode;
+    cfg.consistency.ttl = 5.0;
+    cfg.consistency.min_mean_update_interval = 100.0;
+    cfg.consistency.max_mean_update_interval = 1000.0;
+    return report_digest(simulate(*t_.system, placement, cfg));
+  }
+
+  TestSystem t_;
+  placement::PlacementResult caching_;
+  placement::PlacementResult hybrid_;
+};
+
+TEST_F(ConsistencyPinTest, TtlFiveSeconds) {
+  EXPECT_EQ(digest_of(caching_, sim::StalenessMode::kTtl),
+            0xb8b457a2bea1f3bbull);
+  EXPECT_EQ(digest_of(hybrid_, sim::StalenessMode::kTtl),
+            0xb062928cdf20f51bull);
+}
+
+TEST_F(ConsistencyPinTest, Invalidation) {
+  EXPECT_EQ(digest_of(caching_, sim::StalenessMode::kInvalidation),
+            0xe6177fb64166828eull);
+  EXPECT_EQ(digest_of(hybrid_, sim::StalenessMode::kInvalidation),
+            0x7a546833b8bc9dd3ull);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "src/placement/fixed_split.h"
+#include "src/sim/sim_checkpoint.h"
 #include "src/sim/simulator.h"
 #include "src/util/error.h"
 #include "src/workload/trace_io.h"
@@ -126,25 +127,32 @@ TEST_F(TraceIoTest, ReplayIsDeterministicAcrossPolicies) {
 
 TEST_F(TraceIoTest, ReplayMatchesLiveStreamWithSameSeed) {
   // Recording seed-42 traffic and replaying it must equal simulating with
-  // the generator seeded at 42 (the simulator draws lambda from a separate
-  // stream, so with lambda = 0 the runs coincide exactly).
+  // the generator seeded at 42 (the simulator draws lambda and object
+  // updates from separate streams, so with lambda = 0 the runs coincide
+  // exactly) — in the lambda mode and in both consistency modes.
   const auto t = TestSystem::make();
   const auto placement = placement::pure_caching(*t.system);
   const auto trace = sample_trace(t, 200'000);
 
-  sim::SimulationConfig live;
-  live.total_requests = 200'000;
-  live.seed = 42;
-  const auto live_report = sim::simulate(*t.system, placement, live);
+  for (const sim::StalenessMode mode :
+       {sim::StalenessMode::kRefresh, sim::StalenessMode::kTtl,
+        sim::StalenessMode::kInvalidation}) {
+    sim::SimulationConfig live;
+    live.total_requests = 200'000;
+    live.seed = 42;
+    live.staleness = mode;
+    live.consistency.ttl = 5.0;
+    live.consistency.min_mean_update_interval = 100.0;
+    live.consistency.max_mean_update_interval = 1000.0;
+    const auto live_report = sim::simulate(*t.system, placement, live);
 
-  sim::SimulationConfig replay;
-  replay.trace = &trace;
-  replay.seed = 42;
-  const auto replay_report = sim::simulate(*t.system, placement, replay);
-  EXPECT_DOUBLE_EQ(replay_report.mean_latency_ms,
-                   live_report.mean_latency_ms);
-  EXPECT_DOUBLE_EQ(replay_report.cache_hit_ratio,
-                   live_report.cache_hit_ratio);
+    sim::SimulationConfig replay = live;
+    replay.trace = &trace;
+    const auto replay_report = sim::simulate(*t.system, placement, replay);
+    EXPECT_EQ(sim::report_digest(replay_report),
+              sim::report_digest(live_report))
+        << static_cast<int>(mode);
+  }
 }
 
 TEST_F(TraceIoTest, EmptyTraceRejectedBySimulator) {
