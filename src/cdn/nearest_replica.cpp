@@ -23,18 +23,15 @@ void NearestReplicaIndex::rebuild(const ReplicaPlacement& placement) {
              "placement and distances disagree on dimensions");
   table_.assign(servers_ * sites_, NearestCopy{});
   for (std::size_t j = 0; j < sites_; ++j) {
-    const auto holders = placement.replicators(static_cast<SiteIndex>(j));
+    const auto site = static_cast<SiteIndex>(j);
+    const auto holders = placement.replicators(site);
     for (std::size_t i = 0; i < servers_; ++i) {
-      NearestCopy best;
-      best.at_primary = true;
-      best.cost = distances_->server_to_primary(static_cast<ServerIndex>(i),
-                                                static_cast<SiteIndex>(j));
-      for (ServerIndex holder : holders) {
-        const double c =
-            distances_->server_to_server(static_cast<ServerIndex>(i), holder);
-        if (c < best.cost) {
-          best = {false, holder, c};
-        }
+      const auto server = static_cast<ServerIndex>(i);
+      NearestCopy best{true, 0, distances_->server_to_primary(server, site)};
+      for (const ServerIndex holder : holders) {
+        const NearestCopy copy{false, holder,
+                               distances_->server_to_server(server, holder)};
+        if (closer(copy, best)) best = copy;
       }
       table_[i * sites_ + j] = best;
     }
@@ -51,31 +48,6 @@ const NearestCopy& NearestReplicaIndex::nearest(ServerIndex server,
   return table_[static_cast<std::size_t>(server) * sites_ + site];
 }
 
-std::optional<NearestCopy> NearestReplicaIndex::nearest_live(
-    ServerIndex server, SiteIndex site, std::span<const ServerIndex> holders,
-    const std::vector<std::uint8_t>& server_up, bool origin_up) const {
-  CDN_EXPECT(server < servers_ && site < sites_, "index out of range");
-  CDN_EXPECT(server_up.size() == servers_,
-             "health mask length must equal the server count");
-  std::optional<NearestCopy> best;
-  if (origin_up) {
-    best = NearestCopy{true, 0, distances_->server_to_primary(server, site)};
-  }
-  for (const ServerIndex holder : holders) {
-    // A holder outside the mask would be an out-of-bounds read — with all
-    // copies down that garbage could fabricate a live answer, so a corrupt
-    // holder list must fail loudly instead of non-deterministically.
-    CDN_EXPECT(holder < servers_,
-               "holder list references an out-of-range server");
-    if (!server_up[holder]) continue;
-    const double c = distances_->server_to_server(server, holder);
-    if (!best || c < best->cost) {
-      best = NearestCopy{false, holder, c};
-    }
-  }
-  return best;
-}
-
 std::vector<NearestCopy> NearestReplicaIndex::nearest_live_candidates(
     ServerIndex server, SiteIndex site, std::span<const ServerIndex> holders,
     const std::vector<std::uint8_t>& server_up, bool origin_up,
@@ -87,6 +59,9 @@ std::vector<NearestCopy> NearestReplicaIndex::nearest_live_candidates(
   if (max_candidates == 0) return live;
   live.reserve(holders.size() + 1);
   for (const ServerIndex holder : holders) {
+    // A holder outside the mask would be an out-of-bounds read — with all
+    // copies down that garbage could fabricate a live answer, so a corrupt
+    // holder list must fail loudly instead of non-deterministically.
     CDN_EXPECT(holder < servers_,
                "holder list references an out-of-range server");
     if (!server_up[holder]) continue;
@@ -94,19 +69,15 @@ std::vector<NearestCopy> NearestReplicaIndex::nearest_live_candidates(
         {false, holder, distances_->server_to_server(server, holder)});
   }
   if (origin_up) {
-    live.push_back(
-        {true, 0, distances_->server_to_primary(server, site)});
+    live.push_back({true, 0, distances_->server_to_primary(server, site)});
   }
-  // Ascending cost; at equal cost prefer replicas over the primary (a
-  // replica win spares the origin), then the lowest server index — a total
-  // order, so the ranking is identical on every call and platform.
-  std::sort(live.begin(), live.end(),
-            [](const NearestCopy& a, const NearestCopy& b) {
-              if (a.cost != b.cost) return a.cost < b.cost;
-              if (a.at_primary != b.at_primary) return !a.at_primary;
-              return a.server < b.server;
-            });
-  if (live.size() > max_candidates) live.resize(max_candidates);
+  const std::size_t k = std::min(max_candidates, live.size());
+  const auto ranked_end = live.begin() + static_cast<std::ptrdiff_t>(k);
+  std::partial_sort(live.begin(), ranked_end, live.end(),
+                    [](const NearestCopy& a, const NearestCopy& b) {
+                      return closer(a, b);
+                    });
+  live.erase(ranked_end, live.end());
   return live;
 }
 
@@ -115,13 +86,14 @@ std::vector<ServerIndex> NearestReplicaIndex::on_replica_added(
   CDN_EXPECT(holder < servers_ && site < sites_, "index out of range");
   std::vector<ServerIndex> changed;
   for (std::size_t i = 0; i < servers_; ++i) {
-    const double c =
-        distances_->server_to_server(static_cast<ServerIndex>(i), holder);
+    const NearestCopy copy{
+        false, holder,
+        distances_->server_to_server(static_cast<ServerIndex>(i), holder)};
     NearestCopy& cell = table_[i * sites_ + site];
-    if (c < cell.cost || (i == holder && c <= cell.cost)) {
-      cell = {false, holder, c};
+    if (copy.cost < cell.cost || i == holder) {
       changed.push_back(static_cast<ServerIndex>(i));
     }
+    if (closer(copy, cell)) cell = copy;
   }
   return changed;
 }

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -26,9 +25,23 @@ struct NearestCopy {
   double cost = 0.0;
 };
 
-/// Incrementally maintained SN matrix.  Construction assumes the placement's
-/// current replicas; on_replica_added() keeps it consistent as a greedy
-/// algorithm grows the placement (O(N) per replica).
+/// The one nearest-copy order: lower cost first; at equal cost a replica
+/// before the origin (a replica win spares the origin); then the lowest
+/// server index.  It is a total order over a site's copies, so the cheapest
+/// copy of any set does not depend on the order the copies are visited in —
+/// the index, the event engine's failover, server selection and the live
+/// redirector all pick the same copy.
+inline bool closer(const NearestCopy& a, const NearestCopy& b) noexcept {
+  if (a.cost != b.cost) return a.cost < b.cost;
+  if (a.at_primary != b.at_primary) return !a.at_primary;
+  return a.server < b.server;
+}
+
+/// Incrementally maintained SN matrix: each cell holds the closer()-minimum
+/// of the site's copies.  Construction assumes the placement's current
+/// replicas; on_replica_added() keeps it consistent as a greedy algorithm
+/// grows the placement (O(N) per replica), and because closer() is a total
+/// order the result does not depend on the order replicas were added in.
 class NearestReplicaIndex {
  public:
   NearestReplicaIndex(const DistanceOracle& distances,
@@ -40,36 +53,28 @@ class NearestReplicaIndex {
   /// Full nearest-copy record.
   const NearestCopy& nearest(ServerIndex server, SiteIndex site) const;
 
-  /// Health-masked lookup: the cheapest LIVE holder of `site` as seen from
-  /// `server`.  `holders` is the site's replicator list (ascending, as
-  /// returned by ReplicaPlacement::replicators); holders with
-  /// server_up[h] == 0 are skipped, and the primary origin only counts when
-  /// `origin_up`.  Returns nullopt when every copy is unreachable — the
-  /// request cannot be served at all.  Unlike nearest(), this scans the
-  /// holder list (O(|holders|)); it is the failover path, not the hot path.
-  std::optional<NearestCopy> nearest_live(
-      ServerIndex server, SiteIndex site,
-      std::span<const ServerIndex> holders,
-      const std::vector<std::uint8_t>& server_up, bool origin_up) const;
-
-  /// Ranked variant of nearest_live() for the live redirector: the up-to-
-  /// `max_candidates` cheapest LIVE copies (holders + the primary origin),
-  /// ascending by cost with deterministic tie-breaks (replicas before the
-  /// primary at equal cost, then lowest server index).  The daemon races
-  /// connections across this list in rank order.  Returns an empty vector
-  /// — never a partial guess — when every holder and the origin are down.
+  /// The up-to-`max_candidates` cheapest LIVE copies of `site` as seen
+  /// from `server` (holders + the primary origin), ranked by closer().
+  /// `holders` is the site's replicator list; holders with server_up[h] == 0
+  /// are skipped, and the origin only counts when `origin_up`.  The live
+  /// redirector races connections across this list in rank order; the
+  /// event engine's failover and server selection take rank 1
+  /// (max_candidates = 1, one linear pass).  Returns an empty vector —
+  /// never a partial guess — when every holder and the origin are down.
   std::vector<NearestCopy> nearest_live_candidates(
       ServerIndex server, SiteIndex site,
       std::span<const ServerIndex> holders,
       const std::vector<std::uint8_t>& server_up, bool origin_up,
       std::size_t max_candidates) const;
 
-  /// Updates column `site` after `holder` gained a replica of it.  Returns
-  /// the ascending list of servers whose (server, site) cell was modified —
-  /// i.e. the servers for which the new replica is now the nearest copy
-  /// (always including `holder` itself).  Incremental placement engines use
-  /// this to invalidate exactly the candidates whose redirection costs
-  /// changed; callers that maintain no caches may ignore the result.
+  /// Updates column `site` after `holder` gained a replica of it: every
+  /// cell whose copy the new replica is closer() than now points at it.
+  /// Returns the ascending list of servers whose redirection cost fell,
+  /// plus `holder` itself; a cell that only changed holder (an equal-cost
+  /// tie the new replica now wins) is updated but not listed, because its
+  /// cost did not move.  Incremental placement engines use this to patch
+  /// exactly the candidates whose redirection costs changed; callers that
+  /// maintain no caches may ignore the result.
   std::vector<ServerIndex> on_replica_added(ServerIndex holder,
                                             SiteIndex site);
 

@@ -1,6 +1,7 @@
 #include "src/redirect/server_selection.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/util/error.h"
 
@@ -89,33 +90,29 @@ SelectionResult assign_miss_traffic(const sys::CdnSystem& system,
                : dist.server_to_server(f.source,
                                        static_cast<sys::ServerIndex>(holder));
   };
+  // The flow already assigned to a holder: its server's or the origin's.
+  auto assigned = [&](const Flow& f, std::uint32_t holder) -> double& {
+    return holder == Flow::kPrimary ? out.primary_flow[f.site]
+                                    : out.server_flow[holder];
+  };
+  auto holder_of = [](const sys::NearestCopy& copy) {
+    return copy.at_primary ? Flow::kPrimary : copy.server;
+  };
 
   // Pass 0: nearest-LIVE-copy assignment (the paper's rule under a health
-  // mask) — also the baseline from which auto-capacities are derived.
+  // mask, ranked by the selector the simulator and redirectd use) — also
+  // the baseline from which auto-capacities are derived.
+  const std::vector<std::uint8_t> all_up(n, 1);
+  const std::vector<std::uint8_t>& up =
+      params.server_up != nullptr ? *params.server_up : all_up;
   for (Flow& f : flows) {
     // The unserved check above guarantees at least one candidate exists.
-    std::uint32_t best;
-    double best_cost;
-    if (origin_ok(f.site)) {
-      best = Flow::kPrimary;
-      best_cost = holder_cost(f, Flow::kPrimary);
-    } else {
-      best = holders[f.site].front();
-      best_cost = holder_cost(f, best);
-    }
-    for (const sys::ServerIndex h : holders[f.site]) {
-      const double c = holder_cost(f, h);
-      if (c < best_cost) {
-        best_cost = c;
-        best = h;
-      }
-    }
-    f.holder = best;
-    if (best == Flow::kPrimary) {
-      out.primary_flow[f.site] += f.volume;
-    } else {
-      out.server_flow[best] += f.volume;
-    }
+    f.holder = holder_of(
+        result.nearest
+            .nearest_live_candidates(f.source, f.site, holders[f.site], up,
+                                     origin_ok(f.site), 1)
+            .front());
+    assigned(f, f.holder) += f.volume;
   }
 
   // Auto capacity is clamped to a positive floor: a placement whose
@@ -136,43 +133,37 @@ SelectionResult assign_miss_traffic(const sys::CdnSystem& system,
   }
   CDN_CHECK(server_capacity > 0.0 && primary_capacity > 0.0,
             "selection capacities must be positive");
+  auto capacity = [&](std::uint32_t holder) {
+    return holder == Flow::kPrimary ? primary_capacity : server_capacity;
+  };
 
   if (params.policy == SelectionPolicy::kLoadAware) {
     for (std::size_t pass = 0; pass < params.iterations; ++pass) {
       bool moved = false;
       for (Flow& f : flows) {
-        // Detach.
-        if (f.holder == Flow::kPrimary) {
-          out.primary_flow[f.site] -= f.volume;
-        } else {
-          out.server_flow[f.holder] -= f.volume;
-        }
-        // Choose the holder minimising network + queueing after adding.
-        auto total_cost = [&](std::uint32_t holder) {
-          const double net = holder_cost(f, holder);
-          const double load = holder == Flow::kPrimary
-                                  ? out.primary_flow[f.site] + f.volume
-                                  : out.server_flow[holder] + f.volume;
-          const double cap = holder == Flow::kPrimary ? primary_capacity
-                                                      : server_capacity;
-          return net + queue_penalty(load, cap, params.queue_weight);
+        assigned(f, f.holder) -= f.volume;  // detach
+        // Choose the live holder minimising network + queueing after
+        // adding, ranked by the nearest-copy order on that adjusted cost.
+        // A dead origin is no candidate.
+        auto copy_at = [&](std::uint32_t holder) {
+          const double cost =
+              holder_cost(f, holder) +
+              queue_penalty(assigned(f, holder) + f.volume, capacity(holder),
+                            params.queue_weight);
+          return holder == Flow::kPrimary
+                     ? sys::NearestCopy{true, 0, cost}
+                     : sys::NearestCopy{false, holder, cost};
         };
-        std::uint32_t best = Flow::kPrimary;
-        double best_cost = total_cost(Flow::kPrimary);
+        std::optional<sys::NearestCopy> best;
+        if (origin_ok(f.site)) best = copy_at(Flow::kPrimary);
         for (const sys::ServerIndex h : holders[f.site]) {
-          const double c = total_cost(h);
-          if (c < best_cost) {
-            best_cost = c;
-            best = h;
-          }
+          const sys::NearestCopy copy = copy_at(h);
+          if (!best || sys::closer(copy, *best)) best = copy;
         }
-        if (best != f.holder) moved = true;
-        f.holder = best;
-        if (best == Flow::kPrimary) {
-          out.primary_flow[f.site] += f.volume;
-        } else {
-          out.server_flow[best] += f.volume;
-        }
+        const std::uint32_t holder = holder_of(*best);
+        if (holder != f.holder) moved = true;
+        f.holder = holder;
+        assigned(f, holder) += f.volume;
       }
       if (!moved) break;
     }
@@ -182,15 +173,11 @@ SelectionResult assign_miss_traffic(const sys::CdnSystem& system,
   double volume_total = 0.0, cost_total = 0.0, net_total = 0.0;
   for (const Flow& f : flows) {
     const double net = holder_cost(f, f.holder);
-    const double load = f.holder == Flow::kPrimary
-                            ? out.primary_flow[f.site]
-                            : out.server_flow[f.holder];
-    const double cap =
-        f.holder == Flow::kPrimary ? primary_capacity : server_capacity;
     volume_total += f.volume;
     net_total += f.volume * net;
-    cost_total +=
-        f.volume * (net + queue_penalty(load, cap, params.queue_weight));
+    cost_total += f.volume * (net + queue_penalty(assigned(f, f.holder),
+                                                  capacity(f.holder),
+                                                  params.queue_weight));
   }
   if (volume_total > 0.0) {
     out.mean_response_cost = cost_total / volume_total;

@@ -44,9 +44,10 @@ struct SelectionParams {
 
   /// Optional fleet health masks (non-owning; null = fully healthy).
   /// `server_up` has length N (1 = up), `origin_up` length M.  Dead
-  /// servers are excluded as redirect holders, and the FULL demand of a
-  /// dead first-hop server becomes redirect flow (its warm cache is
-  /// unreachable, so even would-be hits spill to the next-best copy).
+  /// servers and dead origins are excluded as redirect holders under both
+  /// policies, and the FULL demand of a dead first-hop server becomes
+  /// redirect flow (its warm cache is unreachable, so even would-be hits
+  /// spill to the next-best copy).
   const std::vector<std::uint8_t>* server_up = nullptr;
   const std::vector<std::uint8_t>* origin_up = nullptr;
 };

@@ -798,12 +798,14 @@ class EventRun {
     const sys::ServerIndex server = req.server;
     const sys::SiteIndex site = req.site;
     Outcome o;
-    // Cheapest live holder after a failed attempt on the precomputed
-    // target (or on the first-hop server itself).
-    const auto find_live = [&] {
-      return result_.nearest.nearest_live(server, site, holders_[site],
-                                          timeline.server_up_mask(),
-                                          timeline.origin_up(site));
+    // Nearest live copy after a failed attempt on the precomputed target
+    // (or on the first-hop server itself).
+    const auto find_live = [&]() -> std::optional<sys::NearestCopy> {
+      const auto live = result_.nearest.nearest_live_candidates(
+          server, site, holders_[site], timeline.server_up_mask(),
+          timeline.origin_up(site), 1);
+      if (live.empty()) return std::nullopt;
+      return live.front();
     };
     const auto redirect_to = [&](const std::optional<sys::NearestCopy>& live,
                                  obs::EventCause healthy_cause) {

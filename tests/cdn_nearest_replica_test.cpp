@@ -7,6 +7,8 @@
 
 #include "src/cdn/nearest_replica.h"
 #include "src/util/error.h"
+#include "src/util/rng.h"
+#include "tests/test_support.h"
 
 namespace {
 
@@ -174,37 +176,48 @@ TEST(NearestReplicaTest, RejectsDimensionMismatch) {
                cdn::PreconditionError);
 }
 
+/// One rank-1 query (max_candidates = 1) from `from` to site 0 under a
+/// health state, and the copy it must return; `live = false` expects the
+/// empty list (no live copy at all).
+struct Rank1Row {
+  const char* name;
+  cdn::sys::ServerIndex from;
+  std::vector<std::uint8_t> up;
+  bool origin_up;
+  bool live;
+  bool at_primary;
+  cdn::sys::ServerIndex server;
+  double cost;
+};
+
+void expect_rank1(const NearestReplicaIndex& sn,
+                  const std::vector<cdn::sys::ServerIndex>& holders,
+                  const Rank1Row& row) {
+  const auto ranked = sn.nearest_live_candidates(row.from, 0, holders, row.up,
+                                                 row.origin_up, 1);
+  ASSERT_EQ(ranked.size(), row.live ? 1u : 0u) << row.name;
+  if (!row.live) return;
+  EXPECT_EQ(ranked[0].at_primary, row.at_primary) << row.name;
+  if (!row.at_primary) {
+    EXPECT_EQ(ranked[0].server, row.server) << row.name;
+  }
+  EXPECT_DOUBLE_EQ(ranked[0].cost, row.cost) << row.name;
+}
+
 TEST(NearestReplicaTest, NearestLiveSkipsDeadHolders) {
   Fixture f;
   f.placement.add(1, 0);
   f.placement.add(2, 0);
   NearestReplicaIndex sn(f.distances, f.placement);
   const auto holders = f.placement.replicators(0);
-
-  // All up: server 0's cheapest live copy is holder 1 (cost 1 < 2 < 5).
-  std::vector<std::uint8_t> up{1, 1, 1};
-  auto live = sn.nearest_live(0, 0, holders, up, true);
-  ASSERT_TRUE(live.has_value());
-  EXPECT_FALSE(live->at_primary);
-  EXPECT_EQ(live->server, 1u);
-  EXPECT_DOUBLE_EQ(live->cost, 1.0);
-
-  // Holder 1 dead: fall through to holder 2 (cost 2, still < primary's 5).
-  up = {1, 0, 1};
-  live = sn.nearest_live(0, 0, holders, up, true);
-  ASSERT_TRUE(live.has_value());
-  EXPECT_EQ(live->server, 2u);
-  EXPECT_DOUBLE_EQ(live->cost, 2.0);
-
-  // Both holders dead: only the primary remains.
-  up = {1, 0, 0};
-  live = sn.nearest_live(0, 0, holders, up, true);
-  ASSERT_TRUE(live.has_value());
-  EXPECT_TRUE(live->at_primary);
-  EXPECT_DOUBLE_EQ(live->cost, 5.0);
-
-  // ... and with the origin down too, nothing can serve the request.
-  EXPECT_FALSE(sn.nearest_live(0, 0, holders, up, false).has_value());
+  // From server 0: holder 1 costs 1, holder 2 costs 2, the primary 5.
+  const Rank1Row rows[] = {
+      {"all up: holder 1", 0, {1, 1, 1}, true, true, false, 1, 1.0},
+      {"holder 1 dead: holder 2", 0, {1, 0, 1}, true, true, false, 2, 2.0},
+      {"both holders dead: primary", 0, {1, 0, 0}, true, true, true, 0, 5.0},
+      {"origin down too: nothing", 0, {1, 0, 0}, false, false, false, 0, 0.0},
+  };
+  for (const Rank1Row& row : rows) expect_rank1(sn, holders, row);
 }
 
 TEST(NearestReplicaTest, NearestLiveAllDownIsNulloptDeterministically) {
@@ -220,8 +233,8 @@ TEST(NearestReplicaTest, NearestLiveAllDownIsNulloptDeterministically) {
   const std::vector<std::uint8_t> all_down{0, 0, 0};
   for (cdn::sys::ServerIndex i = 0; i < 3; ++i) {
     for (int repeat = 0; repeat < 3; ++repeat) {
-      EXPECT_FALSE(sn.nearest_live(i, 0, holders, all_down, false).has_value())
-          << "server " << i;
+      expect_rank1(sn, holders,
+                   {"all down", i, all_down, false, false, false, 0, 0.0});
       EXPECT_TRUE(sn.nearest_live_candidates(i, 0, holders, all_down, false, 3)
                       .empty())
           << "server " << i;
@@ -236,7 +249,7 @@ TEST(NearestReplicaTest, NearestLiveRejectsOutOfRangeHolder) {
   const NearestReplicaIndex sn(f.distances, f.placement);
   const std::vector<cdn::sys::ServerIndex> bogus{7};
   const std::vector<std::uint8_t> up{1, 1, 1};
-  EXPECT_THROW((void)sn.nearest_live(0, 0, bogus, up, true),
+  EXPECT_THROW((void)sn.nearest_live_candidates(0, 0, bogus, up, true, 1),
                cdn::PreconditionError);
   EXPECT_THROW((void)sn.nearest_live_candidates(0, 0, bogus, up, true, 3),
                cdn::PreconditionError);
@@ -299,17 +312,144 @@ TEST(NearestReplicaTest, NearestLivePrefersPrimaryWhenCheaper) {
   f.placement.add(0, 0);
   NearestReplicaIndex sn(f.distances, f.placement);
   const auto holders = f.placement.replicators(0);
-  const std::vector<std::uint8_t> up{1, 1, 1};
   // Server 2: primary costs 3, the replica at server 0 costs 2 — but with
   // that holder dead the primary wins again.
-  auto live = sn.nearest_live(2, 0, holders, up, true);
-  ASSERT_TRUE(live.has_value());
-  EXPECT_FALSE(live->at_primary);
-  const std::vector<std::uint8_t> dead0{0, 1, 1};
-  live = sn.nearest_live(2, 0, holders, dead0, true);
-  ASSERT_TRUE(live.has_value());
-  EXPECT_TRUE(live->at_primary);
-  EXPECT_DOUBLE_EQ(live->cost, 3.0);
+  const Rank1Row rows[] = {
+      {"all up: replica", 2, {1, 1, 1}, true, true, false, 0, 2.0},
+      {"holder 0 dead: primary", 2, {0, 1, 1}, true, true, true, 0, 3.0},
+  };
+  for (const Rank1Row& row : rows) expect_rank1(sn, holders, row);
+}
+
+TEST(NearestReplicaTest, RankOneBreaksTiesByTheNearestCopyOrder) {
+  // Line 0 - 1 - 2 - 3 - 4 with every primary 2 hops away.  Site 0 is
+  // replicated at servers 0 and 4, so server 2 sees both holders and the
+  // primary at cost 2: the lower holder wins, a replica beats the origin.
+  const DistanceOracle line(5, 1,
+                            {0, 1, 2, 3, 4,
+                             1, 0, 1, 2, 3,
+                             2, 1, 0, 1, 2,
+                             3, 2, 1, 0, 1,
+                             4, 3, 2, 1, 0},
+                            {2, 2, 2, 2, 2});
+  ReplicaPlacement p{std::vector<std::uint64_t>(5, 100),
+                     std::vector<std::uint64_t>{10}};
+  p.add(4, 0);
+  p.add(0, 0);
+  const NearestReplicaIndex sn(line, p);
+  const auto holders = p.replicators(0);
+  const Rank1Row rows[] = {
+      {"three-way tie: lowest holder", 2, {1, 1, 1, 1, 1}, true, true, false,
+       0, 2.0},
+      {"holder 0 dead: holder 4", 2, {0, 1, 1, 1, 1}, true, true, false, 4,
+       2.0},
+      {"both dead: primary", 2, {0, 1, 1, 1, 0}, true, true, true, 0, 2.0},
+      {"origin down: holder 0", 2, {1, 1, 1, 1, 1}, false, true, false, 0,
+       2.0},
+  };
+  for (const Rank1Row& row : rows) expect_rank1(sn, holders, row);
+  // The index holds the same copy as rank 1 of the all-up query.
+  EXPECT_FALSE(sn.nearest(2, 0).at_primary);
+  EXPECT_EQ(sn.nearest(2, 0).server, 0u);
+}
+
+TEST(NearestReplicaTest, CloserIsATotalOrder) {
+  using cdn::sys::closer;
+  using cdn::sys::NearestCopy;
+  const NearestCopy cheap{true, 0, 1.0};
+  const NearestCopy replica_low{false, 1, 2.0};
+  const NearestCopy replica_high{false, 3, 2.0};
+  const NearestCopy origin{true, 0, 2.0};
+  EXPECT_TRUE(closer(cheap, replica_low));        // cost first
+  EXPECT_TRUE(closer(replica_high, origin));      // replica before origin
+  EXPECT_TRUE(closer(replica_low, replica_high));  // then lowest server
+  EXPECT_FALSE(closer(replica_high, replica_low));
+  EXPECT_FALSE(closer(origin, origin));
+}
+
+/// Property: for random commit orders of a fixed replica set on a line
+/// (C(i, k) = |i - k|, every primary 3 hops away, so holder-holder and
+/// replica-origin ties are common), the incrementally built index equals a
+/// rebuilt one cell for cell, holder included, and each on_replica_added
+/// lists exactly the servers whose cost fell plus the holder.
+TEST(NearestReplicaTest, IncrementalIndexIsIndependentOfCommitOrder) {
+  const cdn::test::TestSystem t = cdn::test::TestSystem::make(
+      8, 6, 2, 100, 0.15, 3.0);
+  const DistanceOracle& dist = t.system->distances();
+  const std::size_t n = dist.server_count();
+  const std::size_t m = dist.site_count();
+  const std::vector<std::uint64_t> roomy(n, std::uint64_t{1} << 40);
+  std::uint64_t holder_ties = 0;
+  std::uint64_t origin_ties = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    cdn::util::Rng rng(seed);
+    std::vector<std::pair<cdn::sys::ServerIndex, cdn::sys::SiteIndex>> set;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < m; ++j) {
+        if (rng.bernoulli(0.3)) {
+          set.emplace_back(static_cast<cdn::sys::ServerIndex>(i),
+                           static_cast<cdn::sys::SiteIndex>(j));
+        }
+      }
+    }
+    ReplicaPlacement full(roomy, t.system->site_bytes());
+    for (const auto& [i, j] : set) full.add(i, j);
+    const NearestReplicaIndex rebuilt(dist, full);
+
+    for (int order = 0; order < 3; ++order) {
+      for (std::size_t k = set.size(); k > 1; --k) {
+        std::swap(set[k - 1], set[rng.uniform_index(k)]);
+      }
+      ReplicaPlacement grown(roomy, t.system->site_bytes());
+      NearestReplicaIndex incremental(dist, grown);
+      for (const auto& [holder, site] : set) {
+        std::vector<double> before(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          before[i] =
+              incremental.cost(static_cast<cdn::sys::ServerIndex>(i), site);
+        }
+        grown.add(holder, site);
+        const auto changed = incremental.on_replica_added(holder, site);
+        std::vector<cdn::sys::ServerIndex> fell;
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto server = static_cast<cdn::sys::ServerIndex>(i);
+          if (incremental.cost(server, site) < before[i] || server == holder) {
+            fell.push_back(server);
+          }
+        }
+        ASSERT_EQ(changed, fell) << "seed " << seed << " holder " << holder;
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < m; ++j) {
+          const auto server = static_cast<cdn::sys::ServerIndex>(i);
+          const auto site = static_cast<cdn::sys::SiteIndex>(j);
+          const auto& a = incremental.nearest(server, site);
+          const auto& b = rebuilt.nearest(server, site);
+          ASSERT_EQ(a.at_primary, b.at_primary)
+              << "seed " << seed << " cell " << i << "," << j;
+          ASSERT_EQ(a.server, b.server)
+              << "seed " << seed << " cell " << i << "," << j;
+          ASSERT_EQ(a.cost, b.cost)
+              << "seed " << seed << " cell " << i << "," << j;
+        }
+      }
+    }
+    // Count the tie cells the orders had to agree on.
+    const std::vector<std::uint8_t> up(n, 1);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < m; ++j) {
+        const auto server = static_cast<cdn::sys::ServerIndex>(i);
+        const auto site = static_cast<cdn::sys::SiteIndex>(j);
+        if (full.is_replicated(server, site)) continue;
+        const auto ranked = rebuilt.nearest_live_candidates(
+            server, site, full.replicators(site), up, true, 2);
+        if (ranked.size() < 2 || ranked[0].cost != ranked[1].cost) continue;
+        ++(ranked[1].at_primary ? origin_ties : holder_ties);
+      }
+    }
+  }
+  EXPECT_GT(holder_ties, 0u);
+  EXPECT_GT(origin_ties, 0u);
 }
 
 }  // namespace

@@ -279,6 +279,26 @@ TEST(ServerSelectionTest, FlowWithNoLiveCopyIsUnserved) {
   EXPECT_DOUBLE_EQ(r.primary_flow[2], 0.0);
 }
 
+TEST(ServerSelectionTest, LoadAwareNeverRoutesToADeadOrigin) {
+  // Primaries 3 hops away on an 8-server line, so site 0's origin competes
+  // with its replicas — until it is down, when it must get no flow at all
+  // however loaded the live holders are.
+  const auto t = TestSystem::make(8, 6, 2, 100, 0.15, 3.0);
+  const auto placement = placement::greedy_global(*t.system);
+  std::vector<std::uint8_t> origins(t.system->site_count(), 1);
+  origins[0] = 0;
+  redirect::SelectionParams p;
+  p.policy = redirect::SelectionPolicy::kLoadAware;
+  p.origin_up = &origins;
+  const auto r = redirect::assign_miss_traffic(*t.system, placement, p);
+  EXPECT_EQ(r.primary_flow[0], 0.0);
+  EXPECT_DOUBLE_EQ(r.unserved_flow, 0.0);  // site 0 has live replicas
+  // Its miss flow went to those replicas instead.
+  double replica_flow = 0.0;
+  for (const double f : r.server_flow) replica_flow += f;
+  EXPECT_GT(replica_flow, 0.0);
+}
+
 TEST(ServerSelectionTest, AutoCapacityClampsToPositiveFloor) {
   // Zero demand => the nearest-copy pass assigns zero flow everywhere and
   // the auto capacity must fall back to its positive floor instead of 0

@@ -539,11 +539,11 @@ TEST(ControlServer, EwmaOutlierEjectionShiftsWinsBackToRankOne) {
 TEST(RedirectorDaemon, SlowReaderIsDisconnectedAtTheOutbufCap) {
   Fixture fx;
   DaemonConfig config = base_config(fx);
-  config.control = false;
   config.max_session_outbuf = 8 * 1024;
   RedirectorDaemon daemon(config);
   DaemonRunner runner(daemon);
 
+  net::Fd ctl = connect_client(daemon.control_port());
   net::Fd client = connect_client(daemon.port());
   // Shrink the client's receive window so the kernel absorbs little and
   // the daemon's userspace outbuf takes the backlog.
@@ -552,29 +552,25 @@ TEST(RedirectorDaemon, SlowReaderIsDisconnectedAtTheOutbufCap) {
                          sizeof(rcvbuf)),
             0);
 
-  // Never read a reply.  The kernel absorbs up to the daemon's send
-  // buffer (tcp_wmem caps it in the single-digit MiB), then the daemon's
-  // userspace outbuf grows past the 8 KiB cap and the session is closed;
-  // because unread request bytes are still queued daemon-side, that close
-  // is an RST, which fails a subsequent client write.  That write failure
-  // is the success condition.
-  // Keep writing until the daemon gives up on us.  Replies pile into the
-  // daemon's kernel send buffer (tcp_wmem-bounded) and then its userspace
-  // outbuf; past the 8 KiB cap the session is closed.  Because the client
-  // is still writing, unread request bytes are queued daemon-side at
-  // close time, so the close is an RST and a subsequent write here fails
-  // — the deterministic end condition.
+  // Never read a reply.  Replies pile into the daemon's kernel send buffer
+  // (tcp_wmem-bounded) and then its userspace outbuf; past the 8 KiB cap
+  // the session is closed.  The end condition is the daemon's own view:
+  // STATUS, answered on its loop thread, reports no open data session
+  // after it has served requests.  Writes are short and time-bounded, so a
+  // full or reset socket only ends a block early.
   const std::string req = format_request({0, 0, 1});
   std::string block;
   for (int i = 0; i < 1000; ++i) block += req;
-  bool write_failed = false;
+  bool closed = false;
   const auto give_up = Clock::now() + 30s;
-  while (!write_failed && Clock::now() < give_up) {
-    if (!net::write_all(client.get(), block.data(), block.size(), 5000)) {
-      write_failed = true;
-    }
+  while (!closed && Clock::now() < give_up) {
+    (void)net::write_all(client.get(), block.data(), block.size(), 100);
+    const auto status = control_rpc(ctl.get(), "STATUS");
+    ASSERT_TRUE(status.has_value()) << "control socket stopped answering";
+    closed = status_field(*status, "sessions") == "0" &&
+             status_field(*status, "requests") != "0";
   }
-  EXPECT_TRUE(write_failed) << "daemon never disconnected the slow reader";
+  EXPECT_TRUE(closed) << "daemon never disconnected the slow reader";
 
   runner.stop();
   EXPECT_GE(daemon.stats().slow_reader_closes, 1u);

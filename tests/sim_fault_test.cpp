@@ -12,6 +12,8 @@
 #include "src/placement/fixed_split.h"
 #include "src/placement/greedy_global.h"
 #include "src/placement/hybrid_greedy.h"
+#include "src/placement/placement_io.h"
+#include "src/sim/sim_checkpoint.h"
 #include "src/sim/simulator.h"
 #include "src/util/error.h"
 #include "tests/test_support.h"
@@ -292,6 +294,36 @@ TEST(SimFaultTest, FaultMetricsLandInTheRegistry) {
             report.cold_restarts);
   EXPECT_EQ(registry.gauge("sim/slo_violation_fraction").value(),
             report.slo_violation_fraction);
+}
+
+TEST(SimFaultTest, SavedPlanReplaysAFaultRunIdentically) {
+  // A plan that goes through placement_io comes back with a rebuilt
+  // nearest-copy index, while the in-memory plan keeps the one the greedy
+  // grew commit by commit.  Primaries 3 hops out on a 12-server line make
+  // holder-holder and replica-origin ties common, and random server and
+  // origin outages send requests to those tie cells' copies, so any
+  // commit-order dependence in the index shows up in the fault run.
+  const auto t = TestSystem::make(12, 8, 4, 100, 0.15, 3.0);
+  const auto plan = hybrid_greedy(*t.system);
+  const auto reloaded = cdn::placement::parse_placement_result(
+      cdn::placement::serialize_placement(plan.placement), *t.system);
+  cdn::fault::RandomFaultParams params;
+  params.mtbf_requests = 40'000;
+  params.mttr_requests = 10'000;
+  params.seed = 7;
+  params.origin_mtbf_scale = 1.0;
+  const FaultSchedule faults = FaultSchedule::random(
+      t.system->server_count(), t.system->site_count(), 200'000, params);
+  auto sc = quick_sim();
+  EXPECT_EQ(cdn::sim::report_digest(simulate(*t.system, plan, sc)),
+            cdn::sim::report_digest(simulate(*t.system, reloaded, sc)));
+  sc.faults = &faults;
+  const SimulationReport a = simulate(*t.system, plan, sc);
+  const SimulationReport b = simulate(*t.system, reloaded, sc);
+  EXPECT_GT(a.failover_requests, 0u);
+  EXPECT_GT(a.failed_requests, 0u);
+  EXPECT_EQ(cdn::sim::report_digest(a), cdn::sim::report_digest(b));
+  expect_identical(a, b);
 }
 
 // --- SimulationConfig::validate (satellite) ---
