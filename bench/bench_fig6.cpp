@@ -19,7 +19,7 @@
 #include "src/util/stats.h"
 
 // Usage: bench_fig6 [--smoke] [metrics.json] [--artifact BENCH_fig6.json]
-//   --smoke  200k requests on a pinned shard count and no accuracy gate —
+//   --smoke  1M requests on a pinned shard count and no accuracy gate —
 //            fast enough for CI while keeping the measured error
 //            deterministic, so the regression gate can track it instead.
 int main(int argc, char** argv) {

@@ -74,7 +74,7 @@ double cache_probe_ops_per_sec(std::uint64_t ops) {
     table.insert(k, static_cast<std::uint32_t>(k));
   }
   // Keys are drawn up front so the timed loop is probes, not Zipf
-  // sampling (BM_RequestBatchGen / batch_gen_requests_per_sec cover that).
+  // sampling (batch_gen_requests_per_sec covers that).
   const util::ZipfDistribution zipf(100'000, 1.0);
   util::Rng rng(1);
   std::vector<std::uint64_t> keys(1u << 20);

@@ -1,9 +1,6 @@
 #include "src/core/scenario.h"
 
-#include <unordered_set>
-
 #include "src/redirect/client_population.h"
-
 #include "src/util/error.h"
 #include "src/util/rng.h"
 
@@ -16,35 +13,17 @@ Scenario::Scenario(ScenarioConfig config) : config_(std::move(config)) {
   std::size_t num_sites = 0;
   for (const auto& c : config_.classes) num_sites += c.site_count;
 
-  // 1 + 2. Network substrate, then server and primary placement.  With the
-  //    transit-stub model both go inside random stub domains (the paper's
-  //    rule); Waxman graphs have no stub structure, so placements are
-  //    uniform over distinct nodes.  Servers get distinct nodes; a single
-  //    draw covers both sets so servers and primaries stay distinct.
+  // 1 + 2. Transit-stub network substrate, then server and primary
+  //    placement inside random stub domains (the paper's rule).  Servers
+  //    get distinct nodes; a single draw covers both sets so servers and
+  //    primaries stay distinct.
   util::Rng topo_rng = rng.fork(1);
   util::Rng place_rng = rng.fork(2);
-  std::vector<topology::NodeId> nodes;
-  if (config_.topology_model == TopologyModel::kWaxman) {
-    waxman_topo_ = std::make_unique<topology::WaxmanTopology>(
-        topology::generate_waxman(config_.waxman, topo_rng));
-    graph_ = &waxman_topo_->graph;
-    const std::size_t wanted = config_.server_count + num_sites;
-    CDN_EXPECT(wanted <= graph_->node_count(),
-               "more placements requested than graph nodes exist");
-    std::unordered_set<topology::NodeId> used;
-    while (nodes.size() < wanted) {
-      const auto v = static_cast<topology::NodeId>(
-          place_rng.uniform_index(graph_->node_count()));
-      if (used.insert(v).second) nodes.push_back(v);
-    }
-  } else {
-    topo_ = std::make_unique<topology::TransitStubTopology>(
-        topology::generate_transit_stub(config_.topology, topo_rng));
-    graph_ = &topo_->graph;
-    nodes = topology::place_in_stub_domains(
-        *topo_, config_.server_count + num_sites, place_rng,
-        /*distinct_nodes=*/true);
-  }
+  topo_ = std::make_unique<topology::TransitStubTopology>(
+      topology::generate_transit_stub(config_.topology, topo_rng));
+  const std::vector<topology::NodeId> nodes = topology::place_in_stub_domains(
+      *topo_, config_.server_count + num_sites, place_rng,
+      /*distinct_nodes=*/true);
   server_nodes_.assign(nodes.begin(),
                        nodes.begin() + static_cast<std::ptrdiff_t>(
                                            config_.server_count));
@@ -53,7 +32,7 @@ Scenario::Scenario(ScenarioConfig config) : config_(std::move(config)) {
       nodes.end());
 
   // 3. Hop costs from every server to all nodes (BFS, parallel).
-  hops_ = std::make_unique<topology::HopMatrix>(*graph_, server_nodes_);
+  hops_ = std::make_unique<topology::HopMatrix>(topo_->graph, server_nodes_);
   distances_ = std::make_unique<sys::DistanceOracle>(
       sys::DistanceOracle::from_topology(*hops_, primary_nodes_));
 
@@ -79,18 +58,6 @@ Scenario::Scenario(ScenarioConfig config) : config_(std::move(config)) {
   // 5. The assembled system.
   system_ = std::make_unique<sys::CdnSystem>(
       *catalog_, *demand_, *distances_, config_.storage_fraction);
-}
-
-const topology::TransitStubTopology& Scenario::topology() const {
-  CDN_EXPECT(topo_ != nullptr,
-             "scenario was built with a non-transit-stub topology");
-  return *topo_;
-}
-
-const topology::WaxmanTopology& Scenario::waxman_topology() const {
-  CDN_EXPECT(waxman_topo_ != nullptr,
-             "scenario was built with a non-Waxman topology");
-  return *waxman_topo_;
 }
 
 }  // namespace cdn::core

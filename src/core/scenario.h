@@ -11,18 +11,11 @@
 #include "src/cdn/system.h"
 #include "src/topology/shortest_paths.h"
 #include "src/topology/transit_stub.h"
-#include "src/topology/waxman.h"
 #include "src/workload/demand.h"
 #include "src/workload/site_catalog.h"
 #include "src/workload/surge.h"
 
 namespace cdn::core {
-
-/// Which random-graph model generates the network substrate.
-enum class TopologyModel {
-  kTransitStub,  // the paper's GT-ITM setting
-  kWaxman,       // alternative model for topology-sensitivity studies
-};
 
 /// How the demand matrix r_j^(i) is produced.
 enum class DemandModel {
@@ -39,12 +32,7 @@ enum class DemandModel {
 /// sites in three popularity classes, theta = 1.0, homogeneous capacity as
 /// a fraction of the total site bytes.
 struct ScenarioConfig {
-  TopologyModel topology_model = TopologyModel::kTransitStub;
   topology::TransitStubParams topology{};
-  /// Used when topology_model == kWaxman.  With kWaxman, servers and
-  /// primaries are placed on uniformly random distinct nodes (Waxman graphs
-  /// have no stub-domain structure).
-  topology::WaxmanParams waxman{};
   std::size_t server_count = 50;
   DemandModel demand_model = DemandModel::kTruncatedNormal;
   /// Per-(server, site) relative jitter for kClientPopulation demand.
@@ -73,14 +61,14 @@ class Scenario {
 
   const ScenarioConfig& config() const noexcept { return config_; }
 
-  /// The generated network graph, independent of the topology model.
-  const topology::Graph& graph() const noexcept { return *graph_; }
+  /// The generated network graph.
+  const topology::Graph& graph() const noexcept { return topo_->graph; }
 
-  /// Transit-stub details; requires topology_model == kTransitStub.
-  const topology::TransitStubTopology& topology() const;
+  /// Transit-stub details (domains, stub membership) of the graph.
+  const topology::TransitStubTopology& topology() const noexcept {
+    return *topo_;
+  }
 
-  /// Waxman details; requires topology_model == kWaxman.
-  const topology::WaxmanTopology& waxman_topology() const;
   const workload::SiteCatalog& catalog() const noexcept { return *catalog_; }
   const workload::DemandMatrix& demand() const noexcept { return *demand_; }
   const sys::DistanceOracle& distances() const noexcept {
@@ -100,8 +88,6 @@ class Scenario {
  private:
   ScenarioConfig config_;
   std::unique_ptr<topology::TransitStubTopology> topo_;
-  std::unique_ptr<topology::WaxmanTopology> waxman_topo_;
-  const topology::Graph* graph_ = nullptr;
   std::vector<topology::NodeId> server_nodes_;
   std::vector<topology::NodeId> primary_nodes_;
   std::unique_ptr<topology::HopMatrix> hops_;

@@ -1,7 +1,5 @@
 #include "src/placement/hybrid_greedy.h"
 
-#include "src/placement/hybrid_internal.h"
-
 namespace cdn::placement {
 
 std::vector<double> miss_flow_matrix(const sys::CdnSystem& system,
@@ -148,11 +146,6 @@ double hybrid_candidate_benefit(const sys::CdnSystem& system,
                                 sys::SiteIndex site) {
   return hybrid_candidate_benefit(system, placement, nearest, state, hit,
                                   nullptr, server, site);
-}
-
-PlacementResult hybrid_greedy(const sys::CdnSystem& system,
-                              const HybridGreedyOptions& options) {
-  return detail::hybrid_greedy_incremental(system, options);
 }
 
 }  // namespace cdn::placement

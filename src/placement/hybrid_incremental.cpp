@@ -56,12 +56,11 @@
 #include "src/cdn/cost.h"
 #include "src/obs/scoped_timer.h"
 #include "src/placement/hybrid_greedy.h"
-#include "src/placement/hybrid_internal.h"
 #include "src/placement/model_support.h"
 #include "src/util/error.h"
 #include "src/util/thread_pool.h"
 
-namespace cdn::placement::detail {
+namespace cdn::placement {
 
 namespace {
 
@@ -115,8 +114,8 @@ double elapsed_ms(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
-                                          const HybridGreedyOptions& options) {
+PlacementResult hybrid_greedy(const sys::CdnSystem& system,
+                              const HybridGreedyOptions& options) {
   const std::size_t n = system.server_count();
   const std::size_t m = system.site_count();
   const auto& demand = system.demand();
@@ -553,4 +552,4 @@ PlacementResult hybrid_greedy_incremental(const sys::CdnSystem& system,
   return result;
 }
 
-}  // namespace cdn::placement::detail
+}  // namespace cdn::placement

@@ -13,24 +13,10 @@ ModelContext::ModelContext(const sys::CdnSystem& system,
 
 std::vector<model::ServerCacheState> ModelContext::make_states(
     const sys::ReplicaPlacement* existing) const {
-  const auto& sys_ref = *system_;
   std::vector<model::ServerCacheState> states;
-  states.reserve(sys_ref.server_count());
-  for (std::size_t i = 0; i < sys_ref.server_count(); ++i) {
-    const auto server = static_cast<sys::ServerIndex>(i);
-    states.emplace_back(sys_ref.demand().row(server), sys_ref.site_bytes(),
-                        lambdas_, sys_ref.server_storage(server),
-                        sys_ref.catalog().mean_object_bytes(),
-                        sys_ref.catalog().object_popularity(), curve_,
-                        pb_mode_);
-    if (existing != nullptr) {
-      for (std::size_t j = 0; j < sys_ref.site_count(); ++j) {
-        if (existing->is_replicated(server,
-                                    static_cast<sys::SiteIndex>(j))) {
-          states.back().replicate(static_cast<std::uint32_t>(j));
-        }
-      }
-    }
+  states.reserve(system_->server_count());
+  for (std::size_t i = 0; i < system_->server_count(); ++i) {
+    states.push_back(make_state(static_cast<sys::ServerIndex>(i), existing));
   }
   return states;
 }

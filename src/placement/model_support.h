@@ -25,13 +25,13 @@ class ModelContext {
   const model::HitRatioCurve& curve() const noexcept { return curve_; }
   model::PbMode pb_mode() const noexcept { return pb_mode_; }
 
-  /// Builds one ServerCacheState per server.  When `existing` is non-null
-  /// its replicas are applied (replicate() per entry), so the states
-  /// describe the caches left over by that placement.
+  /// Builds make_state(i, existing) for every server i.
   std::vector<model::ServerCacheState> make_states(
       const sys::ReplicaPlacement* existing = nullptr) const;
 
-  /// Builds the state of one server only (adaptive keep/drop evaluation).
+  /// Builds the state of one server.  When `existing` is non-null its
+  /// replicas at that server are applied (replicate() per entry, in site
+  /// order), so the state describes the cache left over by that placement.
   model::ServerCacheState make_state(
       sys::ServerIndex server,
       const sys::ReplicaPlacement* existing = nullptr) const;

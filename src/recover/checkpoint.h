@@ -27,7 +27,7 @@
 namespace cdn::recover {
 
 /// File format version; bump on any layout change.
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// Process exit code of a run that was interrupted by SIGINT/SIGTERM and
 /// flushed a final checkpoint (EX_TEMPFAIL: rerun with --resume to finish).

@@ -1,5 +1,6 @@
 #include "src/sim/consistency.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -29,8 +30,8 @@ double ModificationProcess::last_modification(workload::ObjectId object,
   if (!cur.initialised) {
     cur.rng = util::Rng(seed_ ^ (object * 0xbf58476d1ce4e5b9ULL));
     cur.last = 0.0;  // every object "born" at time 0
-    const double mean = mean_interval(object);
-    cur.next = -mean * std::log(1.0 - cur.rng.uniform());
+    cur.mean = mean_interval(object);
+    cur.next = -cur.mean * std::log(1.0 - cur.rng.uniform());
     cur.initialised = true;
   }
   if (now < cur.last) {
@@ -38,10 +39,9 @@ double ModificationProcess::last_modification(workload::ObjectId object,
     cursors_.erase(object);
     return last_modification(object, now);
   }
-  const double mean = mean_interval(object);
   while (cur.next <= now) {
     cur.last = cur.next;
-    cur.next += -mean * std::log(1.0 - cur.rng.uniform());
+    cur.next += -cur.mean * std::log(1.0 - cur.rng.uniform());
   }
   return cur.last;
 }
@@ -51,6 +51,15 @@ double FreshnessTable::fetch_time(workload::ObjectId object) const {
   return it == fetched_.end()
              ? -std::numeric_limits<double>::infinity()
              : it->second;
+}
+
+void FreshnessTable::prune(const cache::CachePolicy& cache) {
+  if (fetched_.size() <= std::max(2 * cache.object_count(), kPruneFloor)) {
+    return;
+  }
+  std::erase_if(fetched_, [&](const auto& entry) {
+    return !cache.contains(entry.first);
+  });
 }
 
 }  // namespace cdn::sim

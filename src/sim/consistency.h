@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <unordered_map>
 
+#include "src/cache/cache_policy.h"
 #include "src/util/rng.h"
 #include "src/workload/site_catalog.h"
 
@@ -49,6 +50,7 @@ class ModificationProcess {
   struct Cursor {
     double last = 0.0;  // latest update time <= the last queried `now`
     double next = 0.0;  // first update time > `last`
+    double mean = 0.0;  // mean_interval(object), set when the cursor starts
     util::Rng rng{0};
     bool initialised = false;
   };
@@ -70,7 +72,17 @@ class FreshnessTable {
   void erase(workload::ObjectId object) { fetched_.erase(object); }
   std::size_t size() const noexcept { return fetched_.size(); }
 
+  /// Drops the entries of objects `cache` no longer holds once the table
+  /// has grown past twice the cache's object count (and kPruneFloor).
+  /// Exact: an entry is read only on a cache hit, and the admission that
+  /// makes an object resident again rewrites its entry first.
+  void prune(const cache::CachePolicy& cache);
+
  private:
+  /// Table size below which prune() never sweeps, so a small cache does
+  /// not sweep its table on every miss.
+  static constexpr std::size_t kPruneFloor = 256;
+
   std::unordered_map<workload::ObjectId, double> fetched_;
 };
 

@@ -363,8 +363,7 @@ class EventRun {
       Shard& sh = shards_[s];
       if (sh.total == 0) continue;  // zero-demand shard: nothing to do
       if (shape_.reference) {
-        sh.stream.emplace(catalog_, system.demand(), config.seed,
-                          config.stream_locality);
+        sh.stream.emplace(catalog_, system.demand(), config.seed);
         sh.lambda_rng = util::Rng(config.seed ^ kLambdaMix);
         sh.surge_rng = util::Rng(config.seed ^ kSurgeMix);
         sh.latency.reserve(sh.total - sh.warmup);
@@ -374,7 +373,7 @@ class EventRun {
         // this reproduces the full i.i.d. stream's law exactly.
         sh.stream.emplace(catalog_, system.demand(),
                           substream_seed(config.seed, s, kStreamSalt),
-                          config.stream_locality, 256, plan_.servers[s]);
+                          plan_.servers[s]);
         sh.lambda_rng =
             util::Rng(substream_seed(config.seed, s, kLambdaSalt));
         sh.latency.use_sketch(config.latency_sketch_error);
@@ -917,6 +916,7 @@ class EventRun {
     // Miss: fetch from the nearest copy and admit.
     cache.admit(key, catalog_.object_bytes(req.site, req.rank));
     if (cache.contains(key)) fresh.on_fetch(key, now);
+    fresh.prune(cache);
     o.cause = obs::EventCause::kCacheMiss;
     o.hops = result_.nearest.cost(req.server, req.site);
     return o;

@@ -78,7 +78,6 @@ std::uint64_t config_hash(const SimulationConfig& config) {
   w.f64(config.latency.retry_timeout_ms);
   w.f64(config.latency.retry_backoff_ms);
   w.u64(config.seed);
-  w.f64(config.stream_locality);
   w.f64(config.slo_ms);
   w.f64(config.latency_sketch_error);
   w.u64(config.metrics_windows);

@@ -52,9 +52,6 @@ void SimulationConfig::validate() const {
                    stop == nullptr && !checkpoint_cadence,
                "checkpoint/resume makes no sense for the flow engine (runs "
                "complete in milliseconds); use --engine=event");
-    CDN_EXPECT(stream_locality == 0.0,
-               "the flow model assumes the i.i.d. request stream; "
-               "use --engine=event for temporal-locality studies");
   }
   if (staleness == StalenessMode::kTtl ||
       staleness == StalenessMode::kInvalidation) {

@@ -69,8 +69,8 @@ enum class SimEngine {
   /// demand matrix, the placement and a steady-state hit-ratio model with
   /// no per-request loop (src/sim/flow_engine.cpp).  Orders of magnitude
   /// faster; per-request features (trace replay/sinks, fault schedules,
-  /// checkpointing, stream locality, the kTtl and kInvalidation modes) are
-  /// rejected by validate().
+  /// checkpointing, the kTtl and kInvalidation modes) are rejected by
+  /// validate().
   kFlow,
 };
 
@@ -126,9 +126,6 @@ struct SimulationConfig {
   ConsistencyConfig consistency;
   LatencyModel latency;
   std::uint64_t seed = 42;
-  /// Temporal-locality knob of the request stream (0 = i.i.d., the model's
-  /// assumption).
-  double stream_locality = 0.0;
 
   /// Evaluation engine (see docs/PERFORMANCE.md for when to trust which).
   SimEngine engine = SimEngine::kEvent;

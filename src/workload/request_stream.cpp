@@ -6,19 +6,13 @@ namespace cdn::workload {
 
 RequestStream::RequestStream(const SiteCatalog& catalog,
                              const DemandMatrix& demand, std::uint64_t seed,
-                             double locality, std::size_t locality_window,
                              std::span<const ServerId> servers)
     : catalog_(&catalog),
       sites_(demand.site_count()),
       rng_(seed),
-      servers_(servers.begin(), servers.end()),
-      locality_(locality),
-      locality_window_(locality_window) {
+      servers_(servers.begin(), servers.end()) {
   CDN_EXPECT(catalog.site_count() == demand.site_count(),
              "catalog and demand matrix disagree on site count");
-  CDN_EXPECT(locality >= 0.0 && locality < 1.0, "locality must be in [0, 1)");
-  CDN_EXPECT(locality == 0.0 || locality_window >= 1,
-             "locality window must be positive when locality > 0");
   const std::size_t rows =
       servers_.empty() ? demand.server_count() : servers_.size();
   std::vector<double> weights;
@@ -32,11 +26,6 @@ RequestStream::RequestStream(const SiteCatalog& catalog,
     weights.insert(weights.end(), row.begin(), row.end());
   }
   cell_sampler_ = util::AliasSampler(weights);
-  if (locality_ > 0.0) {
-    recent_.resize(rows * locality_window_);
-    recent_size_.assign(rows, 0);
-    recent_head_.assign(rows, 0);
-  }
 }
 
 Request RequestStream::next() {
@@ -48,46 +37,13 @@ Request RequestStream::next() {
   req.site = static_cast<SiteId>(cell % sites_);
   req.rank = static_cast<std::uint32_t>(
       catalog_->object_popularity().sample(rng_));
-
-  if (locality_ > 0.0) {
-    // A repeat draws uniformly from the server's ring, oldest-first logical
-    // order — the exact semantics (and RNG consumption) of the previous
-    // deque-backed history.
-    Request* const ring = recent_.data() + row * locality_window_;
-    const std::uint32_t cap = static_cast<std::uint32_t>(locality_window_);
-    std::uint32_t& size = recent_size_[row];
-    std::uint32_t& head = recent_head_[row];
-    if (size > 0 && rng_.bernoulli(locality_)) {
-      const auto k =
-          static_cast<std::uint32_t>(rng_.uniform_index(size));
-      req = ring[(head + k) % cap];
-    }
-    if (size < cap) {
-      ring[(head + size) % cap] = req;
-      ++size;
-    } else {
-      ring[head] = req;
-      head = (head + 1) % cap;
-    }
-  }
   return req;
 }
 
 void RequestStream::next_batch(RequestBatch& out, std::size_t count) {
   out.resize(count);
-  if (locality_ > 0.0) {
-    // Locality interleaves history reads with generation; keep the
-    // reference path (identical RNG order either way).
-    for (std::size_t i = 0; i < count; ++i) {
-      const Request req = next();
-      out.server[i] = req.server;
-      out.site[i] = req.site;
-      out.rank[i] = req.rank;
-    }
-    return;
-  }
-  // i.i.d. fast path: same per-request draw order as next() — cell first,
-  // then rank — with straight-line SoA writes and no history bookkeeping.
+  // Same per-request draw order as next() — cell first, then rank — with
+  // straight-line SoA writes.
   const util::ZipfDistribution& zipf = catalog_->object_popularity();
   if (servers_.empty()) {
     for (std::size_t i = 0; i < count; ++i) {
@@ -108,41 +64,12 @@ void RequestStream::next_batch(RequestBatch& out, std::size_t count) {
 
 void RequestStream::save_state(util::ByteWriter& w) const {
   for (const std::uint64_t word : rng_.state()) w.u64(word);
-  w.u8(locality_ > 0.0 ? 1 : 0);
-  if (locality_ > 0.0) {
-    w.u64(recent_.size());
-    for (const Request& req : recent_) {
-      w.u32(req.server);
-      w.u32(req.site);
-      w.u32(req.rank);
-    }
-    w.u64(recent_size_.size());
-    for (const std::uint32_t v : recent_size_) w.u32(v);
-    for (const std::uint32_t v : recent_head_) w.u32(v);
-  }
 }
 
 void RequestStream::restore_state(util::ByteReader& r) {
   std::array<std::uint64_t, 4> state;
   for (auto& word : state) word = r.u64();
   rng_.set_state(state);
-  const bool has_history = r.u8() != 0;
-  CDN_EXPECT(has_history == (locality_ > 0.0),
-             "request stream locality mode mismatch");
-  if (!has_history) return;
-  const std::uint64_t ring_slots = r.u64();
-  CDN_EXPECT(ring_slots == recent_.size(),
-             "request stream history size mismatch");
-  for (Request& req : recent_) {
-    req.server = r.u32();
-    req.site = r.u32();
-    req.rank = r.u32();
-  }
-  const std::uint64_t rows = r.u64();
-  CDN_EXPECT(rows == recent_size_.size(),
-             "request stream row count mismatch");
-  for (auto& v : recent_size_) v = r.u32();
-  for (auto& v : recent_head_) v = r.u32();
 }
 
 }  // namespace cdn::workload

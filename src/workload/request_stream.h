@@ -1,11 +1,9 @@
 // Streaming synthetic request generation for the trace-driven simulator.
 //
-// The reference stream is i.i.d.: each request independently picks a
-// (server, site) cell proportional to the demand matrix and an object rank
-// from the site's Zipf law — the independence assumption underlying the
-// paper's analytical model (Section 3.2).  An optional temporal-locality
-// knob re-references a recent request at the same server with probability
-// `locality`, for sensitivity studies beyond the paper.
+// The stream is i.i.d.: each request independently picks a (server, site)
+// cell proportional to the demand matrix and an object rank from the
+// site's Zipf law — the independence assumption underlying the paper's
+// analytical model (Section 3.2).
 //
 // A stream may be restricted to a subset of first-hop servers: it then
 // samples cells from those servers' demand rows only (renormalised), which
@@ -54,14 +52,10 @@ struct RequestBatch {
 /// Infinite request stream.  Deterministic given the seed.
 class RequestStream {
  public:
-  /// `locality` in [0, 1): probability that a request repeats one of the
-  /// last `locality_window` requests at the same server (0 = pure i.i.d.).
   /// A non-empty `servers` restricts the stream to those first-hop servers
   /// (distinct ids < demand.server_count()); empty means all servers.
   RequestStream(const SiteCatalog& catalog, const DemandMatrix& demand,
-                std::uint64_t seed, double locality = 0.0,
-                std::size_t locality_window = 256,
-                std::span<const ServerId> servers = {});
+                std::uint64_t seed, std::span<const ServerId> servers = {});
 
   /// Generates the next request.
   Request next();
@@ -74,10 +68,10 @@ class RequestStream {
 
   const SiteCatalog& catalog() const noexcept { return *catalog_; }
 
-  /// Checkpointing: RNG position and locality history.  The alias sampler,
-  /// catalog pointer and server subset are construction-time state — the
-  /// resuming run rebuilds the stream with the same constructor arguments
-  /// and then restores the mutable remainder.
+  /// Checkpointing: the RNG position.  The alias sampler, catalog pointer
+  /// and server subset are construction-time state — the resuming run
+  /// rebuilds the stream with the same constructor arguments and then
+  /// restores the RNG.
   void save_state(util::ByteWriter& w) const;
   void restore_state(util::ByteReader& r);
 
@@ -87,13 +81,6 @@ class RequestStream {
   util::Rng rng_;
   util::AliasSampler cell_sampler_;  // over owned-server*site cells
   std::vector<ServerId> servers_;    // owned subset; empty = all servers
-  double locality_;
-  std::size_t locality_window_;
-  // Recent-request history as one fixed ring segment of `locality_window_`
-  // slots per owned server — no per-request allocation, unlike a deque.
-  std::vector<Request> recent_;
-  std::vector<std::uint32_t> recent_size_;
-  std::vector<std::uint32_t> recent_head_;
 };
 
 }  // namespace cdn::workload

@@ -14,7 +14,6 @@
 #include "src/placement/fixed_split.h"
 #include "src/placement/greedy_global.h"
 #include "src/placement/hybrid_greedy.h"
-#include "src/placement/local_search.h"
 #include "src/placement/placement_io.h"
 #include "src/util/serial.h"
 #include "tests/test_support.h"
@@ -92,16 +91,6 @@ TEST_F(PlacementDigestPinTest, FixedSplit) {
   const auto result = placement::fixed_split(*t_.system, 0.2);
   EXPECT_EQ(result.replicas_created, 28u);
   EXPECT_EQ(result_digest(result), 0x5540a74dcb6fcd57ull);
-}
-
-TEST(PlacementDigestPinLocalSearchTest, RefinedGreedyGlobalStart) {
-  const auto t = TestSystem::make(8, 8, 3, 100, 0.11, 5.0, 7);
-  placement::GreedyGlobalOptions start_options;
-  start_options.max_replicas = 4;
-  PlacementResult result = placement::greedy_global(*t.system, start_options);
-  const auto stats = placement::local_search_refine(*t.system, result);
-  EXPECT_EQ(stats.swaps_applied, 2u);
-  EXPECT_EQ(result_digest(result), 0xd8750019ad71c50eull);
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 #include "src/obs/registry.h"
 #include "src/placement/greedy_global.h"
 #include "src/placement/hybrid_greedy.h"
-#include "src/placement/local_search.h"
 #include "src/placement/model_support.h"
 #include "tests/placement_oracle.h"
 #include "tests/test_support.h"
@@ -31,13 +30,10 @@ using cdn::placement::greedy_global;
 using cdn::placement::GreedyGlobalOptions;
 using cdn::placement::hybrid_greedy;
 using cdn::placement::HybridGreedyOptions;
-using cdn::placement::local_search_refine;
-using cdn::placement::LocalSearchOptions;
 using cdn::placement::PlacementResult;
 using cdn::test::OracleRun;
 using cdn::test::oracle_greedy_global;
 using cdn::test::oracle_hybrid_greedy;
-using cdn::test::oracle_local_search;
 using cdn::test::TestSystem;
 
 struct EngineRun {
@@ -324,87 +320,6 @@ TEST(PlacementEngineEquivalenceTest, GreedyGlobalRandomizedSystems) {
                                     seed);
     expect_equivalent(*t.system, oracle_greedy_global(*t.system),
                       run_greedy_global(*t.system, {}));
-  }
-}
-
-struct LocalSearchRun {
-  PlacementResult result;
-  cdn::placement::LocalSearchStats stats;
-  std::vector<std::vector<double>> swap_rows;
-};
-
-/// Greedy-global capped at four replicas, leaving slack so swaps exist.
-PlacementResult local_search_start(const cdn::sys::CdnSystem& system) {
-  GreedyGlobalOptions start_options;
-  start_options.max_replicas = 4;
-  return greedy_global(system, start_options);
-}
-
-LocalSearchRun run_local_search(const cdn::sys::CdnSystem& system,
-                                LocalSearchOptions options) {
-  LocalSearchRun run{local_search_start(system), {}, {}};
-  cdn::obs::Registry registry;
-  options.metrics = &registry;
-  run.stats = local_search_refine(system, run.result, options);
-  const auto* log = registry.find_table("placement/local_search/swaps");
-  if (log != nullptr) run.swap_rows = log->rows();
-  return run;
-}
-
-TEST(PlacementEngineEquivalenceTest, LocalSearchSwapsAreBitIdentical) {
-  const auto t = TestSystem::make();
-  const OracleRun ref =
-      oracle_local_search(*t.system, local_search_start(*t.system));
-  const LocalSearchRun inc = run_local_search(*t.system, {});
-  EXPECT_EQ(ref.stats.swaps_applied, inc.stats.swaps_applied);
-  EXPECT_EQ(ref.stats.initial_cost, inc.stats.initial_cost);
-  EXPECT_EQ(ref.stats.final_cost, inc.stats.final_cost);
-  EXPECT_EQ(ref.result.predicted_total_cost,
-            inc.result.predicted_total_cost);
-  ASSERT_EQ(ref.log_rows.size(), inc.swap_rows.size());
-  for (std::size_t r = 0; r < ref.log_rows.size(); ++r) {
-    ASSERT_EQ(ref.log_rows[r].size(), inc.swap_rows[r].size());
-    for (std::size_t c = 0; c < ref.log_rows[r].size(); ++c) {
-      EXPECT_EQ(ref.log_rows[r][c], inc.swap_rows[r][c])
-          << "swap row " << r << " column " << c;
-    }
-  }
-  const std::size_t n = t.system->server_count();
-  const std::size_t m = t.system->site_count();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < m; ++j) {
-      EXPECT_EQ(ref.result.placement.is_replicated(
-                    static_cast<cdn::sys::ServerIndex>(i),
-                    static_cast<cdn::sys::SiteIndex>(j)),
-                inc.result.placement.is_replicated(
-                    static_cast<cdn::sys::ServerIndex>(i),
-                    static_cast<cdn::sys::SiteIndex>(j)));
-    }
-  }
-}
-
-TEST(PlacementEngineEquivalenceTest, LocalSearchRandomizedSystems) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    const auto t = TestSystem::make(3 + seed % 4, 4 + seed % 3, 1, 100,
-                                    0.1 + 0.05 * static_cast<double>(
-                                                     seed % 4),
-                                    3.0 + static_cast<double>(seed % 5),
-                                    seed);
-    LocalSearchOptions options;
-    options.max_swaps = 3;
-    const OracleRun ref =
-        oracle_local_search(*t.system, local_search_start(*t.system), options);
-    const LocalSearchRun inc = run_local_search(*t.system, options);
-    EXPECT_EQ(ref.stats.swaps_applied, inc.stats.swaps_applied);
-    EXPECT_EQ(ref.stats.final_cost, inc.stats.final_cost);
-    ASSERT_EQ(ref.log_rows.size(), inc.swap_rows.size());
-    for (std::size_t r = 0; r < ref.log_rows.size(); ++r) {
-      ASSERT_EQ(ref.log_rows[r].size(), inc.swap_rows[r].size());
-      for (std::size_t c = 0; c < ref.log_rows[r].size(); ++c) {
-        EXPECT_EQ(ref.log_rows[r][c], inc.swap_rows[r][c]);
-      }
-    }
   }
 }
 

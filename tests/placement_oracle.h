@@ -1,6 +1,6 @@
 // Test-only oracle for the placement engines: the plain greedy loops that
-// hybrid_greedy, greedy_global and local_search_refine must reproduce bit
-// for bit (placement_engine_equivalence_test).
+// hybrid_greedy and greedy_global must reproduce bit for bit
+// (placement_engine_equivalence_test).
 //
 // Serial and exact-only, with no metrics, spans, tiers or thread pool.  Each
 // iteration rebuilds the nearest-replica index and the modelled hit matrix
@@ -18,16 +18,14 @@
 
 #include "src/cdn/cost.h"
 #include "src/placement/hybrid_greedy.h"
-#include "src/placement/local_search.h"
 #include "src/placement/model_support.h"
 
 namespace cdn::test {
 
 struct OracleRun {
   placement::PlacementResult result;
-  std::vector<std::vector<double>> log_rows;  // one per commit or swap
-  std::uint64_t evaluations = 0;  // candidates (or trial swaps) priced
-  placement::LocalSearchStats stats;  // local search only
+  std::vector<std::vector<double>> log_rows;  // one per commit
+  std::uint64_t evaluations = 0;  // candidates priced
 };
 
 namespace oracle_detail {
@@ -153,7 +151,7 @@ inline OracleRun oracle_hybrid_greedy(
                                     .nearest = std::move(nearest),
                                     .cost_trajectory = std::move(trajectory)};
   placement::finalize_result(system, states, result);
-  return {std::move(result), std::move(rows), evaluations, {}};
+  return {std::move(result), std::move(rows), evaluations};
 }
 
 /// Greedy-global on each server's full storage, every candidate priced
@@ -191,60 +189,7 @@ inline OracleRun oracle_greedy_global(const sys::CdnSystem& system,
   result.predicted_cost_per_request =
       result.predicted_total_cost / system.demand().total();
   result.replicas_created = result.placement.replica_count();
-  return {std::move(result), std::move(rows), evaluations, {}};
-}
-
-/// Best-improvement swaps from `start`, every trial priced with a fresh
-/// nearest-replica index.  Honours max_swaps and min_relative_gain.
-inline OracleRun oracle_local_search(
-    const sys::CdnSystem& system, placement::PlacementResult start,
-    const placement::LocalSearchOptions& options = {}) {
-  using namespace oracle_detail;
-  OracleRun run{std::move(start)};
-  sys::ReplicaPlacement& placement = run.result.placement;
-  double current = fresh_cost(system, placement);
-  run.stats.initial_cost = current;
-  while (options.max_swaps == 0 ||
-         run.stats.swaps_applied < options.max_swaps) {
-    double best = current;
-    std::vector<std::uint32_t> swap;  // out server, out site, in server, site
-    for (ServerIndex i = 0; i < system.server_count(); ++i) {
-      for (SiteIndex j = 0; j < system.site_count(); ++j) {
-        if (!placement.is_replicated(i, j)) continue;
-        placement.remove(i, j);
-        for (ServerIndex i2 = 0; i2 < system.server_count(); ++i2) {
-          for (SiteIndex j2 = 0; j2 < system.site_count(); ++j2) {
-            if ((i2 == i && j2 == j) || !placement.can_add(i2, j2)) continue;
-            placement.add(i2, j2);
-            ++run.evaluations;
-            const double cost = fresh_cost(system, placement);
-            if (cost < best) {
-              best = cost;
-              swap = {i, j, i2, j2};
-            }
-            placement.remove(i2, j2);
-          }
-        }
-        placement.add(i, j);
-      }
-    }
-    if (swap.empty() || current - best <= options.min_relative_gain * current) {
-      break;
-    }
-    placement.remove(swap[0], swap[1]);
-    placement.add(swap[2], swap[3]);
-    run.log_rows.push_back(row(run.stats.swaps_applied, swap[0], swap[1],
-                               swap[2], swap[3], current, best));
-    current = best;
-    ++run.stats.swaps_applied;
-  }
-  run.result.nearest.rebuild(placement);
-  run.result.predicted_total_cost = current;
-  run.result.predicted_cost_per_request = current / system.demand().total();
-  run.result.replicas_created = placement.replica_count();
-  run.result.cost_trajectory.push_back(current);
-  run.stats.final_cost = current;
-  return run;
+  return {std::move(result), std::move(rows), evaluations};
 }
 
 }  // namespace cdn::test

@@ -413,40 +413,46 @@ TEST_F(KillResumeTest, VersionOneCheckpointRefusedNamingBothVersions) {
   const auto placement = hybrid_greedy(*t.system);
   const auto cfg = base_config();
   killed_run(t, placement, cfg, path("ck.bin"), 10'000);
-
-  // Re-head the file as version 1 with a valid checksum trailer, so the
-  // version is the only thing wrong with it.
   std::ifstream in(path("ck.bin"), std::ios::binary);
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
+  const std::vector<std::uint8_t> current(
+      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
   in.close();
-  ASSERT_GT(bytes.size(), 20u);
-  constexpr std::size_t kVersionOffset = 8;  // after the 8-byte magic
-  bytes[kVersionOffset] = 1;
-  bytes[kVersionOffset + 1] = bytes[kVersionOffset + 2] =
-      bytes[kVersionOffset + 3] = 0;
-  const std::size_t body = bytes.size() - 8;
-  const std::uint64_t checksum = util::fnv1a(bytes.data(), body);
-  for (std::size_t i = 0; i < 8; ++i) {
-    bytes[body + i] = static_cast<std::uint8_t>(checksum >> (8 * i));
-  }
-  std::ofstream out(path("v1.bin"), std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  out.close();
+  ASSERT_GT(current.size(), 20u);
+  ASSERT_EQ(recover::kCheckpointVersion, 3u);
 
-  auto resume_cfg = cfg;
-  resume_cfg.resume_path = path("v1.bin");
-  try {
-    simulate(*t.system, placement, resume_cfg);
-    FAIL() << "resumed from a version-1 checkpoint";
-  } catch (const PreconditionError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("version 1 "), std::string::npos) << what;
-    EXPECT_NE(what.find("reads version " +
-                        std::to_string(recover::kCheckpointVersion)),
-              std::string::npos)
-        << what;
+  // Every earlier layout is refused: version 2, whose stream payload held a
+  // temporal-locality history flag, and version 1 before it.  Each file is
+  // re-headed with a valid checksum trailer, so the version is the only
+  // thing wrong with it.
+  for (const std::uint8_t version : {2, 1}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    std::vector<std::uint8_t> bytes = current;
+    constexpr std::size_t kVersionOffset = 8;  // after the 8-byte magic
+    bytes[kVersionOffset] = version;
+    bytes[kVersionOffset + 1] = bytes[kVersionOffset + 2] =
+        bytes[kVersionOffset + 3] = 0;
+    const std::size_t body = bytes.size() - 8;
+    const std::uint64_t checksum = util::fnv1a(bytes.data(), body);
+    for (std::size_t i = 0; i < 8; ++i) {
+      bytes[body + i] = static_cast<std::uint8_t>(checksum >> (8 * i));
+    }
+    std::ofstream out(path("old.bin"), std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+    out.close();
+
+    auto resume_cfg = cfg;
+    resume_cfg.resume_path = path("old.bin");
+    try {
+      simulate(*t.system, placement, resume_cfg);
+      FAIL() << "resumed from an old checkpoint";
+    } catch (const PreconditionError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("version " + std::to_string(version) + " "),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("reads version 3"), std::string::npos) << what;
+    }
   }
 }
 

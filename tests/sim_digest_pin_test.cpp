@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "src/fault/fault_schedule.h"
 #include "src/obs/registry.h"
@@ -122,12 +125,6 @@ TEST_F(DigestPinTest, SequentialFifoUncacheable) {
   EXPECT_EQ(digest_of(cfg), 0x9b09e9d1089cfe4aull);
 }
 
-TEST_F(DigestPinTest, SequentialStreamLocality) {
-  auto cfg = pin_config();
-  cfg.stream_locality = 0.3;
-  EXPECT_EQ(digest_of(cfg), 0xde8dae0a8418d56full);
-}
-
 TEST_F(DigestPinTest, FaultScheduleWithSlo) {
   fault::FaultSchedule faults;
   faults.add_server_outage(1, 8'000, 30'000);
@@ -188,14 +185,65 @@ class ConsistencyPinTest : public ::testing::Test {
         caching_(placement::pure_caching(*t_.system)),
         hybrid_(placement::hybrid_greedy(*t_.system)) {}
 
-  std::uint64_t digest_of(const placement::PlacementResult& placement,
-                          sim::StalenessMode mode) const {
+  static SimulationConfig consistency_config(sim::StalenessMode mode) {
     auto cfg = pin_config();
     cfg.staleness = mode;
     cfg.consistency.ttl = 5.0;
     cfg.consistency.min_mean_update_interval = 100.0;
     cfg.consistency.max_mean_update_interval = 1000.0;
-    return report_digest(simulate(*t_.system, placement, cfg));
+    return cfg;
+  }
+
+  std::uint64_t digest_of(const placement::PlacementResult& placement,
+                          sim::StalenessMode mode) const {
+    return report_digest(
+        simulate(*t_.system, placement, consistency_config(mode)));
+  }
+
+  /// Digest of a pure-caching run on caches of 0.02% of the catalogue
+  /// bytes (8,000 objects, 4 servers).  Every request is traced, so the
+  /// run also checks its own precondition: each server fetches at least
+  /// ten times as many distinct objects as its cache can hold.
+  static std::uint64_t tiny_cache_digest(sim::StalenessMode mode) {
+    const TestSystem t = TestSystem::make(4, 6, 2, 1000, 0.0002);
+    const auto caching = placement::pure_caching(*t.system);
+    obs::TraceSink sink(1.0, 5, 100'000);
+    auto cfg = consistency_config(mode);
+    cfg.trace_sink = &sink;
+    const auto report = simulate(*t.system, caching, cfg);
+    EXPECT_EQ(sink.dropped(), 0u);
+    std::vector<std::set<workload::ObjectId>> fetched(4);
+    for (const obs::TraceEvent& e : sink.events()) {
+      if (e.cause == obs::EventCause::kCacheMiss) {
+        fetched[e.server].insert(t.catalog->object_id(e.site, e.rank));
+      }
+    }
+    for (sys::ServerIndex i = 0; i < 4; ++i) {
+      const std::size_t holds =
+          max_resident_objects(*t.catalog, caching.cache_bytes(i));
+      EXPECT_GE(fetched[i].size(), 10 * holds) << "server " << i;
+    }
+    return report_digest(report);
+  }
+
+  /// No cache of `bytes` holds more objects than the catalogue's smallest
+  /// objects that fit in it together.
+  static std::size_t max_resident_objects(const workload::SiteCatalog& c,
+                                          std::uint64_t bytes) {
+    std::vector<std::uint64_t> sizes;
+    for (workload::SiteId j = 0; j < c.site_count(); ++j) {
+      for (std::size_t rank = 1; rank <= c.objects_per_site(); ++rank) {
+        sizes.push_back(c.object_bytes(j, rank));
+      }
+    }
+    std::sort(sizes.begin(), sizes.end());
+    std::size_t count = 0;
+    for (const std::uint64_t size : sizes) {
+      if (size > bytes) break;
+      bytes -= size;
+      ++count;
+    }
+    return count;
   }
 
   TestSystem t_;
@@ -215,6 +263,21 @@ TEST_F(ConsistencyPinTest, Invalidation) {
             0xe6177fb64166828eull);
   EXPECT_EQ(digest_of(hybrid_, sim::StalenessMode::kInvalidation),
             0x7a546833b8bc9dd3ull);
+}
+
+// Recorded before the engine pruned its freshness tables, when every
+// server kept the fetch time of each object it ever fetched.  Here each
+// table outgrows its cache many times over, so a prune that ever dropped
+// a resident object's entry would change what that object's next hit
+// decides, and these digests.
+TEST_F(ConsistencyPinTest, TtlTinyCache) {
+  EXPECT_EQ(tiny_cache_digest(sim::StalenessMode::kTtl),
+            0x40ed0fd633875141ull);
+}
+
+TEST_F(ConsistencyPinTest, InvalidationTinyCache) {
+  EXPECT_EQ(tiny_cache_digest(sim::StalenessMode::kInvalidation),
+            0xa479c0ad0f309734ull);
 }
 
 }  // namespace

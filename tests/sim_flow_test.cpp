@@ -212,11 +212,6 @@ TEST(FlowEngineTest, RejectsPerRequestFeatures) {
     cfg.resume_path = "flow.ckpt";
     EXPECT_THROW(cfg.validate(), cdn::PreconditionError);
   }
-  {
-    auto cfg = flow_config();
-    cfg.stream_locality = 0.5;
-    EXPECT_THROW(cfg.validate(), cdn::PreconditionError);
-  }
 }
 
 }  // namespace

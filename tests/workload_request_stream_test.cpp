@@ -86,62 +86,26 @@ TEST(RequestStreamTest, RanksFollowZipf) {
   }
 }
 
-TEST(RequestStreamTest, LocalityIncreasesRepeats) {
-  const auto f = Fixture::make();
-  auto repeat_fraction = [&](double locality) {
-    RequestStream stream(f.catalog, f.demand, 9, locality, 64);
-    std::set<std::tuple<int, int, int>> recent;
-    int repeats = 0;
-    const int n = 50000;
-    std::vector<Request> window;
-    for (int i = 0; i < n; ++i) {
-      const Request r = stream.next();
-      for (const Request& w : window) {
-        if (w.server == r.server && w.site == r.site && w.rank == r.rank) {
-          ++repeats;
-          break;
-        }
-      }
-      window.push_back(r);
-      if (window.size() > 64) window.erase(window.begin());
-    }
-    return static_cast<double>(repeats) / n;
-  };
-  EXPECT_GT(repeat_fraction(0.5), repeat_fraction(0.0) + 0.1);
-}
-
 TEST(RequestStreamTest, BatchDrawsExactlyTheScalarSequence) {
   // next_batch() is the data-oriented hot-loop entry; it must consume the
   // RNG exactly as repeated next() calls do, or the batched simulator
   // diverges from the reference loop.
   const auto f = Fixture::make();
-  for (const double locality : {0.0, 0.4}) {
-    RequestStream scalar(f.catalog, f.demand, 55, locality, 32);
-    RequestStream batched(f.catalog, f.demand, 55, locality, 32);
-    cdn::workload::RequestBatch batch;
-    // Uneven batch sizes cross internal boundaries on purpose.
-    for (const std::size_t count :
-         std::vector<std::size_t>{1, 7, 256, 1000, 3}) {
-      batched.next_batch(batch, count);
-      ASSERT_EQ(batch.size(), count);
-      for (std::size_t i = 0; i < count; ++i) {
-        const Request r = scalar.next();
-        ASSERT_EQ(batch.server[i], r.server) << "locality " << locality;
-        ASSERT_EQ(batch.site[i], r.site);
-        ASSERT_EQ(batch.rank[i], r.rank);
-      }
+  RequestStream scalar(f.catalog, f.demand, 55);
+  RequestStream batched(f.catalog, f.demand, 55);
+  cdn::workload::RequestBatch batch;
+  // Uneven batch sizes cross internal boundaries on purpose.
+  for (const std::size_t count :
+       std::vector<std::size_t>{1, 7, 256, 1000, 3}) {
+    batched.next_batch(batch, count);
+    ASSERT_EQ(batch.size(), count);
+    for (std::size_t i = 0; i < count; ++i) {
+      const Request r = scalar.next();
+      ASSERT_EQ(batch.server[i], r.server);
+      ASSERT_EQ(batch.site[i], r.site);
+      ASSERT_EQ(batch.rank[i], r.rank);
     }
   }
-}
-
-TEST(RequestStreamTest, RejectsInvalidConfig) {
-  const auto f = Fixture::make();
-  EXPECT_THROW(RequestStream(f.catalog, f.demand, 1, 1.0),
-               cdn::PreconditionError);
-  EXPECT_THROW(RequestStream(f.catalog, f.demand, 1, -0.1),
-               cdn::PreconditionError);
-  EXPECT_THROW(RequestStream(f.catalog, f.demand, 1, 0.5, 0),
-               cdn::PreconditionError);
 }
 
 TEST(RequestStreamTest, SubsetStreamSamplesConditionalDistribution) {
@@ -149,7 +113,7 @@ TEST(RequestStreamTest, SubsetStreamSamplesConditionalDistribution) {
   // renormalised — the decomposition the sharded simulator relies on.
   const auto f = Fixture::make();
   const std::vector<cdn::workload::ServerId> subset{0};
-  RequestStream stream(f.catalog, f.demand, 21, 0.0, 256, subset);
+  RequestStream stream(f.catalog, f.demand, 21, subset);
   std::vector<int> site_counts(3, 0);
   const int n = 200000;
   for (int i = 0; i < n; ++i) {
@@ -169,8 +133,8 @@ TEST(RequestStreamTest, SubsetStreamSamplesConditionalDistribution) {
 TEST(RequestStreamTest, ExplicitFullSubsetMatchesDefaultStream) {
   const auto f = Fixture::make();
   const std::vector<cdn::workload::ServerId> all{0, 1};
-  RequestStream a(f.catalog, f.demand, 33, 0.4, 32);
-  RequestStream b(f.catalog, f.demand, 33, 0.4, 32, all);
+  RequestStream a(f.catalog, f.demand, 33);
+  RequestStream b(f.catalog, f.demand, 33, all);
   for (int i = 0; i < 2000; ++i) {
     const Request ra = a.next();
     const Request rb = b.next();
@@ -180,19 +144,10 @@ TEST(RequestStreamTest, ExplicitFullSubsetMatchesDefaultStream) {
   }
 }
 
-TEST(RequestStreamTest, SubsetStreamsWithLocalityStayOnOwnedServers) {
-  const auto f = Fixture::make();
-  const std::vector<cdn::workload::ServerId> subset{1};
-  RequestStream stream(f.catalog, f.demand, 5, 0.6, 16, subset);
-  for (int i = 0; i < 5000; ++i) {
-    EXPECT_EQ(stream.next().server, 1u);
-  }
-}
-
 TEST(RequestStreamTest, RejectsOutOfRangeSubset) {
   const auto f = Fixture::make();
   const std::vector<cdn::workload::ServerId> bad{0, 7};
-  EXPECT_THROW(RequestStream(f.catalog, f.demand, 1, 0.0, 256, bad),
+  EXPECT_THROW(RequestStream(f.catalog, f.demand, 1, bad),
                cdn::PreconditionError);
 }
 
