@@ -19,9 +19,10 @@
 #include "src/util/stats.h"
 
 // Usage: bench_fig6 [--smoke] [metrics.json] [--artifact BENCH_fig6.json]
-//   --smoke  1M requests on a pinned shard count and no accuracy gate —
-//            fast enough for CI while keeping the measured error
-//            deterministic, so the regression gate can track it instead.
+//   --smoke  1M requests on a pinned shard and thread count and no
+//            accuracy gate — fast enough for CI while keeping the measured
+//            error deterministic on any host, so the regression gate can
+//            track it instead.
 int main(int argc, char** argv) {
   using namespace cdn;
   std::cout << "Figure 6: predicted vs actual average cost per request "
@@ -67,7 +68,10 @@ int main(int argc, char** argv) {
     auto sim_cfg = bench::paper_sim();
     if (smoke) {
       sim_cfg.total_requests = 1'000'000;
-      sim_cfg.shards = 8;  // pinned: deterministic across core counts
+      // Pinned: deterministic across core counts.  One thread would run
+      // the one-shard reference and ignore the shard count.
+      sim_cfg.shards = 8;
+      sim_cfg.threads = 2;
     }
     sim_cfg.staleness = sim::StalenessMode::kRefresh;
     sim_cfg.metrics = &registry;

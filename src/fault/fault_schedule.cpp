@@ -1,6 +1,7 @@
 #include "src/fault/fault_schedule.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -116,81 +117,6 @@ FaultSchedule FaultSchedule::random(std::size_t server_count,
   return schedule;
 }
 
-namespace {
-
-/// Whitespace tokenizer over one schedule line with 1-based column
-/// tracking, so every parse error can say exactly where it happened.
-class LineTokens {
- public:
-  LineTokens(const std::string& line, std::size_t line_no)
-      : line_(line), line_no_(line_no) {}
-
-  /// Location prefix of the NEXT token (or of end-of-line).
-  std::string where() const {
-    return "fault schedule line " + std::to_string(line_no_) + ", col " +
-           std::to_string(util::text_column(
-               std::min(next_start(), line_.size())));
-  }
-
-  bool at_end() const { return next_start() >= line_.size(); }
-
-  std::string expect(const char* what) {
-    const std::size_t start = next_start();
-    CDN_EXPECT(start < line_.size(),
-               where() + ": expected " + what + ", but the line ended");
-    std::size_t end = start;
-    while (end < line_.size() && !is_space(line_[end])) ++end;
-    token_where_ = "fault schedule line " + std::to_string(line_no_) +
-                   ", col " + std::to_string(util::text_column(start));
-    pos_ = end;
-    return line_.substr(start, end - start);
-  }
-
-  std::uint32_t u32(const char* what) {
-    const std::string tok = expect(what);
-    return util::parse_u32_token(tok, token_where_);
-  }
-  std::uint64_t u64(const char* what) {
-    const std::string tok = expect(what);
-    return util::parse_u64_token(tok, token_where_);
-  }
-  double finite(const char* what) {
-    const std::string tok = expect(what);
-    return util::parse_finite_double_token(tok, token_where_);
-  }
-  void literal(const char* word) {
-    const std::string tok = expect(word);
-    CDN_EXPECT(tok == word, token_where_ + ": expected '" +
-                                std::string(word) + "' (got '" + tok + "')");
-  }
-  void done() {
-    CDN_EXPECT(at_end(), where() + ": unexpected trailing token '" +
-                             line_.substr(next_start(),
-                                          line_.find_first_of(" \t",
-                                                              next_start()) -
-                                              next_start()) +
-                             "'");
-  }
-
-  /// Location prefix of the most recently consumed token.
-  const std::string& last_where() const { return token_where_; }
-
- private:
-  static bool is_space(char c) { return c == ' ' || c == '\t' || c == '\r'; }
-  std::size_t next_start() const {
-    std::size_t p = pos_;
-    while (p < line_.size() && is_space(line_[p])) ++p;
-    return p;
-  }
-
-  const std::string& line_;
-  std::size_t line_no_;
-  std::size_t pos_ = 0;
-  std::string token_where_;
-};
-
-}  // namespace
-
 FaultSchedule FaultSchedule::parse(const std::string& text) {
   FaultSchedule schedule;
   std::istringstream in(text);
@@ -200,9 +126,9 @@ FaultSchedule FaultSchedule::parse(const std::string& text) {
     ++line_no;
     const auto hash = line.find('#');
     if (hash != std::string::npos) line.erase(hash);
-    LineTokens tokens(line, line_no);
+    util::LineTokens tokens(line, "fault schedule", line_no);
     if (tokens.at_end()) continue;  // blank / comment-only line
-    const std::string kind = tokens.expect("a fault directive");
+    const std::string_view kind = tokens.expect("a fault directive");
     // Interval/multiplier violations from the add_* helpers gain the line
     // location on the way out.
     const auto located = [&](const auto& add) {
@@ -243,8 +169,8 @@ FaultSchedule FaultSchedule::parse(const std::string& text) {
       located([&] { schedule.add_demand_surge(site, begin, end, mult); });
     } else {
       CDN_EXPECT(false, tokens.last_where() + ": unknown fault directive '" +
-                            kind + "' (expected server, origin, link or "
-                            "surge)");
+                            std::string(kind) +
+                            "' (expected server, origin, link or surge)");
     }
   }
   return schedule;
@@ -258,6 +184,17 @@ FaultSchedule FaultSchedule::load(const std::string& path) {
   return parse(buffer.str());
 }
 
+namespace {
+
+/// The shortest text that parses back to exactly `value`.
+std::string exact(double value) {
+  char buf[32];
+  const auto end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  return std::string(buf, end);
+}
+
+}  // namespace
+
 std::string FaultSchedule::serialize() const {
   std::ostringstream out;
   for (const auto& o : server_outages_) {
@@ -270,11 +207,11 @@ std::string FaultSchedule::serialize() const {
   }
   for (const auto& d : link_degradations_) {
     out << "link " << d.server << " degrade " << d.begin << ' ' << d.end
-        << ' ' << d.latency_multiplier << '\n';
+        << ' ' << exact(d.latency_multiplier) << '\n';
   }
   for (const auto& s : demand_surges_) {
     out << "surge " << s.site << ' ' << s.begin << ' ' << s.end << ' '
-        << s.multiplier << '\n';
+        << exact(s.multiplier) << '\n';
   }
   return out.str();
 }

@@ -57,7 +57,7 @@ void EventLoop::remove_fd(int fd) {
     deferred_removals_.push_back(fd);
     // Stop delivering events for it within this pass.
     const auto it = fds_.find(fd);
-    if (it != fds_.end()) it->second.interest = 0;
+    if (it != fds_.end()) it->second.removed = true;
     return;
   }
   fds_.erase(fd);
@@ -148,7 +148,7 @@ std::size_t EventLoop::run_once(std::chrono::milliseconds max_wait) {
       const short revents = pfds[i + 1].revents;
       if (revents == 0) continue;
       const auto it = fds_.find(order[i].first);
-      if (it == fds_.end() || it->second.interest == 0 ||
+      if (it == fds_.end() || it->second.removed ||
           it->second.generation != order[i].second) {
         continue;
       }

@@ -107,13 +107,14 @@ class EventLoop {
   void flush_deferred_removals();
 
   struct FdReg {
-    std::uint32_t interest = 0;
+    std::uint32_t interest = 0;  // 0 still hears kErrored
     FdCallback callback;
     // Bumped on every add_fd.  Readiness captured by poll() is delivered
     // only to the registration that was polled: if a callback earlier in
     // the pass closed the fd and the number was reclaimed for a new
     // socket, the stale revents must not leak to the new registration.
     std::uint64_t generation = 0;
+    bool removed = false;  // awaiting deferred removal: deliver nothing
   };
 
   std::unordered_map<int, FdReg> fds_;

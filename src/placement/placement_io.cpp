@@ -13,59 +13,6 @@ namespace {
 
 const std::string kWhat = "placement file";
 
-/// Whitespace tokenizer with 1-based column tracking, mirroring the fault
-/// schedule and endpoint map parsers so every error carries an exact
-/// location.
-class LineTokens {
- public:
-  LineTokens(const std::string& line, std::size_t line_no)
-      : line_(line), line_no_(line_no) {}
-
-  std::string where() const {
-    return kWhat + " line " + std::to_string(line_no_) + ", col " +
-           std::to_string(
-               util::text_column(std::min(next_start(), line_.size())));
-  }
-
-  bool at_end() const { return next_start() >= line_.size(); }
-
-  std::string expect(const char* what) {
-    const std::size_t start = next_start();
-    CDN_EXPECT(start < line_.size(),
-               where() + ": expected " + what + ", but the line ended");
-    std::size_t end = start;
-    while (end < line_.size() && !is_space(line_[end])) ++end;
-    token_where_ = kWhat + " line " + std::to_string(line_no_) + ", col " +
-                   std::to_string(util::text_column(start));
-    pos_ = end;
-    return line_.substr(start, end - start);
-  }
-
-  std::uint32_t u32(const char* what) {
-    const std::string tok = expect(what);
-    return util::parse_u32_token(tok, token_where_);
-  }
-
-  void done() const {
-    CDN_EXPECT(at_end(), where() + ": unexpected trailing token");
-  }
-
-  const std::string& last_where() const { return token_where_; }
-
- private:
-  static bool is_space(char c) { return c == ' ' || c == '\t' || c == '\r'; }
-  std::size_t next_start() const {
-    std::size_t p = pos_;
-    while (p < line_.size() && is_space(line_[p])) ++p;
-    return p;
-  }
-
-  const std::string& line_;
-  std::size_t line_no_;
-  std::size_t pos_ = 0;
-  std::string token_where_;
-};
-
 }  // namespace
 
 std::string serialize_placement(const sys::ReplicaPlacement& placement) {
@@ -115,15 +62,15 @@ PlacementResult parse_placement_result(const std::string& text,
     ++line_no;
     const auto hash = line.find('#');
     if (hash != std::string::npos) line.erase(hash);
-    LineTokens tokens(line, line_no);
+    util::LineTokens tokens(line, kWhat, line_no);
     if (tokens.at_end()) continue;
-    const std::string verb = tokens.expect("'placement' or 'replica'");
+    const std::string_view verb = tokens.expect("'placement' or 'replica'");
     if (!saw_header) {
       CDN_EXPECT(verb == "placement",
                  tokens.last_where() +
                      ": expected the 'placement <servers> <sites>' header "
                      "first (got '" +
-                     verb + "')");
+                     std::string(verb) + "')");
       const std::uint32_t file_servers = tokens.u32("a server count");
       const std::uint32_t file_sites = tokens.u32("a site count");
       tokens.done();
@@ -137,8 +84,8 @@ PlacementResult parse_placement_result(const std::string& text,
       continue;
     }
     CDN_EXPECT(verb == "replica",
-               tokens.last_where() + ": unknown directive '" + verb +
-                   "' (expected 'replica')");
+               tokens.last_where() + ": unknown directive '" +
+                   std::string(verb) + "' (expected 'replica')");
     const std::uint32_t server = tokens.u32("a server index");
     const std::uint32_t site = tokens.u32("a site index");
     const std::string where = tokens.last_where();

@@ -1,79 +1,17 @@
 #include "src/redirectd/control.h"
 
-#include <deque>
-#include <utility>
-
 #include "src/util/error.h"
 #include "src/util/text_parse.h"
 
 namespace cdn::redirectd {
 
-namespace {
-
-const std::string kWhat = "control command";
-
-/// Whitespace tokenizer with 1-based column tracking, mirroring the
-/// request/endpoint-map parsers so every control error carries an exact
-/// location.
-class LineTokens {
- public:
-  explicit LineTokens(const std::string& line) : line_(line) {}
-
-  std::string where() const {
-    return kWhat + " line 1, col " +
-           std::to_string(
-               util::text_column(std::min(next_start(), line_.size())));
-  }
-
-  bool at_end() const { return next_start() >= line_.size(); }
-
-  std::string expect(const char* what) {
-    const std::size_t start = next_start();
-    CDN_EXPECT(start < line_.size(),
-               where() + ": expected " + what + ", but the line ended");
-    std::size_t end = start;
-    while (end < line_.size() && !is_space(line_[end])) ++end;
-    token_where_ = kWhat + " line 1, col " +
-                   std::to_string(util::text_column(start));
-    pos_ = end;
-    return line_.substr(start, end - start);
-  }
-
-  void done() const {
-    CDN_EXPECT(at_end(), where() + ": unexpected trailing token");
-  }
-
-  const std::string& last_where() const { return token_where_; }
-
- private:
-  static bool is_space(char c) { return c == ' ' || c == '\t' || c == '\r'; }
-  std::size_t next_start() const {
-    std::size_t p = pos_;
-    while (p < line_.size() && is_space(line_[p])) ++p;
-    return p;
-  }
-
-  const std::string& line_;
-  std::size_t pos_ = 0;
-  std::string token_where_;
-};
-
-std::string strip_eol(const std::string& line) {
-  std::string s = line;
-  while (!s.empty() && (s.back() == '\n' || s.back() == '\r')) s.pop_back();
-  return s;
-}
-
-}  // namespace
-
-ControlCommand parse_control_command(const std::string& line) {
+ControlCommand parse_control_command(std::string_view line) {
   CDN_EXPECT(line.size() <= kMaxControlLine,
              "control command line exceeds " +
                  std::to_string(kMaxControlLine) + " bytes (" +
                  std::to_string(line.size()) + ")");
-  const std::string body = strip_eol(line);
-  LineTokens tokens(body);
-  const std::string verb = tokens.expect("a control verb");
+  util::LineTokens tokens(util::strip_eol(line), "control command", 1);
+  const std::string_view verb = tokens.expect("a control verb");
   ControlCommand command;
   if (verb == "STATUS") {
     command.verb = ControlCommand::Verb::kStatus;
@@ -83,246 +21,25 @@ ControlCommand parse_control_command(const std::string& line) {
     tokens.done();
   } else if (verb == "RELOAD") {
     command.verb = ControlCommand::Verb::kReload;
-    const std::string target = tokens.expect("'placement' or 'endpoints'");
+    const std::string_view target =
+        tokens.expect("'placement' or 'endpoints'");
     if (target == "placement") {
       command.reload_kind = ReloadKind::kPlacement;
     } else if (target == "endpoints") {
       command.reload_kind = ReloadKind::kEndpoints;
     } else {
       CDN_EXPECT(false, tokens.last_where() + ": unknown reload target '" +
-                            target +
+                            std::string(target) +
                             "' (expected 'placement' or 'endpoints')");
     }
     command.path = tokens.expect("a file path");
     tokens.done();
   } else {
     CDN_EXPECT(false, tokens.last_where() + ": unknown control verb '" +
-                          verb +
+                          std::string(verb) +
                           "' (expected RELOAD, STATUS, or DRAIN)");
   }
   return command;
-}
-
-/// One control connection.  Commands are answered strictly in order; an
-/// async RELOAD keeps the session busy and later lines queue.
-struct ControlServer::Session {
-  std::uint64_t id = 0;
-  net::Fd fd;
-  std::string inbuf;
-  std::string outbuf;
-  std::deque<std::string> pending;
-  bool busy = false;
-  bool closing = false;
-};
-
-ControlServer::ControlServer(net::EventLoop& loop, std::string host,
-                             std::uint16_t port, Handlers handlers,
-                             obs::Registry* metrics)
-    : loop_(loop),
-      host_(std::move(host)),
-      requested_port_(port),
-      handlers_(std::move(handlers)),
-      alive_(std::make_shared<bool>(true)) {
-  CDN_EXPECT(handlers_.reload != nullptr && handlers_.status != nullptr &&
-                 handlers_.drain != nullptr,
-             "control server needs reload/status/drain handlers");
-  if (metrics != nullptr) {
-    m_commands_ = &metrics->counter("redirect/control/commands");
-    m_errors_ = &metrics->counter("redirect/control/errors");
-  }
-}
-
-ControlServer::~ControlServer() {
-  shutdown();
-  *alive_ = false;
-}
-
-void ControlServer::start() {
-  listener_ = net::TcpListener::bind(host_, requested_port_);
-  loop_.add_fd(listener_.fd(), net::kReadable,
-               [this](std::uint32_t) { on_accept(); });
-}
-
-void ControlServer::shutdown() {
-  if (shutdown_) return;
-  shutdown_ = true;
-  if (listener_.valid()) {
-    if (loop_.has_fd(listener_.fd())) loop_.remove_fd(listener_.fd());
-    listener_.close();
-  }
-  std::vector<int> open;
-  open.reserve(sessions_.size());
-  for (const auto& [fd, session] : sessions_) open.push_back(fd);
-  for (const int fd : open) close_session(fd);
-}
-
-void ControlServer::on_accept() {
-  while (auto fd = listener_.accept()) {
-    auto session = std::make_unique<Session>();
-    session->id = next_session_id_++;
-    session->fd = std::move(*fd);
-    const int raw = session->fd.get();
-    sessions_.emplace(raw, std::move(session));
-    loop_.add_fd(raw, net::kReadable, [this, raw](std::uint32_t events) {
-      on_session_event(raw, events);
-    });
-  }
-}
-
-void ControlServer::on_session_event(int fd, std::uint32_t events) {
-  auto it = sessions_.find(fd);
-  if (it == sessions_.end()) return;
-  Session& session = *it->second;
-
-  if ((events & net::kErrored) != 0) {
-    close_session(fd);
-    return;
-  }
-  if ((events & net::kWritable) != 0) {
-    flush(session);
-    if (sessions_.find(fd) == sessions_.end()) return;
-  }
-  if ((events & net::kReadable) != 0 && !session.closing) {
-    char buf[4096];
-    // Bounded read per dispatch, mirroring the daemon sessions: a
-    // firehosing control client must not starve the data plane.
-    for (int chunk = 0; chunk < 4; ++chunk) {
-      const net::IoResult r = net::read_some(fd, buf, sizeof(buf));
-      if (r.status == net::IoStatus::kOk) {
-        session.inbuf.append(buf, r.bytes);
-        std::size_t start = 0;
-        for (;;) {
-          const std::size_t nl = session.inbuf.find('\n', start);
-          if (nl == std::string::npos) break;
-          session.pending.push_back(
-              session.inbuf.substr(start, nl - start + 1));
-          start = nl + 1;
-        }
-        session.inbuf.erase(0, start);
-        if (session.inbuf.size() > kMaxControlLine) {
-          ++errors_;
-          if (m_errors_ != nullptr) m_errors_->add();
-          send(session, "ERR control line exceeds " +
-                            std::to_string(kMaxControlLine) + " bytes\n");
-          if (sessions_.find(fd) == sessions_.end()) return;
-          session.closing = true;
-          session.inbuf.clear();
-          session.pending.clear();
-          break;
-        }
-        continue;
-      }
-      if (r.status == net::IoStatus::kWouldBlock) break;
-      if (session.busy) {
-        session.closing = true;
-        session.pending.clear();
-      } else {
-        close_session(fd);
-        return;
-      }
-      break;
-    }
-    process_pending(session);
-  }
-  if (sessions_.find(fd) != sessions_.end() && session.closing &&
-      !session.busy && session.outbuf.empty()) {
-    close_session(fd);
-  }
-}
-
-void ControlServer::process_pending(Session& session) {
-  const int fd = session.fd.get();
-  while (!session.busy && !session.pending.empty()) {
-    const std::string line = std::move(session.pending.front());
-    session.pending.pop_front();
-    handle_line(session, line);
-    if (sessions_.find(fd) == sessions_.end()) return;
-  }
-}
-
-void ControlServer::handle_line(Session& session, const std::string& line) {
-  ++commands_;
-  if (m_commands_ != nullptr) m_commands_->add();
-  ControlCommand command;
-  try {
-    command = parse_control_command(line);
-  } catch (const PreconditionError& e) {
-    ++errors_;
-    if (m_errors_ != nullptr) m_errors_->add();
-    send(session, std::string("ERR ") + e.what() + "\n");
-    return;
-  }
-  switch (command.verb) {
-    case ControlCommand::Verb::kStatus:
-      send(session, handlers_.status() + "\n");
-      return;
-    case ControlCommand::Verb::kDrain:
-      send(session, handlers_.drain() + "\n");
-      return;
-    case ControlCommand::Verb::kReload: {
-      session.busy = true;
-      const int fd = session.fd.get();
-      const std::uint64_t session_id = session.id;
-      auto alive = alive_;
-      handlers_.reload(
-          command.reload_kind, command.path,
-          [this, alive, fd, session_id](std::string reply) {
-            if (!*alive) return;
-            if (reply.rfind("ERR", 0) == 0) {
-              ++errors_;
-              if (m_errors_ != nullptr) m_errors_->add();
-            }
-            auto it = sessions_.find(fd);
-            if (it == sessions_.end() || it->second->id != session_id) {
-              return;  // client went away mid-reload; the swap still ran
-            }
-            Session& target = *it->second;
-            target.busy = false;
-            send(target, reply + "\n");
-            if (sessions_.find(fd) != sessions_.end()) {
-              process_pending(target);
-              if (sessions_.find(fd) != sessions_.end() && target.closing &&
-                  !target.busy && target.outbuf.empty()) {
-                close_session(fd);
-              }
-            }
-          });
-      return;
-    }
-  }
-}
-
-void ControlServer::send(Session& session, const std::string& line) {
-  session.outbuf += line;
-  flush(session);
-}
-
-void ControlServer::flush(Session& session) {
-  const int fd = session.fd.get();
-  while (!session.outbuf.empty()) {
-    const net::IoResult r =
-        net::write_some(fd, session.outbuf.data(), session.outbuf.size());
-    if (r.status == net::IoStatus::kOk) {
-      session.outbuf.erase(0, r.bytes);
-      continue;
-    }
-    if (r.status == net::IoStatus::kWouldBlock) {
-      loop_.set_interest(fd, net::kReadable | net::kWritable);
-      return;
-    }
-    session.outbuf.clear();
-    if (!session.busy) close_session(fd);
-    return;
-  }
-  if (loop_.has_fd(fd)) loop_.set_interest(fd, net::kReadable);
-  if (session.closing && !session.busy) close_session(fd);
-}
-
-void ControlServer::close_session(int fd) {
-  auto it = sessions_.find(fd);
-  if (it == sessions_.end()) return;
-  if (loop_.has_fd(fd)) loop_.remove_fd(fd);
-  sessions_.erase(it);
 }
 
 }  // namespace cdn::redirectd

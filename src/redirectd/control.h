@@ -1,4 +1,4 @@
-// Line-protocol control socket for live daemon reconfiguration.
+// Line protocol of the daemon's control socket, for live reconfiguration.
 //
 // A second TCP listener (loopback by default) accepting operator commands,
 // one per line, each answered with exactly one OK/ERR line:
@@ -19,19 +19,16 @@
 // (further pipelined commands queue).  Malformed commands get an ERR with
 // a line/col diagnostic and the session survives; a line longer than
 // kMaxControlLine gets an ERR and the session is closed (a broken or
-// hostile client).  The rc_* adversarial corpus holds the regression
-// inputs.
+// hostile client).  The daemon serves the socket with the same
+// net::LineServer as its data socket, so the same read, queue and output
+// caps apply.  The rc_* adversarial corpus holds the regression inputs.
 
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 
-#include "src/net/event_loop.h"
-#include "src/obs/registry.h"
 #include "src/redirectd/reload.h"
 
 namespace cdn::redirectd {
@@ -52,66 +49,6 @@ struct ControlCommand {
 /// PreconditionError with a line/col diagnostic on any malformed input:
 /// unknown verb, missing/trailing fields, unknown reload target, or a line
 /// longer than kMaxControlLine.
-ControlCommand parse_control_command(const std::string& line);
-
-/// The control listener + its sessions.  Owned by the daemon; everything
-/// runs on the daemon's event loop.
-class ControlServer {
- public:
-  struct Handlers {
-    /// Asynchronous: `done(reply)` fires exactly once, later, on the loop
-    /// thread with the full reply line (no '\n').
-    std::function<void(ReloadKind kind, const std::string& path,
-                       std::function<void(std::string)> done)>
-        reload;
-    /// Synchronous; return the full reply line (no '\n').
-    std::function<std::string()> status;
-    std::function<std::string()> drain;
-  };
-
-  ControlServer(net::EventLoop& loop, std::string host, std::uint16_t port,
-                Handlers handlers, obs::Registry* metrics);
-  ~ControlServer();
-
-  ControlServer(const ControlServer&) = delete;
-  ControlServer& operator=(const ControlServer&) = delete;
-
-  /// Binds and registers the listener.  port() is valid afterwards.
-  void start();
-  /// Closes the listener and every session (the drain path).  Idempotent.
-  void shutdown();
-
-  std::uint16_t port() const noexcept { return listener_.port(); }
-  std::uint64_t commands() const noexcept { return commands_; }
-  std::uint64_t errors() const noexcept { return errors_; }
-  std::size_t session_count() const noexcept { return sessions_.size(); }
-
- private:
-  struct Session;
-
-  void on_accept();
-  void on_session_event(int fd, std::uint32_t events);
-  void process_pending(Session& session);
-  void handle_line(Session& session, const std::string& line);
-  void send(Session& session, const std::string& line);
-  void flush(Session& session);
-  void close_session(int fd);
-
-  net::EventLoop& loop_;
-  std::string host_;
-  std::uint16_t requested_port_;
-  Handlers handlers_;
-  net::TcpListener listener_;
-  std::unordered_map<int, std::unique_ptr<Session>> sessions_;
-  std::uint64_t next_session_id_ = 1;
-  std::uint64_t commands_ = 0;
-  std::uint64_t errors_ = 0;
-  bool shutdown_ = false;
-  /// Cleared on destruction; async reload-done callbacks check it before
-  /// touching `this`.
-  std::shared_ptr<bool> alive_;
-  obs::Counter* m_commands_ = nullptr;
-  obs::Counter* m_errors_ = nullptr;
-};
+ControlCommand parse_control_command(std::string_view line);
 
 }  // namespace cdn::redirectd

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <deque>
 #include <string>
 #include <utility>
 
@@ -33,24 +32,40 @@ std::uint64_t endpoint_map_digest(const EndpointMap& endpoints) {
   return util::fnv1a(canonical.data(), canonical.size());
 }
 
+net::LineServer::Limits line_limits(std::size_t max_line,
+                                    std::size_t max_outbuf,
+                                    const char* what) {
+  return {max_line, max_outbuf,
+          std::string("ERR ") + what + " line exceeds " +
+              std::to_string(max_line) + " bytes\n"};
+}
+
 }  // namespace
 
-/// One client connection.  Requests on a session are answered strictly in
-/// order: while a race is in flight (`busy`) further complete lines queue
-/// in `pending` — clients that want concurrency open more connections
-/// (which is what redirect_load does).
-struct RedirectorDaemon::Session {
-  std::uint64_t id = 0;
-  net::Fd fd;
-  std::string inbuf;
-  std::string outbuf;
-  std::deque<std::string> pending;
-  bool busy = false;     // race in flight; answers must stay ordered
-  bool closing = false;  // close once outbuf drains and no race is live
-};
-
 RedirectorDaemon::RedirectorDaemon(const DaemonConfig& config)
-    : config_(config) {
+    : config_(config),
+      data_(loop_,
+            line_limits(kMaxRequestLine, config.max_session_outbuf, "request"),
+            {[this](net::SessionId id, std::string_view line) {
+               on_request_line(id, line);
+             },
+             [this](net::LineServer::Cap cap) {
+               if (cap != net::LineServer::Cap::kOutbuf) return;
+               ++stats_.slow_reader_closes;
+               if (m_slow_reader_ != nullptr) m_slow_reader_->add();
+             }}),
+      control_(loop_,
+               line_limits(kMaxControlLine, config.max_session_outbuf,
+                           "control"),
+               {[this](net::SessionId id, std::string_view line) {
+                  on_control_line(id, line);
+                },
+                [this](net::LineServer::Cap cap) {
+                  obs::Counter* counter = cap == net::LineServer::Cap::kLine
+                                              ? m_control_errors_
+                                              : m_control_slow_reader_;
+                  if (counter != nullptr) counter->add();
+                }}) {
   CDN_EXPECT(config_.system != nullptr && config_.placement != nullptr,
              "redirector daemon needs a system and a placement");
   CDN_EXPECT(config_.top_k >= 1, "top_k must be at least 1");
@@ -113,6 +128,12 @@ RedirectorDaemon::RedirectorDaemon(const DaemonConfig& config)
     m_generation_ = &r.gauge("redirect/reload/generation");
     m_generation_->set(1.0);
     m_answer_latency_ = &r.timer("redirect/answer_latency");
+    if (config_.control) {
+      m_control_commands_ = &r.counter("redirect/control/commands");
+      m_control_errors_ = &r.counter("redirect/control/errors");
+      m_control_slow_reader_ =
+          &r.counter("redirect/control/slow_reader_closes");
+    }
     m_won_by_rank_.reserve(config_.top_k);
     for (std::size_t rank = 1; rank <= config_.top_k; ++rank) {
       m_won_by_rank_.push_back(
@@ -124,9 +145,7 @@ RedirectorDaemon::RedirectorDaemon(const DaemonConfig& config)
 RedirectorDaemon::~RedirectorDaemon() = default;
 
 void RedirectorDaemon::start() {
-  listener_ = net::TcpListener::bind(config_.host, config_.port);
-  loop_.add_fd(listener_.fd(), net::kReadable,
-               [this](std::uint32_t) { on_accept(); });
+  data_.listen(config_.host, config_.port);
   loop_.set_wakeup_handler([this] { on_wakeup(); });
   start_prober(*state_);
   if (config_.control || !config_.reload_placement_path.empty() ||
@@ -134,22 +153,7 @@ void RedirectorDaemon::start() {
     reload_worker_ = std::make_unique<ReloadWorker>(loop_, *config_.system);
   }
   if (config_.control) {
-    ControlServer::Handlers handlers;
-    handlers.reload = [this](ReloadKind kind, const std::string& path,
-                             std::function<void(std::string)> done) {
-      submit_reload(kind, path, std::move(done));
-    };
-    handlers.status = [this] { return status_line(); };
-    handlers.drain = [this] {
-      // Defer the drain to the wakeup handler so the reply line gets
-      // flushed before the control sessions are torn down.
-      request_stop();
-      return std::string("OK draining");
-    };
-    control_ = std::make_unique<ControlServer>(
-        loop_, config_.control_host, config_.control_port,
-        std::move(handlers), config_.metrics);
-    control_->start();
+    control_.listen(config_.control_host, config_.control_port);
   }
   if (config_.timeline != nullptr) {
     // Idle tick: faults keep playing out even between requests, so health
@@ -272,119 +276,66 @@ std::string RedirectorDaemon::status_line() const {
          " endpoints_digest=" + to_hex(state.endpoints_digest) +
          " requests=" + std::to_string(stats_.requests) +
          " inflight=" + std::to_string(inflight_races_) +
-         " sessions=" + std::to_string(sessions_.size()) +
+         " sessions=" + std::to_string(data_.session_count()) +
          " reloads=" + std::to_string(stats_.reloads_applied) +
          " reload_failures=" + std::to_string(stats_.reloads_failed) +
          " draining=" + (draining_ ? "1" : "0");
 }
 
-void RedirectorDaemon::on_accept() {
-  while (auto fd = listener_.accept()) {
-    auto session = std::make_unique<Session>();
-    session->id = next_session_id_++;
-    session->fd = std::move(*fd);
-    const int raw = session->fd.get();
-    sessions_.emplace(raw, std::move(session));
-    loop_.add_fd(raw, net::kReadable,
-                 [this, raw](std::uint32_t events) {
-                   on_session_event(raw, events);
-                 });
-  }
-}
-
-void RedirectorDaemon::on_session_event(int fd, std::uint32_t events) {
-  auto it = sessions_.find(fd);
-  if (it == sessions_.end()) return;
-  Session& session = *it->second;
-
-  if ((events & net::kErrored) != 0) {
-    close_session(fd);
+void RedirectorDaemon::on_control_line(net::SessionId id,
+                                       std::string_view line) {
+  if (m_control_commands_ != nullptr) m_control_commands_->add();
+  ControlCommand command;
+  try {
+    command = parse_control_command(line);
+  } catch (const PreconditionError& e) {
+    control_reply(id, std::string("ERR ") + e.what());
     return;
   }
-  if ((events & net::kWritable) != 0) {
-    flush(session);
-    if (sessions_.find(fd) == sessions_.end()) return;  // flushed and closed
-  }
-  if ((events & net::kReadable) != 0 && !session.closing) {
-    char buf[4096];
-    // Bounded read per dispatch: a client writing faster than we parse
-    // must not pin this loop iteration until it pauses — that would
-    // starve every other session, the timers, the prober and the control
-    // socket for as long as the firehose lasts.  poll(2) is level-
-    // triggered, so unread bytes re-deliver on the next loop pass, after
-    // everyone else has had their turn.
-    for (int chunk = 0; chunk < 4; ++chunk) {
-      const net::IoResult r = net::read_some(fd, buf, sizeof(buf));
-      if (r.status == net::IoStatus::kOk) {
-        session.inbuf.append(buf, r.bytes);
-        // Lift complete lines out of the input buffer.
-        std::size_t start = 0;
-        for (;;) {
-          const std::size_t nl = session.inbuf.find('\n', start);
-          if (nl == std::string::npos) break;
-          session.pending.push_back(
-              session.inbuf.substr(start, nl - start + 1));
-          start = nl + 1;
-        }
-        session.inbuf.erase(0, start);
-        if (session.inbuf.size() > kMaxRequestLine) {
-          // No newline within the cap: a broken or hostile client.
-          send(session, "ERR request line exceeds " +
-                            std::to_string(kMaxRequestLine) + " bytes\n");
-          // A failed write inside send() tears the session down when no
-          // race is in flight; `session` is freed then.
-          if (sessions_.find(fd) == sessions_.end()) return;
-          session.closing = true;
-          session.inbuf.clear();
-          session.pending.clear();
-          break;
-        }
-        continue;
-      }
-      if (r.status == net::IoStatus::kWouldBlock) break;
-      // kClosed / kError: peer is gone.  Finish what is answerable only if
-      // a race is in flight; otherwise tear down now.
-      if (session.busy) {
-        session.closing = true;
-        session.pending.clear();
-      } else {
-        close_session(fd);
-        return;
-      }
-      break;
-    }
-    process_pending(session);
-  }
-  if (sessions_.find(fd) != sessions_.end() && session.closing &&
-      !session.busy && session.outbuf.empty()) {
-    close_session(fd);
+  switch (command.verb) {
+    case ControlCommand::Verb::kStatus:
+      control_reply(id, status_line());
+      return;
+    case ControlCommand::Verb::kDrain:
+      // The drain runs from the wakeup handler, after this reply has been
+      // written.
+      request_stop();
+      control_reply(id, "OK draining");
+      return;
+    case ControlCommand::Verb::kReload:
+      control_.hold(id);
+      submit_reload(command.reload_kind, command.path,
+                    [this, id](std::string reply) {
+                      control_reply(id, reply);
+                      control_.release(id);
+                    });
+      return;
   }
 }
 
-void RedirectorDaemon::process_pending(Session& session) {
-  // send() tears the session down when the peer is gone, so re-check
-  // liveness after anything that writes (fds are not reused within one
-  // dispatch pass, making the by-fd lookup safe).
-  const int fd = session.fd.get();
-  while (!session.busy && !session.pending.empty()) {
-    const std::string line = std::move(session.pending.front());
-    session.pending.pop_front();
-    RedirectRequest request;
-    bool parsed = true;
-    try {
-      request = parse_request(line);
-    } catch (const PreconditionError& e) {
-      ++stats_.parse_errors;
-      if (m_parse_errors_ != nullptr) m_parse_errors_->add();
-      send(session, std::string("ERR ") + e.what() + "\n");
-      parsed = false;
-    }
-    if (parsed) handle_request(session, request);
-    if (sessions_.find(fd) == sessions_.end()) return;
+void RedirectorDaemon::control_reply(net::SessionId id,
+                                     const std::string& reply) {
+  if (reply.rfind("ERR", 0) == 0 && m_control_errors_ != nullptr) {
+    m_control_errors_->add();
   }
+  control_.reply(id, reply + "\n");
 }
 
-void RedirectorDaemon::handle_request(Session& session,
+void RedirectorDaemon::on_request_line(net::SessionId id,
+                                       std::string_view line) {
+  RedirectRequest request;
+  try {
+    request = parse_request(line);
+  } catch (const PreconditionError& e) {
+    ++stats_.parse_errors;
+    if (m_parse_errors_ != nullptr) m_parse_errors_->add();
+    data_.reply(id, std::string("ERR ") + e.what() + "\n");
+    return;
+  }
+  handle_request(id, request);
+}
+
+void RedirectorDaemon::handle_request(net::SessionId id,
                                       const RedirectRequest& request) {
   const std::uint64_t started_ns = steady_now_ns();
   ++stats_.requests;
@@ -399,11 +350,11 @@ void RedirectorDaemon::handle_request(Session& session,
   const std::size_t servers = config_.system->server_count();
   const std::size_t sites = config_.system->site_count();
   if (request.client_server >= servers) {
-    send(session, "ERR client server index out of range\n");
+    data_.reply(id, "ERR client server index out of range\n");
     return;
   }
   if (request.site >= sites) {
-    send(session, "ERR site index out of range\n");
+    data_.reply(id, "ERR site index out of range\n");
     return;
   }
 
@@ -449,7 +400,7 @@ void RedirectorDaemon::handle_request(Session& session,
   if (candidates.empty()) {
     out.kind = AnswerKind::kUnavailable;
     out.reason = UnavailableReason::kNoLiveCopy;
-    answer(session, out, started_ns);
+    answer(id, out, started_ns);
     return;
   }
 
@@ -489,7 +440,7 @@ void RedirectorDaemon::handle_request(Session& session,
     out.cost = best.cost;
     out.winner_rank = 1;
     out.attempts = 0;
-    answer(session, out, started_ns);
+    answer(id, out, started_ns);
     return;
   }
 
@@ -498,21 +449,19 @@ void RedirectorDaemon::handle_request(Session& session,
     if (m_shed_ != nullptr) m_shed_->add();
     out.kind = AnswerKind::kUnavailable;
     out.reason = UnavailableReason::kShed;
-    answer(session, out, started_ns);
+    answer(id, out, started_ns);
     return;
   }
 
-  session.busy = true;
+  data_.hold(id);
   ++inflight_races_;
   ++stats_.races;
   if (m_races_ != nullptr) m_races_->add();
   const std::uint64_t backoff_seed =
       config_.seed * 0x9e3779b97f4a7c15ULL + stats_.requests;
-  const int fd = session.fd.get();
-  const std::uint64_t session_id = session.id;
   start_race(
       loop_, std::move(raced), config_.race, backoff_seed,
-      [this, fd, session_id, started_ns, site = request.site, state,
+      [this, id, started_ns, site = request.site, state,
        copies = std::move(raced_copies)](const RaceResult& result) {
         --inflight_races_;
         stats_.retries += result.retries;
@@ -522,9 +471,6 @@ void RedirectorDaemon::handle_request(Session& session,
               static_cast<std::uint64_t>(result.backoff_total.count()));
         }
         feed_ewma(site, copies, result);
-        auto it = sessions_.find(fd);
-        const bool session_live =
-            it != sessions_.end() && it->second->id == session_id;
         RedirectAnswer reply;
         reply.site = site;
         if (result.success) {
@@ -546,17 +492,9 @@ void RedirectorDaemon::handle_request(Session& session,
           reply.reason = UnavailableReason::kDeadline;
           reply.attempts = result.attempts;
         }
-        if (session_live) {
-          Session& target = *it->second;
-          target.busy = false;
-          answer(target, reply, started_ns);
-          if (sessions_.find(fd) != sessions_.end()) {
-            process_pending(target);
-            if (sessions_.find(fd) != sessions_.end() && target.closing &&
-                !target.busy && target.outbuf.empty()) {
-              close_session(fd);
-            }
-          }
+        if (data_.open(id)) {
+          answer(id, reply, started_ns);
+          data_.release(id);
         } else {
           // Session died mid-race; still account the outcome.
           record_outcome(reply);
@@ -614,7 +552,7 @@ void RedirectorDaemon::record_outcome(const RedirectAnswer& out) {
   }
 }
 
-void RedirectorDaemon::answer(Session& session, const RedirectAnswer& out,
+void RedirectorDaemon::answer(net::SessionId id, const RedirectAnswer& out,
                               std::uint64_t started_ns) {
   record_outcome(out);
   const std::uint64_t latency_ns = steady_now_ns() - started_ns;
@@ -625,83 +563,27 @@ void RedirectorDaemon::answer(Session& session, const RedirectAnswer& out,
     config_.spans->complete("redirect/request", "redirectd", begin, end,
                             "attempts", static_cast<double>(out.attempts));
   }
-  send(session, format_answer(out));
-}
-
-void RedirectorDaemon::send(Session& session, const std::string& line) {
-  session.outbuf += line;
-  if (session.outbuf.size() > config_.max_session_outbuf) {
-    // The reader is slower than its answer stream; unbounded buffering
-    // would trade one slow client for daemon memory.  Disconnect it.
-    ++stats_.slow_reader_closes;
-    if (m_slow_reader_ != nullptr) m_slow_reader_->add();
-    close_session(session.fd.get());
-    return;
-  }
-  flush(session);
-}
-
-void RedirectorDaemon::flush(Session& session) {
-  const int fd = session.fd.get();
-  while (!session.outbuf.empty()) {
-    const net::IoResult r =
-        net::write_some(fd, session.outbuf.data(), session.outbuf.size());
-    if (r.status == net::IoStatus::kOk) {
-      session.outbuf.erase(0, r.bytes);
-      continue;
-    }
-    if (r.status == net::IoStatus::kWouldBlock) {
-      loop_.set_interest(fd, net::kReadable | net::kWritable);
-      return;
-    }
-    // Peer is gone; nothing left to deliver.
-    session.outbuf.clear();
-    if (!session.busy) close_session(fd);
-    return;
-  }
-  if (loop_.has_fd(fd)) loop_.set_interest(fd, net::kReadable);
-  if (session.closing && !session.busy) close_session(fd);
-}
-
-void RedirectorDaemon::close_session(int fd) {
-  auto it = sessions_.find(fd);
-  if (it == sessions_.end()) return;
-  if (loop_.has_fd(fd)) loop_.remove_fd(fd);
-  sessions_.erase(it);
-  maybe_finish_drain();
+  data_.reply(id, format_answer(out));
 }
 
 void RedirectorDaemon::begin_drain() {
   if (draining_) return;
   draining_ = true;
-  if (listener_.valid()) {
-    if (loop_.has_fd(listener_.fd())) loop_.remove_fd(listener_.fd());
-    listener_.close();
-  }
-  if (control_ != nullptr) control_->shutdown();
+  control_.drain(nullptr);
   if (prober_ != nullptr) prober_->stop();
   if (tick_timer_ != 0) {
     loop_.cancel_timer(tick_timer_);
     tick_timer_ = 0;
   }
-  // Idle sessions close now; busy ones get their answer first.  Queued
-  // lines that have not started are dropped — drain means "finish what is
-  // in flight", not "serve the backlog forever".
-  std::vector<int> idle;
-  for (auto& [fd, session] : sessions_) {
-    session->pending.clear();
-    session->closing = true;
-    if (!session->busy && session->outbuf.empty()) idle.push_back(fd);
-  }
-  for (const int fd : idle) close_session(fd);
   drain_timer_ = loop_.add_timer_after(config_.drain_timeout,
                                        [this] { loop_.stop(); });
-  maybe_finish_drain();
+  // Idle sessions close now; busy ones get their answer first.
+  data_.drain([this] { maybe_finish_drain(); });
 }
 
 void RedirectorDaemon::maybe_finish_drain() {
   if (!draining_) return;
-  if (sessions_.empty() && inflight_races_ == 0) {
+  if (data_.session_count() == 0 && inflight_races_ == 0) {
     if (drain_timer_ != 0) {
       loop_.cancel_timer(drain_timer_);
       drain_timer_ = 0;

@@ -19,8 +19,11 @@
 //   * graceful degradation is explicit: origin fallback when replicas are
 //     gone, UNAVAILABLE no_live_copy when the origin is down too,
 //     UNAVAILABLE shed above the in-flight race limit, UNAVAILABLE
-//     deadline when the race budget is exhausted — never a hang; slow
-//     readers are disconnected once their output backlog exceeds
+//     deadline when the race budget is exhausted — never a hang;
+//   * both sockets, data and control, are served by one net::LineServer
+//     each, so the same per-session bounds hold on both: bounded reads
+//     per dispatch, a line cap, a cap on queued lines, and a slow-reader
+//     disconnect once a session's output backlog exceeds
 //     max_session_outbuf instead of growing it forever;
 //   * request_stop() (async-signal-safe) drains: the listener closes, in-
 //     flight requests finish, idle sessions close, and run() returns —
@@ -47,11 +50,12 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <string_view>
 
 #include "src/cdn/system.h"
 #include "src/fault/wall_clock.h"
 #include "src/net/event_loop.h"
+#include "src/net/line_server.h"
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
 #include "src/placement/placement_result.h"
@@ -79,8 +83,9 @@ struct DaemonConfig {
 
   /// In-flight race limit; beyond it requests are shed with UNAVAILABLE.
   std::size_t max_inflight_races = 256;
-  /// Per-session output backlog cap; a reader slower than this is
-  /// disconnected (counted in redirect/slow_reader_closes).
+  /// Per-session output backlog cap on both sockets; a reader slower than
+  /// this is disconnected (counted in redirect/slow_reader_closes, or
+  /// redirect/control/slow_reader_closes on the control socket).
   std::size_t max_session_outbuf = 64 * 1024;
   /// Drain budget after request_stop() before the loop is forced down.
   std::chrono::milliseconds drain_timeout{2000};
@@ -134,10 +139,8 @@ class RedirectorDaemon {
   /// as the control socket.
   void request_reload() noexcept;
 
-  std::uint16_t port() const noexcept { return listener_.port(); }
-  std::uint16_t control_port() const noexcept {
-    return control_ != nullptr ? control_->port() : 0;
-  }
+  std::uint16_t port() const noexcept { return data_.port(); }
+  std::uint16_t control_port() const noexcept { return control_.port(); }
   net::EventLoop& loop() noexcept { return loop_; }
   bool draining() const noexcept { return draining_; }
   /// Serving-state generation (starts at 1, bumped per applied reload).
@@ -161,8 +164,6 @@ class RedirectorDaemon {
   const Stats& stats() const noexcept { return stats_; }
 
  private:
-  struct Session;
-
   /// One immutable generation of serving state.  Swapped wholesale; race
   /// callbacks pin the generation they started with via shared_ptr.
   struct ServingState {
@@ -182,20 +183,17 @@ class RedirectorDaemon {
     }
   };
 
-  void on_accept();
-  void on_session_event(int fd, std::uint32_t events);
-  void process_pending(Session& session);
-  void handle_request(Session& session, const RedirectRequest& request);
-  void answer(Session& session, const RedirectAnswer& out,
+  void on_request_line(net::SessionId id, std::string_view line);
+  void on_control_line(net::SessionId id, std::string_view line);
+  void control_reply(net::SessionId id, const std::string& reply);
+  void handle_request(net::SessionId id, const RedirectRequest& request);
+  void answer(net::SessionId id, const RedirectAnswer& out,
               std::uint64_t started_ns);
   void record_outcome(const RedirectAnswer& out);
   void feed_ewma(sys::SiteIndex site,
                  const std::vector<sys::NearestCopy>& copies,
                  const RaceResult& result);
   void arm_tick();
-  void send(Session& session, const std::string& line);
-  void flush(Session& session);
-  void close_session(int fd);
   void begin_drain();
   void maybe_finish_drain();
   void advance_timeline();
@@ -208,16 +206,14 @@ class RedirectorDaemon {
 
   DaemonConfig config_;
   net::EventLoop loop_;
-  net::TcpListener listener_;
+  net::LineServer data_;     // GET lines, kMaxRequestLine
+  net::LineServer control_;  // control commands, kMaxControlLine
   std::shared_ptr<const ServingState> state_;
   std::unique_ptr<LatencyEwma> ewma_;
   std::unique_ptr<HealthProber> prober_;
   std::unique_ptr<ReloadWorker> reload_worker_;
-  std::unique_ptr<ControlServer> control_;
   std::vector<std::uint8_t> health_scratch_;  // merged server mask
 
-  std::unordered_map<int, std::unique_ptr<Session>> sessions_;
-  std::uint64_t next_session_id_ = 1;
   std::size_t inflight_races_ = 0;
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> reload_requested_{false};
@@ -241,6 +237,9 @@ class RedirectorDaemon {
   obs::Counter* m_reload_failed_ = nullptr;
   obs::Gauge* m_generation_ = nullptr;
   obs::TimerStat* m_answer_latency_ = nullptr;
+  obs::Counter* m_control_commands_ = nullptr;
+  obs::Counter* m_control_errors_ = nullptr;
+  obs::Counter* m_control_slow_reader_ = nullptr;
   std::vector<obs::Counter*> m_won_by_rank_;  // index 0 = rank 1
 };
 

@@ -10,97 +10,18 @@ namespace cdn::redirectd {
 
 namespace {
 
-/// Whitespace tokenizer with 1-based column tracking, mirroring the fault
-/// schedule parser so every protocol/config error carries an exact
-/// location.
-class LineTokens {
- public:
-  LineTokens(const std::string& line, const std::string& what,
-             std::size_t line_no)
-      : line_(line), what_(what), line_no_(line_no) {}
-
-  std::string where() const {
-    return what_ + " line " + std::to_string(line_no_) + ", col " +
-           std::to_string(util::text_column(
-               std::min(next_start(), line_.size())));
-  }
-
-  bool at_end() const { return next_start() >= line_.size(); }
-
-  std::string expect(const char* what) {
-    const std::size_t start = next_start();
-    CDN_EXPECT(start < line_.size(),
-               where() + ": expected " + what + ", but the line ended");
-    std::size_t end = start;
-    while (end < line_.size() && !is_space(line_[end])) ++end;
-    token_where_ = what_ + " line " + std::to_string(line_no_) + ", col " +
-                   std::to_string(util::text_column(start));
-    pos_ = end;
-    return line_.substr(start, end - start);
-  }
-
-  std::uint32_t u32(const char* what) {
-    const std::string tok = expect(what);
-    return util::parse_u32_token(tok, token_where_);
-  }
-  std::uint64_t u64(const char* what) {
-    const std::string tok = expect(what);
-    return util::parse_u64_token(tok, token_where_);
-  }
-  double finite(const char* what) {
-    const std::string tok = expect(what);
-    return util::parse_finite_double_token(tok, token_where_);
-  }
-  void literal(const char* word) {
-    const std::string tok = expect(word);
-    CDN_EXPECT(tok == word, token_where_ + ": expected '" +
-                                std::string(word) + "' (got '" + tok + "')");
-  }
-  void done() {
-    CDN_EXPECT(at_end(),
-               where() + ": unexpected trailing token '" +
-                   line_.substr(next_start(),
-                                line_.find_first_of(
-                                    " \t", next_start()) - next_start()) +
-                   "'");
-  }
-
-  const std::string& last_where() const { return token_where_; }
-
- private:
-  static bool is_space(char c) { return c == ' ' || c == '\t' || c == '\r'; }
-  std::size_t next_start() const {
-    std::size_t p = pos_;
-    while (p < line_.size() && is_space(line_[p])) ++p;
-    return p;
-  }
-
-  const std::string& line_;
-  const std::string& what_;
-  std::size_t line_no_;
-  std::size_t pos_ = 0;
-  std::string token_where_;
-};
-
-std::string strip_eol(const std::string& line) {
-  std::string s = line;
-  while (!s.empty() && (s.back() == '\n' || s.back() == '\r')) s.pop_back();
-  return s;
-}
-
-const std::string kRequestWhat = "redirect request";
-const std::string kAnswerWhat = "redirect answer";
-const std::string kEndpointsWhat = "endpoint map";
+constexpr std::string_view kRequestWhat = "redirect request";
+constexpr std::string_view kAnswerWhat = "redirect answer";
+constexpr std::string_view kEndpointsWhat = "endpoint map";
 
 }  // namespace
 
-RedirectRequest parse_request(const std::string& line) {
+RedirectRequest parse_request(std::string_view line) {
   CDN_EXPECT(line.size() <= kMaxRequestLine,
              "redirect request line exceeds " +
                  std::to_string(kMaxRequestLine) + " bytes (" +
                  std::to_string(line.size()) + ")");
-  const std::string body = strip_eol(line);
-  LineTokens tokens(body, kRequestWhat, 1);
+  util::LineTokens tokens(util::strip_eol(line), kRequestWhat, 1);
   tokens.literal("GET");
   RedirectRequest request;
   request.client_server = tokens.u32("the client's first-hop server index");
@@ -151,10 +72,9 @@ std::string format_answer(const RedirectAnswer& answer) {
   return os.str();
 }
 
-RedirectAnswer parse_answer(const std::string& line) {
-  const std::string body = strip_eol(line);
-  LineTokens tokens(body, kAnswerWhat, 1);
-  const std::string verb = tokens.expect("a response verb");
+RedirectAnswer parse_answer(std::string_view line) {
+  util::LineTokens tokens(util::strip_eol(line), kAnswerWhat, 1);
+  const std::string_view verb = tokens.expect("a response verb");
   RedirectAnswer answer;
   if (verb == "REPLICA") {
     answer.kind = AnswerKind::kReplica;
@@ -169,7 +89,7 @@ RedirectAnswer parse_answer(const std::string& line) {
     answer.attempts = tokens.u32("the attempt count");
   } else if (verb == "UNAVAILABLE") {
     answer.kind = AnswerKind::kUnavailable;
-    const std::string reason = tokens.expect("an unavailability reason");
+    const std::string_view reason = tokens.expect("an unavailability reason");
     if (reason == "no_live_copy") {
       answer.reason = UnavailableReason::kNoLiveCopy;
     } else if (reason == "shed") {
@@ -178,69 +98,73 @@ RedirectAnswer parse_answer(const std::string& line) {
       answer.reason = UnavailableReason::kDeadline;
     } else {
       CDN_EXPECT(false, tokens.last_where() +
-                            ": unknown unavailability reason '" + reason +
-                            "'");
+                            ": unknown unavailability reason '" +
+                            std::string(reason) + "'");
     }
   } else {
     CDN_EXPECT(false, tokens.last_where() + ": unknown response verb '" +
-                          verb + "'");
+                          std::string(verb) + "'");
   }
   tokens.done();
   return answer;
 }
 
-EndpointMap EndpointMap::parse(const std::string& text) {
+EndpointMap EndpointMap::parse(const std::string& text,
+                               std::size_t server_count,
+                               std::size_t site_count) {
   EndpointMap map;
   std::istringstream in(text);
   std::string line;
   std::size_t line_no = 0;
-
-  const auto assign = [&](std::vector<std::optional<Endpoint>>& slots,
-                          std::uint32_t index, Endpoint endpoint,
-                          const std::string& where, const char* what) {
-    if (slots.size() <= index) slots.resize(index + 1);
-    CDN_EXPECT(!slots[index].has_value(),
-               where + ": duplicate " + what + " entry for index " +
-                   std::to_string(index));
-    slots[index] = std::move(endpoint);
-  };
-
   while (std::getline(in, line)) {
     ++line_no;
     const auto hash = line.find('#');
     if (hash != std::string::npos) line.erase(hash);
-    LineTokens tokens(line, kEndpointsWhat, line_no);
+    util::LineTokens tokens(line, kEndpointsWhat, line_no);
     if (tokens.at_end()) continue;
-    const std::string kind = tokens.expect("'replica' or 'origin'");
+    const std::string_view kind = tokens.expect("'replica' or 'origin'");
     CDN_EXPECT(kind == "replica" || kind == "origin",
-               tokens.last_where() + ": unknown directive '" + kind +
-                   "' (expected 'replica' or 'origin')");
+               tokens.last_where() + ": unknown directive '" +
+                   std::string(kind) + "' (expected 'replica' or 'origin')");
+    const bool replica = kind == "replica";
+    // The index sizes a slot vector, so it is checked against the fleet
+    // shape before anything is allocated.
     const std::uint32_t index = tokens.u32("a target index");
-    const std::string host = tokens.expect("a host");
+    const std::size_t limit = replica ? server_count : site_count;
+    CDN_EXPECT(index < limit,
+               tokens.last_where() +
+                   (replica ? ": server index " : ": site index ") +
+                   std::to_string(index) + " is out of range (" +
+                   (replica ? "fleet has " : "catalogue has ") +
+                   std::to_string(limit) + (replica ? " servers)" : " sites)"));
+    const std::string_view host = tokens.expect("a host");
     const std::uint32_t port = tokens.u32("a port");
     const std::string port_where = tokens.last_where();
     tokens.done();
     CDN_EXPECT(port >= 1 && port <= 65535,
                port_where + ": port " + std::to_string(port) +
                    " is outside [1, 65535]");
-    Endpoint endpoint{host, static_cast<std::uint16_t>(port)};
-    if (kind == "replica") {
-      assign(map.replicas, index, std::move(endpoint), port_where,
-             "replica");
-    } else {
-      assign(map.origins, index, std::move(endpoint), port_where, "origin");
-    }
+    std::vector<std::optional<Endpoint>>& slots =
+        replica ? map.replicas : map.origins;
+    if (slots.size() <= index) slots.resize(index + 1);
+    CDN_EXPECT(!slots[index].has_value(),
+               port_where + ": duplicate " + std::string(kind) +
+                   " entry for index " + std::to_string(index));
+    slots[index] =
+        Endpoint{std::string(host), static_cast<std::uint16_t>(port)};
   }
   return map;
 }
 
-EndpointMap EndpointMap::load(const std::string& path) {
+EndpointMap EndpointMap::load(const std::string& path,
+                              std::size_t server_count,
+                              std::size_t site_count) {
   std::ifstream in(path);
   CDN_EXPECT(in.good(), "cannot open endpoint map: " + path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
   CDN_EXPECT(!in.bad(), "I/O error reading endpoint map: " + path);
-  return parse(buffer.str());
+  return parse(buffer.str(), server_count, site_count);
 }
 
 void EndpointMap::validate(std::size_t server_count,

@@ -27,13 +27,15 @@
 //   origin <site> <host> <port>
 //
 // Ports must be decimal integers in [1, 65535] — "nan", floats and
-// overflowing values are rejected (corpus prefix rd_*).
+// overflowing values are rejected — and indices must lie inside the fleet
+// shape (corpus prefix rd_*).
 
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cdn::redirectd {
@@ -52,7 +54,7 @@ struct RedirectRequest {
 /// PreconditionError on any malformed input: wrong verb, missing fields,
 /// trailing junk, non-numeric / overflowing ids, or a line longer than
 /// kMaxRequestLine.
-RedirectRequest parse_request(const std::string& line);
+RedirectRequest parse_request(std::string_view line);
 
 /// Formats the request line (with '\n').
 std::string format_request(const RedirectRequest& request);
@@ -85,7 +87,7 @@ std::string format_answer(const RedirectAnswer& answer);
 
 /// Parses a response line (used by redirect_load and the tests).  Throws
 /// PreconditionError on malformed responses.
-RedirectAnswer parse_answer(const std::string& line);
+RedirectAnswer parse_answer(std::string_view line);
 
 /// One replica/origin endpoint.
 struct Endpoint {
@@ -103,13 +105,16 @@ struct EndpointMap {
   bool empty() const noexcept { return replicas.empty() && origins.empty(); }
 
   /// Text format parser (see header comment).  Throws PreconditionError
-  /// with line/column locations on malformed input; duplicate indices are
-  /// rejected.  Indices are validated against server/site counts later by
-  /// `validate` (the file stands alone, like FaultSchedule).
-  static EndpointMap parse(const std::string& text);
-  static EndpointMap load(const std::string& path);
+  /// with line/column locations on malformed input; duplicate indices and
+  /// indices outside the fleet shape (`server_count` servers, `site_count`
+  /// sites) are rejected, the latter before any slot is allocated.
+  static EndpointMap parse(const std::string& text, std::size_t server_count,
+                           std::size_t site_count);
+  static EndpointMap load(const std::string& path, std::size_t server_count,
+                          std::size_t site_count);
 
-  /// Throws PreconditionError when an index exceeds the fleet shape.
+  /// Throws PreconditionError when an index exceeds the fleet shape (for
+  /// maps built in code rather than parsed).
   void validate(std::size_t server_count, std::size_t site_count) const;
 
   std::string serialize() const;

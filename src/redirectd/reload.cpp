@@ -78,9 +78,8 @@ ReloadOutcome ReloadWorker::process(const Request& request) const {
       outcome.digest = placement::placement_digest(placement->placement);
       outcome.placement = std::move(placement);
     } else {
-      auto endpoints = std::make_shared<EndpointMap>(
-          EndpointMap::load(request.path));
-      endpoints->validate(system_.server_count(), system_.site_count());
+      auto endpoints = std::make_shared<const EndpointMap>(EndpointMap::load(
+          request.path, system_.server_count(), system_.site_count()));
       const std::string canonical = endpoints->serialize();
       outcome.digest = util::fnv1a(canonical.data(), canonical.size());
       outcome.endpoints = std::move(endpoints);

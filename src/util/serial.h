@@ -84,6 +84,7 @@ class ByteReader {
   }
   void raw(void* out, std::size_t bytes) {
     need(bytes, "raw bytes");
+    if (bytes == 0) return;  // `out` may be an empty vector's null data()
     std::memcpy(out, data_.data() + pos_, bytes);
     pos_ += bytes;
   }

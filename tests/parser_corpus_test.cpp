@@ -108,8 +108,10 @@ TEST(ParserCorpusTest, RedirectRequestFilesAllRejected) {
 }
 
 TEST(ParserCorpusTest, EndpointMapFilesAllRejected) {
-  expect_all_rejected("rd_", 10, [](const std::string& p) {
-    (void)redirectd::EndpointMap::load(p);
+  const test::TestSystem t = test::TestSystem::make();
+  expect_all_rejected("rd_", 10, [&](const std::string& p) {
+    (void)redirectd::EndpointMap::load(p, t.system->server_count(),
+                                       t.system->site_count());
   });
 }
 
@@ -126,7 +128,8 @@ TEST(ParserCorpusTest, ReloadPlacementFilesAllRejected) {
 TEST(ParserCorpusTest, ReloadEndpointFilesAllRejected) {
   const test::TestSystem t = test::TestSystem::make();
   expect_all_rejected("rc_endpoints_", 1, [&](const std::string& p) {
-    redirectd::EndpointMap map = redirectd::EndpointMap::load(p);
+    redirectd::EndpointMap map = redirectd::EndpointMap::load(
+        p, t.system->server_count(), t.system->site_count());
     map.validate(t.system->server_count(), t.system->site_count());
   });
 }

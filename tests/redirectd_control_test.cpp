@@ -1,17 +1,23 @@
 // Live-reconfiguration suite for the redirector daemon: the control
 // socket (RELOAD/STATUS/DRAIN), SIGHUP-path reloads, generation-counted
 // state swaps under load, EWMA outlier ejection shifting real race
-// outcomes, and the slow-reader disconnect.  Mirrors the discipline of
-// redirectd_integration_test.cpp: every read has a timeout and
+// outcomes, the slow-reader disconnect, and a table of hostile clients
+// run against both the data and the control socket.  Mirrors the
+// discipline of redirectd_integration_test.cpp: every read has a timeout and
 // daemon.stats()/latency_ewma() are only touched after the loop thread
 // has been joined.
 
 #include "src/redirectd/control.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -20,9 +26,11 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "mock_replica.h"
+#include "src/obs/registry.h"
 #include "src/placement/fixed_split.h"
 #include "src/placement/placement_io.h"
 #include "src/redirectd/daemon.h"
@@ -283,6 +291,34 @@ TEST(ControlServer, MalformedReloadLeavesThePreviousGenerationServing) {
   runner.stop();
   EXPECT_EQ(daemon.stats().reloads_failed, 1u);
   EXPECT_EQ(daemon.stats().reloads_applied, 0u);
+  EXPECT_EQ(daemon.generation(), 1u);
+}
+
+TEST(ControlServer, ReloadEndpointsRejectsAnIndexOutsideTheFleet) {
+  // The index would size a 20M-slot vector; it is refused with its line
+  // and column before anything is allocated.
+  Fixture fx;
+  DaemonConfig config = base_config(fx);
+  RedirectorDaemon daemon(config);
+  DaemonRunner runner(daemon);
+
+  const std::string bad = std::string(HYBRIDCDN_TEST_DATA_DIR) +
+                          "/corpus/rd_index_huge.txt";
+  net::Fd ctl = connect_client(daemon.control_port());
+  const auto reply = control_rpc(ctl.get(), "RELOAD endpoints " + bad);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->rfind("ERR reload endpoints: ", 0), 0u) << *reply;
+  EXPECT_NE(reply->find("endpoint map line 1, col 9: server index 20000000 "
+                        "is out of range (fleet has 4 servers)"),
+            std::string::npos)
+      << *reply;
+
+  const auto status = control_rpc(ctl.get(), "STATUS");
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status_field(*status, "generation"), "1");
+
+  runner.stop();
+  EXPECT_EQ(daemon.stats().reloads_failed, 1u);
   EXPECT_EQ(daemon.generation(), 1u);
 }
 
@@ -575,6 +611,453 @@ TEST(RedirectorDaemon, SlowReaderIsDisconnectedAtTheOutbufCap) {
   runner.stop();
   EXPECT_GE(daemon.stats().slow_reader_closes, 1u);
 }
+
+
+// ---------------------------------------------------------------------------
+// Hostile clients, one table run against both sockets.  Both are served by
+// the same net::LineServer, so every row must hold on each.  As in the
+// happy-eyeballs tables of SNIPPETS.md, a row names what the client does,
+// what the daemon must show for it, and a bound on how long that takes.
+
+enum class Socket : std::uint8_t { kData, kControl };
+
+enum class Client : std::uint8_t {
+  kNeverReads,         // pipelines valid lines, 4 KiB SO_RCVBUF, never reads
+  kOverlongLine,       // a partial line past the socket's cap, no newline
+  kOverlongThenReset,  // the same, then an RST instead of reading
+  kHalfCloses,         // kHalfCloseLines lines, then shutdown(SHUT_WR)
+  kPipelinesWhileHeld, // 256 KiB of lines behind a line the daemon holds
+};
+
+/// What the daemon must show.  Every field is compared exactly.
+struct HostileExpected {
+  std::uint64_t slow_reader_closes;  // the socket's counter after the run
+  bool one_err_line;                 // one ERR naming the line cap
+  bool every_line_answered_in_order;
+  bool eof;                          // then a clean close
+  bool fresh_session_served;         // a new session still gets answers
+  int max_ms;                        // bound on the whole exchange
+};
+
+struct HostileCase {
+  const char* name;
+  Client client;
+  HostileExpected expected;
+};
+
+const HostileCase kHostileCases[] = {
+    {"never_reads", Client::kNeverReads,
+     {.slow_reader_closes = 1, .one_err_line = false,
+      .every_line_answered_in_order = false, .eof = false,
+      .fresh_session_served = false, .max_ms = 10000}},
+    {"overlong_line", Client::kOverlongLine,
+     {.slow_reader_closes = 0, .one_err_line = true,
+      .every_line_answered_in_order = false, .eof = true,
+      .fresh_session_served = false, .max_ms = 5000}},
+    {"overlong_line_then_rst", Client::kOverlongThenReset,
+     {.slow_reader_closes = 0, .one_err_line = false,
+      .every_line_answered_in_order = false, .eof = false,
+      .fresh_session_served = true, .max_ms = 5000}},
+    {"half_close", Client::kHalfCloses,
+     {.slow_reader_closes = 0, .one_err_line = false,
+      .every_line_answered_in_order = true, .eof = true,
+      .fresh_session_served = false, .max_ms = 5000}},
+    {"pipelines_while_held", Client::kPipelinesWhileHeld,
+     {.slow_reader_closes = 0, .one_err_line = false,
+      .every_line_answered_in_order = true, .eof = false,
+      .fresh_session_served = false, .max_ms = 30000}},
+};
+
+void PrintTo(const HostileCase& row, std::ostream* os) { *os << row.name; }
+void PrintTo(Socket socket, std::ostream* os) {
+  *os << (socket == Socket::kData ? "data" : "control");
+}
+
+constexpr std::size_t kHalfCloseLines = 64;
+constexpr std::size_t kHeldPipelineBytes = 256 * 1024;
+
+struct Observed {
+  std::uint64_t slow_reader_closes = 0;
+  bool one_err_line = false;
+  bool every_line_answered_in_order = false;
+  bool eof = false;
+  bool fresh_session_served = false;
+};
+
+std::size_t line_cap(Socket socket) {
+  return socket == Socket::kData ? kMaxRequestLine : kMaxControlLine;
+}
+
+/// The k-th line a client sends.  Data lines cycle through the sites no
+/// server replicates, so each ORIGIN answer names its line's site; control
+/// lines alternate STATUS with an unknown verb carrying k, so each ERR
+/// names its line.
+std::string hostile_line(Socket socket, std::size_t k) {
+  if (socket == Socket::kData) {
+    return format_request({0, static_cast<std::uint32_t>(1 + k % 7), k});
+  }
+  return k % 2 == 0 ? std::string("STATUS\n")
+                    : "V" + std::to_string(k) + "\n";
+}
+
+bool answers_line(Socket socket, std::size_t k, const std::string& answer) {
+  if (socket == Socket::kData) {
+    try {
+      const RedirectAnswer a = parse_answer(answer);
+      return a.kind == AnswerKind::kOrigin && a.site == 1 + k % 7;
+    } catch (const PreconditionError&) {
+      return false;
+    }
+  }
+  if (k % 2 == 0) return answer.rfind("OK generation=", 0) == 0;
+  return answer.rfind("ERR ", 0) == 0 &&
+         answer.find("'V" + std::to_string(k) + "'") != std::string::npos;
+}
+
+/// Buffered reader of answer lines with one deadline (net::read_line
+/// reads a byte per call, too slow for megabytes of answers).
+class LineReader {
+ public:
+  LineReader(int fd, Clock::time_point deadline)
+      : fd_(fd), deadline_(deadline) {}
+
+  /// The next line with its '\n'; nullopt at EOF, on an error or at the
+  /// deadline.
+  std::optional<std::string> next() {
+    for (;;) {
+      const std::size_t nl = buf_.find('\n', pos_);
+      if (nl != std::string::npos) {
+        std::string line = buf_.substr(pos_, nl + 1 - pos_);
+        pos_ = nl + 1;
+        return line;
+      }
+      buf_.erase(0, pos_);
+      pos_ = 0;
+      char chunk[65536];
+      const net::IoResult r = net::read_some(fd_, chunk, sizeof(chunk));
+      if (r.status == net::IoStatus::kOk) {
+        buf_.append(chunk, r.bytes);
+        continue;
+      }
+      if (r.status == net::IoStatus::kClosed) {
+        eof_ = buf_.empty();
+        return std::nullopt;
+      }
+      if (r.status == net::IoStatus::kError) return std::nullopt;
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline_ - Clock::now());
+      if (left.count() <= 0) return std::nullopt;
+      pollfd p{fd_, POLLIN, 0};
+      if (::poll(&p, 1, static_cast<int>(left.count())) <= 0) {
+        return std::nullopt;
+      }
+    }
+  }
+
+  /// True once next() has seen a clean EOF with nothing left over.
+  bool eof() const { return eof_; }
+
+ private:
+  int fd_;
+  Clock::time_point deadline_;
+  std::string buf_;
+  std::size_t pos_ = 0;
+  bool eof_ = false;
+};
+
+int ms_left(Clock::time_point deadline) {
+  return static_cast<int>(std::max<std::int64_t>(
+      1, std::chrono::duration_cast<std::chrono::milliseconds>(
+             deadline - Clock::now())
+             .count()));
+}
+
+/// True once the daemon has reset the connection: what a client that never
+/// reads sees of the daemon closing its session.
+bool was_reset(int fd) {
+  pollfd p{fd, POLLOUT, 0};
+  return ::poll(&p, 1, 0) == 1 && (p.revents & (POLLERR | POLLHUP)) != 0;
+}
+
+void reset_now(net::Fd& fd) {
+  const linger abort{1, 0};
+  ::setsockopt(fd.get(), SOL_SOCKET, SO_LINGER, &abort, sizeof(abort));
+  fd.reset();
+}
+
+/// Keeps a RELOAD in flight: the reload worker blocks opening this FIFO
+/// until feed() opens its write end.  The destructor feeds it an empty
+/// file if the test never did, so the worker cannot outlive the daemon.
+class HeldReloadFile {
+ public:
+  HeldReloadFile() : path_(temp_path("held_fifo")) {
+    std::filesystem::remove(path_);
+    EXPECT_EQ(::mkfifo(path_.c_str(), 0600), 0) << path_;
+  }
+  ~HeldReloadFile() {
+    if (!fed_) feed("", 5s);
+    std::filesystem::remove(path_);
+  }
+  HeldReloadFile(const HeldReloadFile&) = delete;
+  HeldReloadFile& operator=(const HeldReloadFile&) = delete;
+
+  const std::filesystem::path& path() const { return path_; }
+
+  /// Writes `text` once the worker holds the read end; false when it never
+  /// did within `timeout`.
+  bool feed(const std::string& text, std::chrono::milliseconds timeout) {
+    const auto deadline = Clock::now() + timeout;
+    for (;;) {
+      net::Fd fd(::open(path_.c_str(), O_WRONLY | O_NONBLOCK));
+      if (fd.valid()) {
+        fed_ = true;
+        return ::write(fd.get(), text.data(), text.size()) ==
+               static_cast<ssize_t>(text.size());
+      }
+      if (errno != ENXIO || Clock::now() >= deadline) return false;
+      std::this_thread::sleep_for(5ms);
+    }
+  }
+
+ private:
+  std::filesystem::path path_;
+  bool fed_ = false;
+};
+
+/// A client with a 4 KiB receive buffer from the handshake on.  Shrunk
+/// after connect, the buffer is smaller than the window already advertised:
+/// the kernel drops what the daemon sends into it, and on loopback's 64 KiB
+/// segments both directions can stall in retransmission backoff for
+/// seconds, so the flood would stop reaching the daemon.
+net::Fd connect_small_window(std::uint16_t port) {
+  net::Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
+  const int rcvbuf = 4096;
+  EXPECT_EQ(::setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                         sizeof(rcvbuf)),
+            0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  EXPECT_TRUE(net::set_nonblocking_cloexec(fd.get()));
+  return fd;
+}
+
+void never_reads(std::uint16_t port, Socket socket,
+                 Clock::time_point deadline) {
+  net::Fd fd = connect_small_window(port);
+  std::string block;
+  for (int i = 0; i < 1000; ++i) block += hostile_line(socket, 0);
+  // Writes are short and time-bounded, so a full or reset socket only ends
+  // a block early; the daemon's close shows up as a reset.
+  while (!was_reset(fd.get()) && Clock::now() < deadline) {
+    (void)net::write_all(fd.get(), block.data(), block.size(), 100);
+  }
+}
+
+void overlong_line(std::uint16_t port, Socket socket,
+                   Clock::time_point deadline, Observed& seen) {
+  net::Fd fd = connect_client(port);
+  const std::string flood(line_cap(socket) + 64, 'a');  // no newline
+  ASSERT_TRUE(net::write_all(fd.get(), flood.data(), flood.size(),
+                             ms_left(deadline)));
+  LineReader reader(fd.get(), deadline);
+  const auto err = reader.next();
+  seen.one_err_line =
+      err.has_value() && err->rfind("ERR ", 0) == 0 &&
+      err->find("exceeds " + std::to_string(line_cap(socket)) + " bytes") !=
+          std::string::npos;
+  seen.eof = !reader.next().has_value() && reader.eof();
+}
+
+void overlong_then_reset(std::uint16_t port, Socket socket,
+                         Clock::time_point deadline, Observed& seen) {
+  {
+    net::Fd fd = connect_client(port);
+    const std::string flood(line_cap(socket) + 64, 'a');
+    ASSERT_TRUE(net::write_all(fd.get(), flood.data(), flood.size(),
+                               ms_left(deadline)));
+    reset_now(fd);
+  }
+  net::Fd fresh = connect_client(port);
+  const std::string line = hostile_line(socket, 0);
+  ASSERT_TRUE(net::write_all(fresh.get(), line.data(), line.size(),
+                             ms_left(deadline)));
+  LineReader reader(fresh.get(), deadline);
+  const auto answer = reader.next();
+  seen.fresh_session_served =
+      answer.has_value() && answers_line(socket, 0, *answer);
+}
+
+void half_closes(std::uint16_t port, Socket socket,
+                 Clock::time_point deadline, Observed& seen) {
+  net::Fd fd = connect_client(port);
+  std::string lines;
+  for (std::size_t k = 0; k < kHalfCloseLines; ++k) {
+    lines += hostile_line(socket, k);
+  }
+  ASSERT_TRUE(net::write_all(fd.get(), lines.data(), lines.size(),
+                             ms_left(deadline)));
+  ASSERT_EQ(::shutdown(fd.get(), SHUT_WR), 0);
+  LineReader reader(fd.get(), deadline);
+  std::size_t k = 0;
+  while (k < kHalfCloseLines) {
+    const auto answer = reader.next();
+    if (!answer.has_value() || !answers_line(socket, k, *answer)) break;
+    ++k;
+  }
+  seen.every_line_answered_in_order = k == kHalfCloseLines;
+  seen.eof = !reader.next().has_value() && reader.eof();
+}
+
+/// The first line is held — a race against a black-holed replica on the
+/// data socket, a RELOAD of a FIFO nobody writes yet on the control socket
+/// — while a writer pipelines 256 KiB more behind it.
+void pipelines_while_held(std::uint16_t port, Socket socket,
+                          HeldReloadFile* reload, Clock::time_point deadline,
+                          Observed& seen) {
+  net::Fd fd = connect_client(port);
+  std::string payload = socket == Socket::kData
+                            ? format_request({0, 0, 1})
+                            : "RELOAD placement " + reload->path().string() +
+                                  "\n";
+  std::size_t lines = 0;
+  while (payload.size() < kHeldPipelineBytes) {
+    payload += hostile_line(socket, lines++);
+  }
+  std::atomic<bool> written{false};
+  std::thread writer([&] {
+    written = net::write_all(fd.get(), payload.data(), payload.size(),
+                             ms_left(deadline));
+  });
+  if (socket == Socket::kControl) {
+    // Let the pipeline pile up behind the held RELOAD, then release it.
+    std::this_thread::sleep_for(200ms);
+    EXPECT_TRUE(reload->feed("placement 4 8\nreplica 1 0\nreplica 2 0\n",
+                             std::chrono::milliseconds(ms_left(deadline))));
+  }
+  LineReader reader(fd.get(), deadline);
+  const auto held = reader.next();
+  bool held_ok = false;
+  if (held.has_value()) {
+    if (socket == Socket::kData) {
+      const RedirectAnswer a = parse_answer(*held);
+      held_ok = a.kind == AnswerKind::kUnavailable &&
+                a.reason == UnavailableReason::kDeadline;
+    } else {
+      held_ok = held->rfind("OK generation=2 ", 0) == 0;
+    }
+  }
+  EXPECT_TRUE(held_ok) << (held ? *held : std::string("no answer"));
+  std::size_t k = 0;
+  while (held_ok && k < lines) {
+    const auto answer = reader.next();
+    if (!answer.has_value() || !answers_line(socket, k, *answer)) {
+      ADD_FAILURE() << "line " << k << " of " << lines << " answered "
+                    << (answer ? *answer : std::string("nothing"));
+      break;
+    }
+    ++k;
+  }
+  writer.join();
+  EXPECT_TRUE(written.load());
+  seen.every_line_answered_in_order = held_ok && k == lines;
+}
+
+class HostileClientTable
+    : public ::testing::TestWithParam<std::tuple<HostileCase, Socket>> {};
+
+TEST_P(HostileClientTable, DaemonOutcomeMatchesTheRow) {
+  const auto& [row, socket] = GetParam();
+  Fixture fx;
+  obs::Registry registry;
+  DaemonConfig config = base_config(fx);
+  config.metrics = &registry;
+  if (row.client == Client::kNeverReads) {
+    config.max_session_outbuf = 8 * 1024;
+  }
+  // A data line held by a race: rank 1 (server 1) is a black hole and the
+  // only mapped endpoint, so the race lasts one attempt timeout and ends in
+  // UNAVAILABLE deadline.  Lines for the other sites have no mapped
+  // candidate and are answered from the model at once.
+  std::optional<test::MockReplica> hole;
+  EndpointMap endpoints;
+  if (row.client == Client::kPipelinesWhileHeld && socket == Socket::kData) {
+    hole.emplace(test::MockReplica::Mode::kBlackHole);
+    endpoints.replicas.resize(2);
+    endpoints.replicas[1] = Endpoint{"127.0.0.1", hole->port()};
+    config.endpoints = &endpoints;
+    config.race.attempt_timeout = 300ms;
+    config.race.overall_deadline = 1000ms;
+    config.race.max_retry_rounds = 0;
+  }
+  RedirectorDaemon daemon(config);
+  DaemonRunner runner(daemon);
+  std::optional<HeldReloadFile> reload;
+  if (row.client == Client::kPipelinesWhileHeld &&
+      socket == Socket::kControl) {
+    reload.emplace();
+  }
+  const std::uint16_t port =
+      socket == Socket::kData ? daemon.port() : daemon.control_port();
+
+  Observed seen;
+  const auto started = Clock::now();
+  const auto deadline =
+      started + std::chrono::milliseconds(row.expected.max_ms);
+  switch (row.client) {
+    case Client::kNeverReads:
+      never_reads(port, socket, deadline);
+      break;
+    case Client::kOverlongLine:
+      overlong_line(port, socket, deadline, seen);
+      break;
+    case Client::kOverlongThenReset:
+      overlong_then_reset(port, socket, deadline, seen);
+      break;
+    case Client::kHalfCloses:
+      half_closes(port, socket, deadline, seen);
+      break;
+    case Client::kPipelinesWhileHeld:
+      pipelines_while_held(port, socket, reload ? &*reload : nullptr,
+                           deadline, seen);
+      break;
+  }
+  const auto elapsed_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
+                                                            started)
+          .count();
+  reload.reset();
+  runner.stop();
+  seen.slow_reader_closes =
+      socket == Socket::kData
+          ? daemon.stats().slow_reader_closes
+          : registry.counter("redirect/control/slow_reader_closes").value();
+
+  const HostileExpected& want = row.expected;
+  EXPECT_EQ(seen.slow_reader_closes, want.slow_reader_closes);
+  EXPECT_EQ(seen.one_err_line, want.one_err_line);
+  EXPECT_EQ(seen.every_line_answered_in_order,
+            want.every_line_answered_in_order);
+  EXPECT_EQ(seen.eof, want.eof);
+  EXPECT_EQ(seen.fresh_session_served, want.fresh_session_served);
+  EXPECT_LE(elapsed_ms, want.max_ms);
+}
+
+std::string hostile_name(
+    const ::testing::TestParamInfo<std::tuple<HostileCase, Socket>>& info) {
+  return std::string(std::get<0>(info.param).name) +
+         (std::get<1>(info.param) == Socket::kData ? "_data" : "_control");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rows, HostileClientTable,
+    ::testing::Combine(::testing::ValuesIn(kHostileCases),
+                       ::testing::Values(Socket::kData, Socket::kControl)),
+    hostile_name);
 
 }  // namespace
 }  // namespace cdn::redirectd

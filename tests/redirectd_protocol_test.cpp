@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "src/redirectd/backoff.h"
 #include "src/util/error.h"
@@ -107,7 +109,7 @@ TEST(EndpointMapTest, ParseSerializeRoundtrip) {
       "replica 0 127.0.0.1 9000\n"
       "replica 2 127.0.0.1 9002\n"
       "origin 1 127.0.0.1 9500\n";
-  const EndpointMap map = EndpointMap::parse(text);
+  const EndpointMap map = EndpointMap::parse(text, 3, 2);
   ASSERT_EQ(map.replicas.size(), 3u);
   EXPECT_TRUE(map.replicas[0].has_value());
   EXPECT_FALSE(map.replicas[1].has_value());
@@ -115,36 +117,61 @@ TEST(EndpointMapTest, ParseSerializeRoundtrip) {
   ASSERT_EQ(map.origins.size(), 2u);
   EXPECT_EQ(map.origins[1]->host, "127.0.0.1");
 
-  const EndpointMap again = EndpointMap::parse(map.serialize());
+  const EndpointMap again = EndpointMap::parse(map.serialize(), 3, 2);
   EXPECT_EQ(again.serialize(), map.serialize());
 }
 
 TEST(EndpointMapTest, RejectsBadInput) {
-  EXPECT_THROW(EndpointMap::parse("replica 0 127.0.0.1 nan\n"),
+  EXPECT_THROW(EndpointMap::parse("replica 0 127.0.0.1 nan\n", 1, 1),
                PreconditionError);
-  EXPECT_THROW(EndpointMap::parse("replica 0 127.0.0.1 0\n"),
+  EXPECT_THROW(EndpointMap::parse("replica 0 127.0.0.1 0\n", 1, 1),
                PreconditionError);
-  EXPECT_THROW(EndpointMap::parse("replica 0 127.0.0.1 70000\n"),
+  EXPECT_THROW(EndpointMap::parse("replica 0 127.0.0.1 70000\n", 1, 1),
                PreconditionError);
-  EXPECT_THROW(EndpointMap::parse("replica 0 127.0.0.1\n"),
+  EXPECT_THROW(EndpointMap::parse("replica 0 127.0.0.1\n", 1, 1),
                PreconditionError);
-  EXPECT_THROW(EndpointMap::parse("gateway 0 127.0.0.1 9000\n"),
+  EXPECT_THROW(EndpointMap::parse("gateway 0 127.0.0.1 9000\n", 1, 1),
                PreconditionError);
-  EXPECT_THROW(EndpointMap::parse("replica 0 h 1\nreplica 0 h 2\n"),
+  EXPECT_THROW(EndpointMap::parse("replica 0 h 1\nreplica 0 h 2\n", 1, 1),
                PreconditionError);
-  EXPECT_THROW(EndpointMap::parse("replica 0 h 80 junk\n"),
+  EXPECT_THROW(EndpointMap::parse("replica 0 h 80 junk\n", 1, 1),
                PreconditionError);
+}
+
+TEST(EndpointMapTest, RejectsAnIndexOutsideTheFleetWithItsLocation) {
+  // Checked before any slot is allocated: 4294967295 would wrap the slot
+  // count to 0, and 20000000 would size a ~0.9 GB vector.
+  const std::pair<const char*, const char*> cases[] = {
+      {"replica 4294967295 127.0.0.1 9000\n",
+       "endpoint map line 1, col 9: server index 4294967295 is out of range "
+       "(fleet has 4 servers)"},
+      {"replica 20000000 127.0.0.1 9000\n",
+       "endpoint map line 1, col 9: server index 20000000 is out of range "
+       "(fleet has 4 servers)"},
+      {"replica 3 h 1\norigin 8 h 2\n",
+       "endpoint map line 2, col 8: site index 8 is out of range "
+       "(catalogue has 8 sites)"},
+  };
+  for (const auto& [text, message] : cases) {
+    try {
+      (void)EndpointMap::parse(text, 4, 8);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(EndpointMapTest, ValidateChecksFleetShape) {
   const EndpointMap map =
-      EndpointMap::parse("replica 5 127.0.0.1 9000\n");
+      EndpointMap::parse("replica 5 127.0.0.1 9000\n", 6, 1);
   EXPECT_NO_THROW(map.validate(6, 1));
   EXPECT_THROW(map.validate(5, 1), PreconditionError);
 }
 
 TEST(EndpointMapTest, LoadMissingFileThrows) {
-  EXPECT_THROW(EndpointMap::load("/nonexistent/endpoints.txt"),
+  EXPECT_THROW(EndpointMap::load("/nonexistent/endpoints.txt", 1, 1),
                PreconditionError);
 }
 

@@ -159,7 +159,9 @@ int main(int argc, char** argv) {
     redirectd::EndpointMap endpoints;
     const std::string endpoints_file = cli.get_string("endpoints");
     if (!endpoints_file.empty()) {
-      endpoints = redirectd::EndpointMap::load(endpoints_file);
+      endpoints = redirectd::EndpointMap::load(
+          endpoints_file, scenario.system().server_count(),
+          scenario.system().site_count());
     }
 
     redirectd::DaemonConfig dc;
