@@ -154,6 +154,10 @@ int main(int argc, char** argv) {
     obs::RunManifest manifest = obs::make_run_manifest(
         smoke ? "bench_availability --smoke" : "bench_availability");
     manifest.seed = sim_base.seed;
+    // The gated runs are fault runs, which take the one-shard reference on
+    // the calling thread.
+    manifest.threads = 1;
+    manifest.shards = worst_case.front().shards_used;
 
     // Deterministic in the seed: tight thresholds, matching the workload
     // metrics in bench_throughput (2% covers libm rounding differences

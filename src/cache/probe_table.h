@@ -1,5 +1,7 @@
 // Open-addressed ObjectKey -> arena-slot index, the fast probe behind the
-// LRU/FIFO/CLOCK caches' hit path (docs/PERFORMANCE.md).
+// LRU/FIFO/CLOCK caches' hit path (docs/PERFORMANCE.md), and the same table
+// over other integer keys and values (the simulator's per-server fetch
+// times).
 //
 // Compared to the std::unordered_map the caches used before, a lookup is
 // one hash, one cache line of keys probed linearly, and no pointer chase
@@ -17,43 +19,69 @@
 
 namespace cdn::cache {
 
-/// Linear-probing hash table from 64-bit keys to 32-bit slot indices.
-/// Any key value is valid (emptiness is tracked on the value side).
-class ProbeTable {
+/// Linear-probing hash table from integer keys to values.  Any key value is
+/// valid: emptiness is tracked on the value side, where `Nil::value` marks
+/// an empty bucket and is never stored.
+template <typename Key, typename Value, typename Nil>
+class BasicProbeTable {
  public:
-  /// Sentinel "no slot": returned by find() on a miss; never a valid value.
-  static constexpr std::uint32_t kNil = 0xffffffffu;
+  /// Returned by find() on a miss; never a valid value.
+  static constexpr Value kNil = Nil::value;
 
-  /// Slot of `key`, or kNil.
-  std::uint32_t find(std::uint64_t key) const noexcept {
+  /// Value of `key`, or kNil.
+  Value find(Key key) const noexcept {
     if (vals_.empty()) return kNil;
     std::size_t j = bucket(key);
     while (true) {
-      const std::uint32_t v = vals_[j];
+      const Value v = vals_[j];
       if (v == kNil) return kNil;
       if (keys_[j] == key) return v;
       j = (j + 1) & mask_;
     }
   }
 
-  bool contains(std::uint64_t key) const noexcept {
-    return find(key) != kNil;
-  }
+  bool contains(Key key) const noexcept { return find(key) != kNil; }
 
-  /// Inserts `key -> slot`.  `key` must not be present; `slot` != kNil.
-  void insert(std::uint64_t key, std::uint32_t slot) {
-    if ((size_ + 1) * 4 > capacity() * 3) grow();
+  /// Inserts `key -> value`.  `key` must not be present; `value` != kNil.
+  void insert(Key key, Value value) {
+    if (full()) grow();
     std::size_t j = bucket(key);
     while (vals_[j] != kNil) j = (j + 1) & mask_;
     keys_[j] = key;
-    vals_[j] = slot;
+    vals_[j] = value;
     ++size_;
+  }
+
+  /// Maps `key` to `value`, present or not.  `value` != kNil.
+  void insert_or_assign(Key key, Value value) {
+    if (!vals_.empty()) {
+      for (std::size_t j = bucket(key); vals_[j] != kNil; j = (j + 1) & mask_) {
+        if (keys_[j] == key) {
+          vals_[j] = value;
+          return;
+        }
+      }
+    }
+    insert(key, value);
+  }
+
+  /// Whether the next insert of a new key grows the table.
+  bool full() const noexcept { return (size_ + 1) * 4 > capacity() * 3; }
+
+  /// Drops every entry whose key satisfies `pred`, rebuilding the table
+  /// so the survivors take at most half of its buckets.
+  template <typename Pred>
+  void erase_if(Pred pred) {
+    std::vector<Key> old_keys = std::move(keys_);
+    std::vector<Value> old_vals = std::move(vals_);
+    rehash(std::max(old_vals.size(), kMinCapacity), old_keys, old_vals, pred);
+    if (size_ * 2 > capacity()) grow();
   }
 
   /// Removes `key`; returns false when absent.  Backward-shift deletion:
   /// every displaced follower of the probe chain moves one hole closer to
   /// its ideal bucket, so the table never accumulates tombstones.
-  bool erase(std::uint64_t key) noexcept {
+  bool erase(Key key) noexcept {
     if (vals_.empty()) return false;
     std::size_t j = bucket(key);
     while (true) {
@@ -107,7 +135,7 @@ class ProbeTable {
     return x;
   }
 
-  std::size_t bucket(std::uint64_t key) const noexcept {
+  std::size_t bucket(Key key) const noexcept {
     return static_cast<std::size_t>(mix(key)) & mask_;
   }
 
@@ -116,24 +144,41 @@ class ProbeTable {
   void grow() { rehash(vals_.empty() ? kMinCapacity : capacity() * 2); }
 
   void rehash(std::size_t new_capacity) {
-    std::vector<std::uint64_t> old_keys = std::move(keys_);
-    std::vector<std::uint32_t> old_vals = std::move(vals_);
+    std::vector<Key> old_keys = std::move(keys_);
+    std::vector<Value> old_vals = std::move(vals_);
+    rehash(new_capacity, old_keys, old_vals, [](Key) { return false; });
+  }
+
+  /// Rebuilds the table at `new_capacity` from the old buckets, without
+  /// the entries whose key satisfies `drop`.
+  template <typename Pred>
+  void rehash(std::size_t new_capacity, const std::vector<Key>& old_keys,
+              const std::vector<Value>& old_vals, Pred drop) {
     keys_.assign(new_capacity, 0);
     vals_.assign(new_capacity, kNil);
     mask_ = new_capacity - 1;
+    size_ = 0;
     for (std::size_t j = 0; j < old_vals.size(); ++j) {
-      if (old_vals[j] == kNil) continue;
+      if (old_vals[j] == kNil || drop(old_keys[j])) continue;
       std::size_t k = bucket(old_keys[j]);
       while (vals_[k] != kNil) k = (k + 1) & mask_;
       keys_[k] = old_keys[j];
       vals_[k] = old_vals[j];
+      ++size_;
     }
   }
 
-  std::vector<std::uint64_t> keys_;
-  std::vector<std::uint32_t> vals_;  // kNil = empty bucket
+  std::vector<Key> keys_;
+  std::vector<Value> vals_;  // kNil = empty bucket
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
 };
+
+struct NoSlot {
+  static constexpr std::uint32_t value = 0xffffffffu;
+};
+
+/// ObjectKey -> 32-bit arena slot, the caches' index.
+using ProbeTable = BasicProbeTable<std::uint64_t, std::uint32_t, NoSlot>;
 
 }  // namespace cdn::cache

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/obs/scoped_timer.h"
-#include "src/placement/baselines.h"
 #include "src/placement/fixed_split.h"
 #include "src/placement/greedy_global.h"
 #include "src/placement/hybrid_greedy.h"
@@ -50,19 +49,6 @@ MechanismSpec fixed_split_mechanism(double cache_fraction) {
   return {"cache" + util::format_double(100.0 * cache_fraction, 0) + "%",
           [cache_fraction](const sys::CdnSystem& s) {
             return placement::fixed_split(s, cache_fraction);
-          }};
-}
-
-MechanismSpec random_mechanism(std::uint64_t seed) {
-  return {"random", [seed](const sys::CdnSystem& s) {
-            util::Rng rng(seed);
-            return placement::random_placement(s, rng);
-          }};
-}
-
-MechanismSpec popularity_mechanism() {
-  return {"popularity", [](const sys::CdnSystem& s) {
-            return placement::popularity_placement(s);
           }};
 }
 

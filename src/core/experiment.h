@@ -45,8 +45,6 @@ MechanismSpec hybrid_mechanism(obs::Registry* metrics = nullptr,
 std::string model_tier_mismatch_note(const std::string& hit_model);
 /// Ad-hoc fixed split with the given cache share (0.2 / 0.8 in Figure 5).
 MechanismSpec fixed_split_mechanism(double cache_fraction);
-MechanismSpec random_mechanism(std::uint64_t seed);
-MechanismSpec popularity_mechanism();
 
 /// Placement + simulation outcome of one mechanism.
 struct MechanismRun {

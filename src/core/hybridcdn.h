@@ -31,7 +31,6 @@
 #include "src/core/experiment.h"
 #include "src/core/scenario.h"
 #include "src/fault/fault_schedule.h"
-#include "src/placement/baselines.h"
 #include "src/placement/fixed_split.h"
 #include "src/placement/greedy_global.h"
 #include "src/placement/hybrid_greedy.h"

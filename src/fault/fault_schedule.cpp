@@ -136,7 +136,7 @@ FaultSchedule FaultSchedule::parse(const std::string& text) {
         add();
       } catch (const PreconditionError& e) {
         CDN_EXPECT(false, "fault schedule line " + std::to_string(line_no) +
-                              ": " + e.what());
+                              ": " + e.diagnostic());
       }
     };
     if (kind == "server" || kind == "origin") {

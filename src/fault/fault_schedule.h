@@ -12,14 +12,16 @@
 //   * FaultSchedule — the declarative interval set.  Built by hand, parsed
 //     from a small text format (--fault-schedule), or generated from
 //     MTBF/MTTR parameters (random()).
-//   * FaultTimeline — the O(1)-per-request stepper the simulator drives:
-//     advance(t) applies every transition with time <= t and exposes the
-//     current health mask, link multipliers, surge multipliers, and the
-//     servers that just recovered (which restart with a cold cache).
+//   * FaultTimeline — the stepper the simulator drives: advance(t) applies
+//     every transition with time <= t and exposes the current health mask,
+//     link multipliers, surge multipliers, and the servers that just
+//     recovered (which restart with a cold cache); next_transition() says
+//     how long that state holds.
 
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -167,6 +169,14 @@ class FaultTimeline {
 
   /// Transitions applied so far.
   std::uint64_t transitions() const noexcept { return transitions_; }
+
+  /// Time of the first transition not applied yet (UINT64_MAX when none is
+  /// left): the state above holds until then.
+  std::uint64_t next_transition() const noexcept {
+    return next_ < transitions_sorted_.size()
+               ? transitions_sorted_[next_].time
+               : std::numeric_limits<std::uint64_t>::max();
+  }
 
  private:
   struct Transition {

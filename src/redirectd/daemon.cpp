@@ -289,7 +289,7 @@ void RedirectorDaemon::on_control_line(net::SessionId id,
   try {
     command = parse_control_command(line);
   } catch (const PreconditionError& e) {
-    control_reply(id, std::string("ERR ") + e.what());
+    control_reply(id, "ERR " + e.diagnostic());
     return;
   }
   switch (command.verb) {
@@ -329,7 +329,7 @@ void RedirectorDaemon::on_request_line(net::SessionId id,
   } catch (const PreconditionError& e) {
     ++stats_.parse_errors;
     if (m_parse_errors_ != nullptr) m_parse_errors_->add();
-    data_.reply(id, std::string("ERR ") + e.what() + "\n");
+    data_.reply(id, "ERR " + e.diagnostic() + "\n");
     return;
   }
   handle_request(id, request);

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/placement/placement_io.h"
+#include "src/util/error.h"
 #include "src/util/serial.h"
 
 namespace cdn::redirectd {
@@ -85,6 +86,9 @@ ReloadOutcome ReloadWorker::process(const Request& request) const {
       outcome.endpoints = std::move(endpoints);
     }
     outcome.ok = true;
+  } catch (const PreconditionError& e) {
+    outcome.ok = false;
+    outcome.error = e.diagnostic();
   } catch (const std::exception& e) {
     outcome.ok = false;
     outcome.error = e.what();

@@ -1,8 +1,6 @@
 #include "src/sim/consistency.h"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "src/util/error.h"
 
@@ -10,8 +8,12 @@ namespace cdn::sim {
 
 ModificationProcess::ModificationProcess(double min_mean_interval,
                                          double max_mean_interval,
-                                         std::uint64_t seed)
-    : min_mean_(min_mean_interval), max_mean_(max_mean_interval), seed_(seed) {
+                                         std::uint64_t seed,
+                                         std::size_t object_count)
+    : min_mean_(min_mean_interval),
+      max_mean_(max_mean_interval),
+      seed_(seed),
+      cursors_(object_count) {
   CDN_EXPECT(min_mean_interval > 0.0 &&
                  min_mean_interval <= max_mean_interval,
              "update intervals must satisfy 0 < min <= max");
@@ -26,40 +28,24 @@ double ModificationProcess::mean_interval(workload::ObjectId object) const {
 
 double ModificationProcess::last_modification(workload::ObjectId object,
                                               double now) {
+  CDN_EXPECT(object < cursors_.size(),
+             "object id outside the modification process's catalogue");
   Cursor& cur = cursors_[object];
-  if (!cur.initialised) {
+  if (cur.last < 0.0 || now < cur.last) {
+    // First query, or a non-monotone one (rare; tests only): start the
+    // replay from time 0, where every object is "born".
     cur.rng = util::Rng(seed_ ^ (object * 0xbf58476d1ce4e5b9ULL));
-    cur.last = 0.0;  // every object "born" at time 0
-    cur.mean = mean_interval(object);
-    cur.next = -cur.mean * std::log(1.0 - cur.rng.uniform());
-    cur.initialised = true;
+    cur.last = 0.0;
+    cur.next = -mean_interval(object) * std::log(1.0 - cur.rng.uniform());
   }
-  if (now < cur.last) {
-    // Non-monotone query: restart the replay (rare; tests only).
-    cursors_.erase(object);
-    return last_modification(object, now);
-  }
-  while (cur.next <= now) {
-    cur.last = cur.next;
-    cur.next += -cur.mean * std::log(1.0 - cur.rng.uniform());
+  if (cur.next <= now) {
+    const double mean = mean_interval(object);
+    do {
+      cur.last = cur.next;
+      cur.next += -mean * std::log(1.0 - cur.rng.uniform());
+    } while (cur.next <= now);
   }
   return cur.last;
-}
-
-double FreshnessTable::fetch_time(workload::ObjectId object) const {
-  const auto it = fetched_.find(object);
-  return it == fetched_.end()
-             ? -std::numeric_limits<double>::infinity()
-             : it->second;
-}
-
-void FreshnessTable::prune(const cache::CachePolicy& cache) {
-  if (fetched_.size() <= std::max(2 * cache.object_count(), kPruneFloor)) {
-    return;
-  }
-  std::erase_if(fetched_, [&](const auto& entry) {
-    return !cache.contains(entry.first);
-  });
 }
 
 }  // namespace cdn::sim

@@ -10,14 +10,18 @@
 //
 // Modification times are a deterministic pseudo-random renewal process per
 // object (exponential inter-update times), so runs are reproducible and no
-// per-object history needs storing: the process is evaluated lazily.
+// per-object history needs storing: the process is evaluated lazily, and
+// last_modification() is a pure function of (object, time).
 
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <limits>
+#include <vector>
 
 #include "src/cache/cache_policy.h"
+#include "src/cache/probe_table.h"
+#include "src/util/error.h"
 #include "src/util/rng.h"
 #include "src/workload/site_catalog.h"
 
@@ -34,9 +38,10 @@ inline constexpr double kSecondsPerRequest = 0.01;
 class ModificationProcess {
  public:
   /// Intervals are in the simulator's virtual-time unit (requests are
-  /// assigned virtual timestamps by the caller).
+  /// assigned virtual timestamps by the caller).  Object ids are dense in
+  /// [0, object_count), so the replay cursors are one flat array.
   ModificationProcess(double min_mean_interval, double max_mean_interval,
-                      std::uint64_t seed);
+                      std::uint64_t seed, std::size_t object_count);
 
   /// Time of the last modification of `object` at or before `now`.
   /// O(expected number of updates in [0, now]) via per-object replay with
@@ -48,42 +53,55 @@ class ModificationProcess {
 
  private:
   struct Cursor {
-    double last = 0.0;  // latest update time <= the last queried `now`
-    double next = 0.0;  // first update time > `last`
-    double mean = 0.0;  // mean_interval(object), set when the cursor starts
+    double last = -1.0;  // latest update time <= the last queried `now`;
+                         // -1 until the cursor starts
+    double next = 0.0;   // first update time > `last`
     util::Rng rng{0};
-    bool initialised = false;
   };
 
   double min_mean_, max_mean_;
   std::uint64_t seed_;
-  std::unordered_map<workload::ObjectId, Cursor> cursors_;
+  std::vector<Cursor> cursors_;  // by object id
 };
 
 /// Per-server record of when each cached object was fetched/validated.
-/// Kept beside the cache policy (which stores no metadata).
+/// Kept beside the cache policy (which stores no metadata), in an
+/// open-addressed table of 32-bit object ids and fetch times.
 class FreshnessTable {
  public:
   void on_fetch(workload::ObjectId object, double now) {
-    fetched_[object] = now;
+    fetched_.insert_or_assign(key(object), now);
   }
   /// Fetch time, or -infinity when unknown (treat as maximally stale).
-  double fetch_time(workload::ObjectId object) const;
-  void erase(workload::ObjectId object) { fetched_.erase(object); }
+  double fetch_time(workload::ObjectId object) const {
+    return fetched_.find(key(object));
+  }
+  void erase(workload::ObjectId object) { fetched_.erase(key(object)); }
   std::size_t size() const noexcept { return fetched_.size(); }
 
-  /// Drops the entries of objects `cache` no longer holds once the table
-  /// has grown past twice the cache's object count (and kPruneFloor).
-  /// Exact: an entry is read only on a cache hit, and the admission that
-  /// makes an object resident again rewrites its entry first.
-  void prune(const cache::CachePolicy& cache);
+  /// Drops the entries of objects `cache` no longer holds once the next
+  /// new entry would grow the table, which then grows only if more than
+  /// half of it is still taken.  Exact: an entry is read only on a cache
+  /// hit, and the admission that makes an object resident again rewrites
+  /// its entry first.
+  void prune(const cache::CachePolicy& cache) {
+    if (!fetched_.full()) return;
+    fetched_.erase_if(
+        [&](std::uint32_t object) { return !cache.contains(object); });
+  }
 
  private:
-  /// Table size below which prune() never sweeps, so a small cache does
-  /// not sweep its table on every miss.
-  static constexpr std::size_t kPruneFloor = 256;
+  struct NeverFetched {
+    static constexpr double value = -std::numeric_limits<double>::infinity();
+  };
 
-  std::unordered_map<workload::ObjectId, double> fetched_;
+  static std::uint32_t key(workload::ObjectId object) {
+    CDN_EXPECT(object <= std::numeric_limits<std::uint32_t>::max(),
+               "freshness tables hold 32-bit object ids");
+    return static_cast<std::uint32_t>(object);
+  }
+
+  cache::BasicProbeTable<std::uint32_t, double, NeverFetched> fetched_;
 };
 
 /// Parameters of the kTtl and kInvalidation staleness modes, in virtual

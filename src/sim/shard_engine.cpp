@@ -32,20 +32,14 @@ namespace {
 constexpr std::uint64_t kPlanSalt = 0x9e3779b97f4a7c15ull;
 constexpr std::uint64_t kStreamSalt = 0xbf58476d1ce4e5b9ull;
 constexpr std::uint64_t kLambdaSalt = 0x94d049bb133111ebull;
-// The reference run's lambda and surge RNGs and the consistency modes'
-// modification process are seeded `seed ^ mix`.
-constexpr std::uint64_t kLambdaMix = 0x5bd1e995u;
-constexpr std::uint64_t kSurgeMix = 0x9e3779b9u;
-constexpr std::uint64_t kUpdateMix = 0x2545f491u;
 
-/// Chunks of a multi-shard run's request loop start on multiples of this
-/// many requests; those are also the points where its workers poll the stop
-/// flag.
+/// Blocks of a multi-shard run start on multiples of this many requests;
+/// those are also the points where its workers poll the stop flag.
 constexpr std::uint64_t kChunk = 4096;
-/// The one-shard run's chunks (blocks) start on multiples of this many
-/// requests: long enough that each server's cache serves a run of its own
-/// accesses while its state is still in the CPU caches.  Multi-shard runs
-/// keep kChunk: each shard owns only N/S servers already.
+/// The one-shard run's blocks start on multiples of this many requests:
+/// long enough that each server's cache serves a run of its own accesses
+/// while its state is still in the CPU caches.  Multi-shard runs keep
+/// kChunk: each shard owns only N/S servers already.
 constexpr std::uint64_t kBlock = 65536;
 static_assert(kBlock % kChunk == 0, "blocks must be whole chunks");
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
@@ -216,23 +210,36 @@ void restore_window(util::ByteReader& r, WindowAccumulator& win) {
 }
 
 /// What a request asks of its first-hop server, decided in stream order
-/// before any cache is touched.
+/// with the block's fault state before any cache is touched.
 enum class Kind : std::uint8_t {
   kReplica,      // the server replicates the site
-  kEligible,     // one cache access decides hit or miss
+  kEligible,     // one cache access decides hit or miss; a miss is admitted
+  kStranded,     // eligible, but no copy of the site is up to fetch a miss
+                 // from: the access decides hit or miss, a miss is not
+                 // admitted (faults only)
   kRefresh,      // flagged, refresh mode: a cache access and the nearest copy
   kUncacheable,  // flagged, uncacheable mode: the nearest copy only
+  kDown,         // the first-hop server is down: failover, no cache
 };
 
 constexpr bool touches_cache(Kind kind) {
-  return kind == Kind::kEligible || kind == Kind::kRefresh;
+  return kind == Kind::kEligible || kind == Kind::kStranded ||
+         kind == Kind::kRefresh;
 }
 
-/// Scratch of the healthy body's three passes, reused across chunks.
-struct ChunkScratch {
+/// What a first-hop cache made of one access.
+enum class Served : std::uint8_t {
+  kMiss,
+  kHit,
+  kRevalidated,  // kTtl: an expired hit, revalidated at the nearest copy
+};
+
+/// Scratch of a block's three passes, reused across blocks.
+struct BlockScratch {
   workload::RequestBatch batch;
   std::vector<Kind> kind;
-  std::vector<std::uint8_t> hit;     // set by pass 2 for cache accesses
+  std::vector<double> modified;      // consistency modes: set by pass 1
+  std::vector<Served> served;        // set by pass 2 for cache accesses
   std::vector<std::uint32_t> order;  // cache accesses grouped by server
   std::vector<std::uint32_t> group;  // group boundaries in `order`
 };
@@ -246,8 +253,8 @@ struct Outcome {
   bool failed = false;
   std::uint32_t attempts = 0;  // failed connection attempts (faults only)
   obs::EventCause cause = obs::EventCause::kReplica;
-  /// Where a fault-mode redirect landed: a server, -1 for the origin, -2
-  /// for nowhere.  Healthy runs derive it from the nearest index instead.
+  /// Where the request was served: a server, -1 for the origin, -2 for
+  /// nowhere (it failed).
   std::int32_t served_by = -2;
 };
 
@@ -292,8 +299,6 @@ class EventRun {
         result_(result),
         config_(config),
         shape_(event_shape(config, system.server_count())),
-        per_request_((config.faults != nullptr && !config.faults->empty()) ||
-                     config.trace != nullptr || consistency_mode(config)),
         poll_stop_(!shape_.reference && config.stop != nullptr),
         slo_active_(config.slo_ms > 0.0),
         uncacheable_mode_(config.staleness == StalenessMode::kUncacheable),
@@ -364,8 +369,8 @@ class EventRun {
       if (sh.total == 0) continue;  // zero-demand shard: nothing to do
       if (shape_.reference) {
         sh.stream.emplace(catalog_, system.demand(), config.seed);
-        sh.lambda_rng = util::Rng(config.seed ^ kLambdaMix);
-        sh.surge_rng = util::Rng(config.seed ^ kSurgeMix);
+        sh.lambda_rng = util::Rng(config.seed ^ detail::kLambdaMix);
+        sh.surge_rng = util::Rng(config.seed ^ detail::kSurgeMix);
         sh.latency.reserve(sh.total - sh.warmup);
       } else {
         // The shard stream samples the conditional cell distribution given
@@ -389,11 +394,13 @@ class EventRun {
     if (consistency_mode(config)) {
       updates_.emplace(config.consistency.min_mean_update_interval,
                        config.consistency.max_mean_update_interval,
-                       config.seed ^ kUpdateMix);
+                       config.seed ^ detail::kUpdateMix,
+                       catalog_.object_count());
       freshness_.resize(n);
     }
     if (config.faults != nullptr && !config.faults->empty()) {
       timeline_.emplace(*config.faults, n, m);
+      site_live_.resize(m);
       holders_.resize(m);
       for (std::size_t j = 0; j < m; ++j) {
         holders_[j] =
@@ -576,9 +583,10 @@ class EventRun {
     shard_span.arg("shard", static_cast<double>(s));
     const std::uint64_t measured = sh.total - sh.warmup;
     const std::uint64_t stride = shape_.reference ? kBlock : kChunk;
-    ChunkScratch scratch;
-    // Chunked loop (docs/PERFORMANCE.md): a chunk ends at the next stride
-    // multiple, the warm-up edge or the next window boundary, so the
+    BlockScratch scratch;
+    // Blocked loop (docs/PERFORMANCE.md): a block ends at the next stride
+    // multiple, the warm-up edge, the next fault transition or the next
+    // window boundary, so its requests share one fault state and the
     // request bodies carry no boundary compares.
     while (sh.t < end) {
       const std::uint64_t t = sh.t;
@@ -592,49 +600,73 @@ class EventRun {
           caches_[server]->reset_stats();
         }
       }
-      std::uint64_t chunk_end = std::min(end, (t / stride + 1) * stride);
-      if (t < sh.warmup) chunk_end = std::min(chunk_end, sh.warmup);
+      std::uint64_t block_end = std::min(end, (t / stride + 1) * stride);
+      if (t < sh.warmup) block_end = std::min(block_end, sh.warmup);
+      if (timeline_) block_end = std::min(block_end, apply_faults(sh, t));
       WindowAccumulator* win = nullptr;
       if (t >= sh.warmup && window_count_ > 0) {
         const std::uint64_t k =
             window_of(t - sh.warmup, measured, window_count_);
         win = &sh.windows[k];
-        chunk_end = std::min(chunk_end,
+        block_end = std::min(block_end,
                              sh.warmup + scale(k + 1, measured, window_count_));
       }
-      if (per_request_) {
-        request_chunk(sh, t, chunk_end, win);
-      } else {
-        healthy_chunk(s, scratch, t, chunk_end, win);
-      }
-      sh.t = chunk_end;
+      block(s, scratch, t, block_end, win);
+      sh.t = block_end;
     }
   }
 
-  /// The batched healthy body, in three passes over one SoA batch:
-  ///   1. in stream order, generate the requests and classify them, which
-  ///      draws the lambda RNG exactly as the per-request body does;
+  /// Applies the fault transitions due at request t and returns the index
+  /// of the next one, where the block must end.  A server that recovers
+  /// here restarts with a COLD cache: whatever it held when it crashed is
+  /// gone.  Its statistics survive (clear() keeps them) so fleet totals
+  /// stay consistent.
+  std::uint64_t apply_faults(Shard& sh, std::uint64_t t) {
+    const fault::FaultTimeline& timeline = *timeline_;
+    if (timeline_->advance(t)) {
+      for (const std::uint32_t s : timeline.just_recovered()) {
+        caches_[s]->clear();
+        ++sh.cold_restarts;
+      }
+      if (spans_ != nullptr) {
+        spans_->instant(sp_fault_, "fault", "request",
+                        static_cast<double>(t));
+      }
+    }
+    // O(sites + replicas) once per block: is any copy of the site up to
+    // fetch a miss from?
+    for (std::size_t j = 0; j < site_live_.size(); ++j) {
+      site_live_[j] =
+          timeline.origin_up(static_cast<std::uint32_t>(j)) ||
+          std::any_of(holders_[j].begin(), holders_[j].end(),
+                      [&](sys::ServerIndex h) { return timeline.server_up(h); });
+    }
+    return timeline.next_transition();
+  }
+
+  /// One block in three passes over one SoA batch:
+  ///   1. in stream order, draw the requests and classify them with the
+  ///      block's fault state, which draws the lambda RNG; the consistency
+  ///      modes also read each accessed object's last modification here,
+  ///      so the modification process sees its times in order;
   ///   2. group the cache accesses by first-hop server (a counting sort of
   ///      request indices) and let each cache serve its own accesses in
   ///      stream order, so its state stays in the CPU caches for its whole
-  ///      share of the chunk;
-  ///   3. in stream order, build and book every outcome.
+  ///      share of the block;
+  ///   3. in stream order, build and book every outcome, failing over
+  ///      around the copies the block's fault state has down.
   /// Each cache sees exactly its own subsequence in order and every sum
   /// accumulates in stream order, so the report does not depend on where
-  /// chunks end (sim_batch_parity_test replays the same stream through
-  /// request_chunk).
-  void healthy_chunk(std::size_t s, ChunkScratch& scratch, std::uint64_t t,
-                     std::uint64_t end, WindowAccumulator* win) {
+  /// blocks end (sim_batch_parity_test compares every event with the
+  /// per-request oracle of tests/sim_oracle.h).
+  void block(std::size_t s, BlockScratch& scratch, std::uint64_t t,
+             std::uint64_t end, WindowAccumulator* win) {
     Shard& sh = shards_[s];
     const auto count = static_cast<std::size_t>(end - t);
-    workload::RequestBatch& batch = scratch.batch;
-    std::vector<Kind>& kind = scratch.kind;
-    std::vector<std::uint8_t>& hit = scratch.hit;
-    std::vector<std::uint32_t>& order = scratch.order;
-    std::vector<std::uint32_t>& group = scratch.group;
-    sh.stream->next_batch(batch, count);
+    auto& [batch, kind, modified, served, order, group] = scratch;
+    draw(sh, batch, t, count);
     kind.resize(count);
-    hit.resize(count);
+    served.resize(count);
     order.resize(count);
     // Round-robin ownership: server i is shard s's local server i / S.
     const std::vector<workload::ServerId>& owned = plan_.servers[s];
@@ -644,6 +676,14 @@ class EventRun {
       kind[i] = classify(sh.lambda_rng, batch.server[i], batch.site[i]);
       if (touches_cache(kind[i])) ++group[batch.server[i] / shard_count + 1];
     }
+    if (updates_) {
+      modified.resize(count);
+      for (std::size_t i = 0; i < count; ++i) {
+        if (!touches_cache(kind[i])) continue;
+        modified[i] = updates_->last_modification(
+            catalog_.object_id(batch.site[i], batch.rank[i]), seconds(t + i));
+      }
+    }
     // group[l] becomes where local server l's accesses start; the scatter
     // then advances it to where they end.
     for (std::size_t l = 1; l <= owned.size(); ++l) group[l] += group[l - 1];
@@ -652,20 +692,33 @@ class EventRun {
       order[group[batch.server[i] / shard_count]++] =
           static_cast<std::uint32_t>(i);
     }
+    const bool measured = t >= sh.warmup;
     std::size_t k = 0;
     for (std::size_t l = 0; l < owned.size(); ++l) {
       cache::CachePolicy& cache = *caches_[owned[l]];
       for (; k < group[l]; ++k) {
         const std::uint32_t i = order[k];
-        hit[i] = access(cache, batch.site[i], batch.rank[i]) ? 1 : 0;
+        const cache::ObjectKey key =
+            catalog_.object_id(batch.site[i], batch.rank[i]);
+        const std::uint64_t bytes =
+            catalog_.object_bytes(batch.site[i], batch.rank[i]);
+        if (updates_) {
+          served[i] = serve_fresh(sh, measured, cache, freshness_[owned[l]],
+                                  key, bytes, seconds(t + i), modified[i]);
+        } else if (kind[i] == Kind::kStranded) {
+          served[i] = cache.access_no_admit(key, bytes) ? Served::kHit
+                                                        : Served::kMiss;
+        } else {
+          served[i] =
+              cache.access(key, bytes) ? Served::kHit : Served::kMiss;
+        }
       }
     }
-    const bool measured = t >= sh.warmup;
     for (std::size_t i = 0; i < count; ++i) {
       const workload::ServerId server = batch.server[i];
       const workload::SiteId site = batch.site[i];
-      const Outcome o = outcome(kind[i], hit[i] != 0, server, site);
-      const double latency_ms = config_.latency.latency_ms(o.hops);
+      const Outcome o = outcome(kind[i], served[i], server, site);
+      const double latency_ms = latency_of(o, server);
       if (measured) record(sh, win, server, o, latency_ms);
       if (sink_ != nullptr && sink_->should_sample()) {
         trace(t + i, server, site, batch.rank[i], o, latency_ms, measured);
@@ -673,253 +726,176 @@ class EventRun {
     }
   }
 
-  /// The per-request body of fault schedules, trace replay and the
-  /// consistency modes: requests come one at a time from the trace or the
-  /// stream, on the global clock the fault timeline and the modification
-  /// process run on.
-  void request_chunk(Shard& sh, std::uint64_t t, std::uint64_t end,
-                     WindowAccumulator* win) {
-    const bool measured = t >= sh.warmup;
-    for (; t < end; ++t) {
-      if (timeline_ && timeline_->advance(t)) {
-        // A recovered server restarts with a COLD cache: whatever it held
-        // when it crashed is gone.  Its statistics survive (clear() keeps
-        // them) so fleet totals stay consistent.
-        for (const std::uint32_t s : timeline_->just_recovered()) {
-          caches_[s]->clear();
-          ++sh.cold_restarts;
-        }
-        if (spans_ != nullptr) {
-          spans_->instant(sp_fault_, "fault", "request",
-                          static_cast<double>(t));
-        }
-      }
-      workload::Request req = config_.trace != nullptr ? (*config_.trace)[t]
-                                                       : sh.stream->next();
-      if (timeline_ && config_.trace == nullptr &&
-          timeline_->any_surge_active()) {
+  /// Pass 1's draw: the block's requests from the trace, from the stream,
+  /// or, while a surge is on, from the stream one at a time.
+  void draw(Shard& sh, workload::RequestBatch& batch, std::uint64_t t,
+            std::size_t count) const {
+    const bool surge = timeline_ && timeline_->any_surge_active();
+    if (config_.trace == nullptr && !surge) {
+      sh.stream->next_batch(batch, count);
+      return;
+    }
+    batch.resize(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      workload::Request req;
+      if (config_.trace != nullptr) {
+        req = (*config_.trace)[t + i];
+      } else {
         // Flash-crowd reshaping: accept a drawn request with probability
         // proportional to its site's surge multiplier (rejection sampling
         // against the current max), which samples site j with probability
         // ∝ p_j * mult_j without touching the demand matrix.
         const double bound = timeline_->max_demand_multiplier();
-        while (sh.surge_rng.uniform() * bound >
-               timeline_->demand_multiplier(req.site)) {
+        do {
           req = sh.stream->next();
-        }
+        } while (sh.surge_rng.uniform() * bound >
+                 timeline_->demand_multiplier(req.site));
       }
-      Outcome o;
-      double latency_ms;
-      if (updates_) {
-        o = consistency_step(sh, req, t, measured);
-        latency_ms = config_.latency.latency_ms(o.hops);
-      } else if (!timeline_) {
-        const Kind kind = classify(sh.lambda_rng, req.server, req.site);
-        const bool hit = touches_cache(kind) &&
-                         access(*caches_[req.server], req.site, req.rank);
-        o = outcome(kind, hit, req.server, req.site);
-        latency_ms = config_.latency.latency_ms(o.hops);
-      } else {
-        o = fault_step(sh.lambda_rng, req);
-        // A failed request's wasted time is reported in the trace but
-        // excluded from the latency CDF (the request never completed).
-        latency_ms = o.failed ? config_.latency.retry_penalty_ms(o.attempts)
-                              : config_.latency.failover_latency_ms(
-                                    o.hops * timeline_->latency_multiplier(
-                                                 req.server),
-                                    o.attempts);
-      }
-      if (measured) record(sh, win, req.server, o, latency_ms);
-      if (sink_ != nullptr && sink_->should_sample()) {
-        trace(t, req.server, req.site, req.rank, o, latency_ms, measured);
-      }
+      batch.server[i] = req.server;
+      batch.site[i] = req.site;
+      batch.rank[i] = req.rank;
     }
   }
 
-  /// What a request at a live first-hop server needs.  The RNG draw order
-  /// (one bernoulli per non-replicated request, nothing for replicated
-  /// ones) is the contract that keeps the reference run bit-identical and
-  /// the shard decomposition exact.
+  /// Arrival time of request t in the consistency modes' virtual seconds.
+  static double seconds(std::uint64_t t) {
+    return static_cast<double>(t) * kSecondsPerRequest;
+  }
+
+  /// What a request needs, given the block's fault state.  The RNG draw
+  /// order (one lambda bernoulli per request at a live first hop whose
+  /// site it does not replicate, none in the consistency modes) is the
+  /// contract that keeps the reference run bit-identical and the shard
+  /// decomposition exact.
   Kind classify(util::Rng& lambda_rng, workload::ServerId server,
                 workload::SiteId site) const {
+    if (timeline_ && !timeline_->server_up(server)) return Kind::kDown;
     // Replicas are always consistent (the CDN pushes invalidations to
     // them); even flagged requests are served locally.
     if (result_.placement.is_replicated(server, site)) return Kind::kReplica;
-    if (!lambda_rng.bernoulli(site_lambda_[site])) return Kind::kEligible;
-    return uncacheable_mode_ ? Kind::kUncacheable : Kind::kRefresh;
+    const bool flagged = !updates_ && lambda_rng.bernoulli(site_lambda_[site]);
+    const bool fetchable = !timeline_ || site_live_[site] != 0;
+    if (!flagged) return fetchable ? Kind::kEligible : Kind::kStranded;
+    // With every copy down, a flagged request fails before it reaches the
+    // cache in either lambda mode.
+    return uncacheable_mode_ || !fetchable ? Kind::kUncacheable
+                                           : Kind::kRefresh;
   }
 
-  /// One cache access for object `rank` of `site`; true on a hit.  A miss
-  /// admits the object, and so does a refresh, whose re-fetched copy stays
-  /// cached with updated recency.
-  bool access(cache::CachePolicy& cache, workload::SiteId site,
-              std::uint32_t rank) const {
-    return cache.access(catalog_.object_id(site, rank),
-                        catalog_.object_bytes(site, rank));
-  }
-
-  /// The outcome of a request when every server is up, given its kind and,
-  /// for an eligible one, whether its cache access hit: a replicated site
-  /// or a cache hit stays local, anything else pays the precomputed
-  /// redirect cost.
-  Outcome outcome(Kind kind, bool hit, workload::ServerId server,
-                  workload::SiteId site) const {
-    Outcome o;
-    switch (kind) {
-      case Kind::kReplica:
-        o.served_locally = true;
-        return o;
-      case Kind::kEligible:
-        o.cache_eligible = true;
-        o.cache_hit = hit;
-        if (hit) {
-          o.served_locally = true;
-          o.cause = obs::EventCause::kCacheHit;
-          return o;
-        }
-        o.cause = obs::EventCause::kCacheMiss;
-        break;
-      case Kind::kRefresh:
-        o.cause = obs::EventCause::kStaleRefresh;
-        break;
-      case Kind::kUncacheable:
-        o.cause = obs::EventCause::kUncacheable;
-        break;
-    }
-    o.hops = result_.nearest.cost(server, site);
-    return o;
-  }
-
-  /// Serves one request against the fault timeline's current state.
-  Outcome fault_step(util::Rng& lambda_rng,
-                     const workload::Request& req) const {
-    const fault::FaultTimeline& timeline = *timeline_;
-    const sys::ServerIndex server = req.server;
-    const sys::SiteIndex site = req.site;
-    Outcome o;
-    // Nearest live copy after a failed attempt on the precomputed target
-    // (or on the first-hop server itself).
-    const auto find_live = [&]() -> std::optional<sys::NearestCopy> {
-      const auto live = result_.nearest.nearest_live_candidates(
-          server, site, holders_[site], timeline.server_up_mask(),
-          timeline.origin_up(site), 1);
-      if (live.empty()) return std::nullopt;
-      return live.front();
-    };
-    const auto redirect_to = [&](const std::optional<sys::NearestCopy>& live,
-                                 obs::EventCause healthy_cause) {
-      if (live) {
-        o.hops = live->cost;
-        o.cause = o.attempts > 0 ? obs::EventCause::kFailover : healthy_cause;
-        o.served_by =
-            live->at_primary ? -1 : static_cast<std::int32_t>(live->server);
-      } else {
-        o.failed = true;
-        o.cause = obs::EventCause::kFailed;
+  /// One kTtl or kInvalidation cache access at virtual time `now`, for an
+  /// object last modified at `modified`: staleness compares that with the
+  /// time the server fetched its copy.  Only measured requests count
+  /// toward the consistency counters.
+  Served serve_fresh(Shard& sh, bool measured, cache::CachePolicy& cache,
+                     FreshnessTable& fresh, cache::ObjectKey key,
+                     std::uint64_t bytes, double now, double modified) const {
+    if (cache.lookup(key)) {
+      const double fetched = fresh.fetch_time(key);
+      if (ttl_mode_ && now - fetched > config_.consistency.ttl) {
+        // Expired: revalidate at the nearest copy, a full remote round.
+        fresh.on_fetch(key, now);
+        sh.validations += measured;
+        return Served::kRevalidated;
       }
-    };
-    if (!timeline.server_up(server)) {
-      // First-hop crash: the client's connection times out and the
-      // redirector re-routes it to the nearest live copy.  The dead
-      // server's warm cache and its replicas are unreachable.
-      o.attempts = 1;
-      redirect_to(find_live(), obs::EventCause::kFailover);
-      return o;
-    }
-    const Kind kind = classify(lambda_rng, server, site);
-    if (kind == Kind::kReplica) {
-      o.served_locally = true;
-      return o;
-    }
-    cache::CachePolicy& cache = *caches_[server];
-    const cache::ObjectKey key = catalog_.object_id(site, req.rank);
-    const std::uint64_t bytes = catalog_.object_bytes(site, req.rank);
-    // Fault-aware redirection: the precomputed nearest copy may be dead;
-    // trying it costs one failed attempt before the health-masked re-route.
-    // No live copy at all fails the request.
-    const auto resolve = [&]() -> std::optional<sys::NearestCopy> {
-      const sys::NearestCopy& pre = result_.nearest.nearest(server, site);
-      const bool pre_live = pre.at_primary ? timeline.origin_up(site)
-                                           : timeline.server_up(pre.server);
-      if (pre_live) return pre;
-      ++o.attempts;
-      return find_live();
-    };
-    if (kind == Kind::kUncacheable) {
-      redirect_to(resolve(), obs::EventCause::kUncacheable);
-    } else if (kind == Kind::kRefresh) {
-      const auto live = resolve();
-      if (live) cache.access(key, bytes);  // refreshed copy stays cached
-      redirect_to(live, obs::EventCause::kStaleRefresh);
-    } else {
-      o.cache_eligible = true;
-      // A hit never leaves the server, so no liveness check; a miss only
-      // admits the object when a live source exists to fetch from.
-      o.cache_hit = cache.access_no_admit(key, bytes);
-      if (o.cache_hit) {
-        o.served_locally = true;
-        o.cause = obs::EventCause::kCacheHit;
-      } else {
-        const auto live = resolve();
-        if (live) cache.admit(key, bytes);
-        redirect_to(live, obs::EventCause::kCacheMiss);
+      if (modified <= fetched) return Served::kHit;
+      if (ttl_mode_) {
+        sh.stale_served += measured;  // weak consistency served a stale copy
+        return Served::kHit;
       }
-    }
-    return o;
-  }
-
-  /// Serves one request of a kTtl or kInvalidation run, which arrives at
-  /// virtual time t * kSecondsPerRequest.  It draws no lambda: staleness
-  /// comes from the object's modification process, checked against the
-  /// time the first-hop server fetched its copy.  Only measured requests
-  /// count toward the consistency counters.
-  Outcome consistency_step(Shard& sh, const workload::Request& req,
-                           std::uint64_t t, bool measured) {
-    Outcome o;
-    if (result_.placement.is_replicated(req.server, req.site)) {
-      o.served_locally = true;  // replicas are push-updated, always fresh
-      return o;
-    }
-    o.cache_eligible = true;
-    const double now = static_cast<double>(t) * kSecondsPerRequest;
-    cache::CachePolicy& cache = *caches_[req.server];
-    FreshnessTable& fresh = freshness_[req.server];
-    const cache::ObjectKey key = catalog_.object_id(req.site, req.rank);
-    bool hit = cache.lookup(key);
-    if (hit && !ttl_mode_ &&
-        updates_->last_modification(key, now) > fresh.fetch_time(key)) {
       // A modification voided the copy: it is gone before it is served.
       cache.erase(key);
       fresh.erase(key);
-      hit = false;
-      if (measured) ++sh.invalidation_misses;
-    }
-    if (hit && ttl_mode_ &&
-        now - fresh.fetch_time(key) > config_.consistency.ttl) {
-      // Expired: revalidate at the nearest copy, a full remote round.
-      fresh.on_fetch(key, now);
-      o.cause = obs::EventCause::kStaleRefresh;
-      o.hops = result_.nearest.cost(req.server, req.site);
-      if (measured) ++sh.validations;
-      return o;
-    }
-    if (hit) {
-      if (ttl_mode_ && measured &&
-          updates_->last_modification(key, now) > fresh.fetch_time(key)) {
-        ++sh.stale_served;  // weak consistency served a stale copy
-      }
-      o.served_locally = true;
-      o.cache_hit = true;
-      o.cause = obs::EventCause::kCacheHit;
-      return o;
+      sh.invalidation_misses += measured;
     }
     // Miss: fetch from the nearest copy and admit.
-    cache.admit(key, catalog_.object_bytes(req.site, req.rank));
-    if (cache.contains(key)) fresh.on_fetch(key, now);
+    cache.admit(key, bytes);
     fresh.prune(cache);
-    o.cause = obs::EventCause::kCacheMiss;
-    o.hops = result_.nearest.cost(req.server, req.site);
+    if (cache.contains(key)) fresh.on_fetch(key, now);
+    return Served::kMiss;
+  }
+
+  /// The outcome of a request of `kind` whose cache access, if it made
+  /// one, was `served`: a replicated site or a cache hit stays local,
+  /// anything else goes to the nearest copy.
+  Outcome outcome(Kind kind, Served served, workload::ServerId server,
+                  workload::SiteId site) const {
+    Outcome o;
+    obs::EventCause cause = obs::EventCause::kCacheMiss;
+    switch (kind) {
+      case Kind::kReplica:
+        o.served_locally = true;
+        o.served_by = static_cast<std::int32_t>(server);
+        return o;
+      case Kind::kDown:
+        // First-hop crash: the client's connection times out and the
+        // redirector re-routes it to the nearest live copy.  The dead
+        // server's warm cache and its replicas are unreachable.
+        o.attempts = 1;
+        return fail_over(o, server, site);
+      case Kind::kEligible:
+      case Kind::kStranded:
+        o.cache_eligible = true;
+        if (served == Served::kHit) {
+          o.cache_hit = true;
+          o.served_locally = true;
+          o.served_by = static_cast<std::int32_t>(server);
+          o.cause = obs::EventCause::kCacheHit;
+          return o;
+        }
+        if (served == Served::kRevalidated) {
+          cause = obs::EventCause::kStaleRefresh;
+        }
+        break;
+      case Kind::kRefresh:
+        cause = obs::EventCause::kStaleRefresh;
+        break;
+      case Kind::kUncacheable:
+        cause = obs::EventCause::kUncacheable;
+        break;
+    }
+    // Fault-aware redirection: the precomputed nearest copy may be dead;
+    // trying it costs one failed attempt before the failover.
+    const sys::NearestCopy& copy = result_.nearest.nearest(server, site);
+    if (timeline_ && !(copy.at_primary ? timeline_->origin_up(site)
+                                       : timeline_->server_up(copy.server))) {
+      o.attempts = 1;
+      return fail_over(o, server, site);
+    }
+    o.hops = copy.cost;
+    o.cause = cause;
+    o.served_by = copy_id(copy);
     return o;
+  }
+
+  /// Re-routes `o` to the nearest live copy; with every copy down it fails.
+  Outcome fail_over(Outcome o, workload::ServerId server,
+                    workload::SiteId site) const {
+    const auto live = result_.nearest.nearest_live_candidates(
+        server, site, holders_[site], timeline_->server_up_mask(),
+        timeline_->origin_up(site), 1);
+    if (live.empty()) {
+      o.failed = true;
+      o.cause = obs::EventCause::kFailed;
+      return o;
+    }
+    o.hops = live.front().cost;
+    o.cause = obs::EventCause::kFailover;
+    o.served_by = copy_id(live.front());
+    return o;
+  }
+
+  static std::int32_t copy_id(const sys::NearestCopy& copy) {
+    return copy.at_primary ? -1 : static_cast<std::int32_t>(copy.server);
+  }
+
+  /// Response time of `o` at first hop `server`.  A failed request's
+  /// wasted time is reported in the trace but excluded from the latency
+  /// CDF (the request never completed).
+  double latency_of(const Outcome& o, workload::ServerId server) const {
+    if (!timeline_) return config_.latency.latency_ms(o.hops);
+    if (o.failed) return config_.latency.retry_penalty_ms(o.attempts);
+    return config_.latency.failover_latency_ms(
+        o.hops * timeline_->latency_multiplier(server), o.attempts);
   }
 
   /// Books one measured request into its shard.  Failed requests never
@@ -974,18 +950,10 @@ class EventRun {
     event.site = site;
     event.rank = rank;
     event.cause = o.cause;
+    event.served_by = o.served_by;
     event.measured = measured;
     event.hops = o.hops;
     event.latency_ms = latency_ms;
-    if (o.served_locally) {
-      event.served_by = static_cast<std::int32_t>(server);
-    } else if (timeline_) {
-      event.served_by = o.served_by;  // -2 when the request failed
-    } else {
-      const sys::NearestCopy& copy = result_.nearest.nearest(server, site);
-      event.served_by =
-          copy.at_primary ? -1 : static_cast<std::int32_t>(copy.server);
-    }
     sink_->record(event);
   }
 
@@ -1209,8 +1177,6 @@ class EventRun {
   const placement::PlacementResult& result_;
   const SimulationConfig& config_;
   const EventShape shape_;
-  // Fault schedule, trace replay or a consistency mode.
-  const bool per_request_;
   const bool poll_stop_;
   const bool slo_active_;
   const bool uncacheable_mode_;
@@ -1233,9 +1199,11 @@ class EventRun {
   std::vector<double> site_lambda_;  // uncacheable_fraction per site
   std::vector<std::unique_ptr<cache::CachePolicy>> caches_;  // by server
   std::vector<Shard> shards_;
-  // Fault schedule state (reference runs only).
+  // Fault schedule state (reference runs only); site_live_ holds for the
+  // current block.
   std::optional<fault::FaultTimeline> timeline_;
   std::vector<std::vector<sys::ServerIndex>> holders_;
+  std::vector<std::uint8_t> site_live_;  // by site: any copy up
   // Consistency-mode state (reference runs only): the modification process
   // and, per server, when each cached copy was fetched or validated.
   std::optional<ModificationProcess> updates_;

@@ -1,15 +1,23 @@
-// The end-of-run summary metrics the event engine (shard_engine.cpp) and
-// the flow engine (flow_engine.cpp) both publish.  Not part of the public
-// sim API.
+// What the event engine (shard_engine.cpp) shares with the flow engine
+// (flow_engine.cpp) and with the test oracle (tests/sim_oracle.h): the
+// end-of-run summary metrics and the seeds of the one-shard reference run's
+// RNGs.  Not part of the public sim API.
 
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "src/obs/registry.h"
 #include "src/sim/simulator.h"
 
 namespace cdn::sim::detail {
+
+/// The one-shard reference run seeds its lambda RNG, its surge-rejection
+/// RNG and the consistency modes' modification process with `seed ^ mix`.
+inline constexpr std::uint64_t kLambdaMix = 0x5bd1e995u;
+inline constexpr std::uint64_t kSurgeMix = 0x9e3779b9u;
+inline constexpr std::uint64_t kUpdateMix = 0x2545f491u;
 
 /// End-of-run summary metrics, shared verbatim by the event and flow
 /// engines so their snapshots have the same layout.

@@ -138,8 +138,8 @@ struct SimulationConfig {
   /// reference case on the calling thread, bit-identical across releases
   /// (tests/sim_digest_pin_test.cpp); 0 uses one thread per hardware
   /// thread.  Fault schedules, trace replay, trace sinks and the kTtl and
-  /// kInvalidation modes need the global request clock, so they run the
-  /// one-shard case regardless of this knob.
+  /// kInvalidation modes are indexed by the global request number, so
+  /// they run the one-shard case regardless of this knob.
   std::size_t threads = 1;
   /// First-hop shard count of a multi-threaded run.  0 = auto (4 threads'
   /// worth of shards, capped at the server count).  The report is a
@@ -152,11 +152,13 @@ struct SimulationConfig {
 
   // --- Fault injection (see docs/FAULTS.md) ---
 
-  /// Fault schedule (non-owning).  Null or empty keeps the request loop
-  /// bit-identical to the healthy simulator.  With faults: requests whose
-  /// first-hop server is down fail over to the nearest live holder with a
-  /// retry/timeout penalty, requests whose every holder is down count as
-  /// failed, and a recovering server restarts with a cold cache.
+  /// Fault schedule (non-owning).  Null or empty runs the healthy
+  /// simulator.  With faults, requests are served in blocks that end at
+  /// the schedule's transitions: requests whose first-hop server is down
+  /// fail over to the nearest live holder with a retry/timeout penalty,
+  /// requests whose every holder is down count as failed, and a recovering
+  /// server restarts with a cold cache at the block edge where its outage
+  /// ends.
   const fault::FaultSchedule* faults = nullptr;
   /// Response-time SLO in ms; measured requests slower than this — and
   /// every failed request — count toward slo_violation_fraction.

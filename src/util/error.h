@@ -6,6 +6,7 @@
 
 #pragma once
 
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -13,9 +14,20 @@
 namespace cdn {
 
 /// Exception thrown when a caller violates a documented precondition.
+/// what() names the failed check and where it sits, for logs and the CLI;
+/// diagnostic() is the message alone, for answers sent over a socket.
 class PreconditionError : public std::invalid_argument {
  public:
-  using std::invalid_argument::invalid_argument;
+  explicit PreconditionError(const std::string& what)
+      : PreconditionError(what, what) {}
+  PreconditionError(const std::string& what, const std::string& diagnostic)
+      : std::invalid_argument(what),
+        diagnostic_(std::make_shared<const std::string>(diagnostic)) {}
+
+  const std::string& diagnostic() const noexcept { return *diagnostic_; }
+
+ private:
+  std::shared_ptr<const std::string> diagnostic_;  // copies never throw
 };
 
 /// Exception thrown when an internal invariant fails at runtime in a way
@@ -32,7 +44,8 @@ namespace detail {
   std::ostringstream os;
   os << "precondition failed: " << expr << " at " << file << ':' << line;
   if (!msg.empty()) os << " — " << msg;
-  throw PreconditionError(os.str());
+  throw PreconditionError(
+      os.str(), msg.empty() ? "precondition failed: " + std::string(expr) : msg);
 }
 
 [[noreturn]] inline void throw_internal(const char* expr, const char* file,

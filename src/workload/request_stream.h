@@ -62,8 +62,9 @@ class RequestStream {
 
   /// Fills `out` (resized to `count`) with the next `count` requests.
   /// Draws exactly the same RNG sequence as `count` calls to next() — the
-  /// contract that keeps the batched simulator paths byte-identical to the
-  /// per-request reference loop.
+  /// contract that lets the simulator draw a block in one batch, or one
+  /// request at a time while a surge rejects draws, and stay byte-identical
+  /// to the per-request test oracle (tests/sim_oracle.h).
   void next_batch(RequestBatch& out, std::size_t count);
 
   const SiteCatalog& catalog() const noexcept { return *catalog_; }

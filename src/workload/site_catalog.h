@@ -33,6 +33,10 @@ class SiteCatalog {
 
   std::size_t site_count() const noexcept { return site_bytes_.size(); }
   std::size_t objects_per_site() const noexcept { return zipf_.size(); }
+  /// Objects in the catalogue; object ids are dense in [0, object_count()).
+  std::size_t object_count() const noexcept {
+    return site_count() * objects_per_site();
+  }
 
   /// Within-site popularity law (rank 1 most popular).
   const util::ZipfDistribution& object_popularity() const noexcept {

@@ -97,7 +97,7 @@ TEST(ProbeTableTest, DifferentialFuzzAgainstUnorderedMap) {
   cdn::util::Rng rng(2024);
   for (int op = 0; op < 200'000; ++op) {
     const std::uint64_t key = rng.uniform_index(512);
-    const auto action = rng.uniform_index(3);
+    const auto action = rng.uniform_index(4);
     if (action == 0) {
       if (!reference.contains(key)) {
         const auto slot = static_cast<std::uint32_t>(op);
@@ -106,11 +106,25 @@ TEST(ProbeTableTest, DifferentialFuzzAgainstUnorderedMap) {
       }
     } else if (action == 1) {
       EXPECT_EQ(table.erase(key), reference.erase(key) > 0) << "key " << key;
+    } else if (action == 2) {
+      const auto slot = static_cast<std::uint32_t>(op);
+      table.insert_or_assign(key, slot);
+      reference[key] = slot;
     } else {
       const auto it = reference.find(key);
       EXPECT_EQ(table.find(key),
                 it == reference.end() ? ProbeTable::kNil : it->second)
           << "key " << key;
+    }
+    if (table.full()) {
+      // Sweep before a new key would grow the table, as the freshness
+      // tables prune; odd steps drop nothing, so the sweep must grow it.
+      const auto dropped = [&](std::uint64_t k) {
+        return op % 2 == 0 && k % 3 == key % 3;
+      };
+      table.erase_if(dropped);
+      std::erase_if(reference, [&](const auto& e) { return dropped(e.first); });
+      EXPECT_FALSE(table.full());
     }
     ASSERT_EQ(table.size(), reference.size());
   }

@@ -101,10 +101,9 @@ TEST(ExperimentTest, MechanismSpecsProduceNamedResults) {
       s,
       {cdn::core::replication_mechanism(), cdn::core::caching_mechanism(),
        cdn::core::hybrid_mechanism(),
-       cdn::core::fixed_split_mechanism(0.2),
-       cdn::core::popularity_mechanism(), cdn::core::random_mechanism(1)},
+       cdn::core::fixed_split_mechanism(0.2)},
       sim);
-  ASSERT_EQ(runs.size(), 6u);
+  ASSERT_EQ(runs.size(), 4u);
   EXPECT_EQ(runs[0].name, "replication");
   EXPECT_EQ(runs[3].name, "cache20%");
   for (const auto& run : runs) {

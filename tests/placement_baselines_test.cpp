@@ -1,9 +1,8 @@
-// Unit tests for fixed-split, pure caching, random and popularity baselines.
+// Unit tests for the fixed-split and pure-caching baselines.
 
 #include <gtest/gtest.h>
 
 #include "src/cdn/cost.h"
-#include "src/placement/baselines.h"
 #include "src/placement/fixed_split.h"
 #include "src/placement/greedy_global.h"
 #include "src/placement/hybrid_greedy.h"
@@ -15,11 +14,8 @@ namespace {
 using cdn::placement::fixed_split;
 using cdn::placement::greedy_global;
 using cdn::placement::hybrid_greedy;
-using cdn::placement::popularity_placement;
 using cdn::placement::pure_caching;
-using cdn::placement::random_placement;
 using cdn::test::TestSystem;
-using cdn::util::Rng;
 
 TEST(PureCachingTest, NoReplicasFullCache) {
   const auto t = TestSystem::make();
@@ -95,52 +91,6 @@ TEST(FixedSplitTest, RejectsOutOfRangeFraction) {
   const auto t = TestSystem::make();
   EXPECT_THROW(fixed_split(*t.system, -0.1), cdn::PreconditionError);
   EXPECT_THROW(fixed_split(*t.system, 1.1), cdn::PreconditionError);
-}
-
-TEST(RandomPlacementTest, FillsStorageAndRespectsBudgets) {
-  const auto t = TestSystem::make();
-  Rng rng(5);
-  const auto result = random_placement(*t.system, rng);
-  EXPECT_GT(result.replicas_created, 0u);
-  for (std::size_t i = 0; i < t.system->server_count(); ++i) {
-    const auto server = static_cast<cdn::sys::ServerIndex>(i);
-    EXPECT_LE(result.placement.used_bytes(server),
-              t.system->server_storage(server));
-  }
-}
-
-TEST(RandomPlacementTest, GreedyBeatsRandom) {
-  const auto t = TestSystem::make();
-  Rng rng(6);
-  const auto random = random_placement(*t.system, rng);
-  const auto hybrid = hybrid_greedy(*t.system);
-  EXPECT_LT(hybrid.predicted_total_cost, random.predicted_total_cost);
-}
-
-TEST(PopularityPlacementTest, ReplicatesHottestSites) {
-  const auto t = TestSystem::make();
-  const auto result = popularity_placement(*t.system);
-  EXPECT_GT(result.replicas_created, 0u);
-  // The single hottest site globally must be replicated at server 0.
-  std::size_t hottest = 0;
-  double best = -1.0;
-  for (std::size_t j = 0; j < t.system->site_count(); ++j) {
-    const double v =
-        t.system->demand().site_total(static_cast<cdn::sys::SiteIndex>(j));
-    if (v > best) {
-      best = v;
-      hottest = j;
-    }
-  }
-  EXPECT_TRUE(result.placement.is_replicated(
-      0, static_cast<cdn::sys::SiteIndex>(hottest)));
-}
-
-TEST(PopularityPlacementTest, HybridBeatsPopularity) {
-  const auto t = TestSystem::make();
-  const auto pop = popularity_placement(*t.system);
-  const auto hybrid = hybrid_greedy(*t.system);
-  EXPECT_LE(hybrid.predicted_total_cost, pop.predicted_total_cost * 1.001);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <iterator>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/fault/fault_schedule.h"
@@ -146,23 +147,35 @@ TEST_F(KillResumeTest, ResumeUnderActiveFaultsIsByteIdentical) {
   faults.add_server_outage(3, 15'000, 30'000);
   faults.add_origin_outage(0, 18'000, 22'000);
   faults.add_link_degradation(2, 5'000, 35'000, 2.5);
-  auto cfg = base_config();
-  cfg.faults = &faults;
-  cfg.slo_ms = 40.0;
-  const auto reference = simulate(*t.system, placement, cfg);
-  ASSERT_GT(reference.failover_requests, 0u);
+  // The same outages under a flash crowd, plus an origin outage that
+  // begins on the warm-up edge, where the first measured window starts.
+  fault::FaultSchedule crowd = faults;
+  crowd.add_demand_surge(4, 16'000, 24'000, 4.0);
+  crowd.add_origin_outage(1, 12'000, 20'000);
+  const std::pair<const fault::FaultSchedule*, std::vector<std::uint64_t>>
+      inputs[] = {
+          // Kill points inside outages, at transition edges, and
+          // mid-recovery.
+          {&faults, {9'999, 10'000, 17'000, 25'000, 25'001, 31'000}},
+          // At the surge's begin, inside it, and on the warm-up edge.
+          {&crowd, {16'000, 19'000, 12'000}},
+      };
+  for (const auto& [schedule, kills] : inputs) {
+    auto cfg = base_config();
+    cfg.faults = schedule;
+    cfg.slo_ms = 40.0;
+    const auto reference = simulate(*t.system, placement, cfg);
+    ASSERT_GT(reference.failover_requests, 0u);
 
-  // Kill points inside outages, at transition edges, and mid-recovery.
-  for (const std::uint64_t kill_at :
-       {std::uint64_t{9'999}, std::uint64_t{10'000}, std::uint64_t{17'000},
-        std::uint64_t{25'000}, std::uint64_t{25'001}, std::uint64_t{31'000}}) {
-    const std::uint64_t at =
-        killed_run(t, placement, cfg, path("ck.bin"), kill_at);
-    EXPECT_EQ(at, kill_at);
-    const auto resumed = resumed_run(t, placement, cfg, path("ck.bin"));
-    expect_byte_identical(resumed, reference);
-    EXPECT_EQ(resumed.cold_restarts, reference.cold_restarts);
-    EXPECT_EQ(resumed.fault_transitions, reference.fault_transitions);
+    for (const std::uint64_t kill_at : kills) {
+      const std::uint64_t at =
+          killed_run(t, placement, cfg, path("ck.bin"), kill_at);
+      EXPECT_EQ(at, kill_at);
+      const auto resumed = resumed_run(t, placement, cfg, path("ck.bin"));
+      expect_byte_identical(resumed, reference);
+      EXPECT_EQ(resumed.cold_restarts, reference.cold_restarts);
+      EXPECT_EQ(resumed.fault_transitions, reference.fault_transitions);
+    }
   }
 }
 

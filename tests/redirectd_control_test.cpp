@@ -322,6 +322,31 @@ TEST(ControlServer, ReloadEndpointsRejectsAnIndexOutsideTheFleet) {
   EXPECT_EQ(daemon.generation(), 1u);
 }
 
+TEST(ControlServer, ErrRepliesCarryOnlyTheDiagnostic) {
+  // A client reads what was wrong with its input: no "precondition
+  // failed" prefix, no C++ expression and no source path.
+  Fixture fx;
+  DaemonConfig config = base_config(fx);
+  RedirectorDaemon daemon(config);
+  DaemonRunner runner(daemon);
+
+  const std::string bad = std::string(HYBRIDCDN_TEST_DATA_DIR) +
+                          "/corpus/rd_index_huge.txt";
+  net::Fd ctl = connect_client(daemon.control_port());
+  const auto reload = control_rpc(ctl.get(), "RELOAD endpoints " + bad);
+  ASSERT_TRUE(reload.has_value());
+  EXPECT_EQ(*reload,
+            "ERR reload endpoints: endpoint map line 1, col 9: server index "
+            "20000000 is out of range (fleet has 4 servers)");
+
+  net::Fd client = connect_client(daemon.port());
+  const auto get = control_rpc(client.get(), "GET 1 x 3");
+  ASSERT_TRUE(get.has_value());
+  EXPECT_EQ(*get,
+            "ERR redirect request line 1, col 7: expected an unsigned "
+            "integer (got 'x')");
+}
+
 TEST(ControlServer, ReloadEndpointsUpgradesModelModeToRacing) {
   Fixture fx;
   test::MockReplica live(test::MockReplica::Mode::kNormal);

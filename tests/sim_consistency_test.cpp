@@ -22,8 +22,8 @@ using namespace cdn;
 using cdn::test::TestSystem;
 
 TEST(ModificationProcessTest, DeterministicReplay) {
-  sim::ModificationProcess a(100.0, 1000.0, 42);
-  sim::ModificationProcess b(100.0, 1000.0, 42);
+  sim::ModificationProcess a(100.0, 1000.0, 42, 200'000);
+  sim::ModificationProcess b(100.0, 1000.0, 42, 200'000);
   for (workload::ObjectId obj : {1ull, 99ull, 123456ull}) {
     for (double now : {50.0, 500.0, 5000.0, 50000.0}) {
       EXPECT_DOUBLE_EQ(a.last_modification(obj, now),
@@ -33,7 +33,7 @@ TEST(ModificationProcessTest, DeterministicReplay) {
 }
 
 TEST(ModificationProcessTest, LastModificationIsMonotoneAndBounded) {
-  sim::ModificationProcess proc(10.0, 100.0, 7);
+  sim::ModificationProcess proc(10.0, 100.0, 7, 200'000);
   double prev = -1.0;
   for (double now = 0.0; now < 10000.0; now += 37.0) {
     const double last = proc.last_modification(5, now);
@@ -44,7 +44,7 @@ TEST(ModificationProcessTest, LastModificationIsMonotoneAndBounded) {
 }
 
 TEST(ModificationProcessTest, MeanIntervalInConfiguredRange) {
-  sim::ModificationProcess proc(3600.0, 86400.0, 11);
+  sim::ModificationProcess proc(3600.0, 86400.0, 11, 200'000);
   for (workload::ObjectId obj = 0; obj < 500; ++obj) {
     const double m = proc.mean_interval(obj);
     EXPECT_GE(m, 3600.0);
@@ -53,7 +53,7 @@ TEST(ModificationProcessTest, MeanIntervalInConfiguredRange) {
 }
 
 TEST(ModificationProcessTest, UpdateRateMatchesMeanInterval) {
-  sim::ModificationProcess proc(50.0, 50.0, 13);  // fixed mean 50
+  sim::ModificationProcess proc(50.0, 50.0, 13, 200'000);  // fixed mean 50
   // Count updates in [0, T] by stepping through last_modification.
   const double horizon = 100000.0;
   int updates = 0;
@@ -72,9 +72,9 @@ TEST(ModificationProcessTest, UpdateRateMatchesMeanInterval) {
 }
 
 TEST(ModificationProcessTest, RejectsBadIntervals) {
-  EXPECT_THROW(sim::ModificationProcess(0.0, 10.0, 1),
+  EXPECT_THROW(sim::ModificationProcess(0.0, 10.0, 1, 200'000),
                cdn::PreconditionError);
-  EXPECT_THROW(sim::ModificationProcess(20.0, 10.0, 1),
+  EXPECT_THROW(sim::ModificationProcess(20.0, 10.0, 1, 200'000),
                cdn::PreconditionError);
 }
 

@@ -42,8 +42,7 @@ extern "C" void handle_stop_signal(int) {
 
 /// Parses "hybrid,caching,cache20,..." into mechanism specs.
 std::vector<core::MechanismSpec> parse_mechanisms(
-    const std::string& csv, std::uint64_t seed, obs::Registry* metrics,
-    obs::SpanTracer* spans) {
+    const std::string& csv, obs::Registry* metrics, obs::SpanTracer* spans) {
   std::vector<core::MechanismSpec> specs;
   std::stringstream ss(csv);
   std::string item;
@@ -54,10 +53,6 @@ std::vector<core::MechanismSpec> parse_mechanisms(
       specs.push_back(core::caching_mechanism());
     } else if (item == "hybrid") {
       specs.push_back(core::hybrid_mechanism(metrics, spans));
-    } else if (item == "popularity") {
-      specs.push_back(core::popularity_mechanism());
-    } else if (item == "random") {
-      specs.push_back(core::random_mechanism(seed));
     } else if (item.rfind("cache", 0) == 0) {
       const double pct = std::atof(item.c_str() + 5);
       CDN_EXPECT(pct > 0.0 && pct < 100.0,
@@ -87,7 +82,7 @@ int main(int argc, char** argv) {
                "per-server storage as a fraction of total site bytes");
   cli.add_flag("lambda", "0.0", "uncacheable/stale request fraction");
   cli.add_flag("mechanisms", "replication,caching,hybrid",
-               "comma list: replication|caching|hybrid|popularity|random|"
+               "comma list: replication|caching|hybrid|"
                "cacheNN (fixed split with NN% cache)");
   cli.add_flag("requests", "5000000", "simulated requests");
   cli.add_flag("policy", "lru",
@@ -335,8 +330,7 @@ int main(int argc, char** argv) {
     try {
       runs = core::run_mechanisms(
           scenario,
-          parse_mechanisms(cli.get_string("mechanisms"), cfg.seed, metrics,
-                           spans),
+          parse_mechanisms(cli.get_string("mechanisms"), metrics, spans),
           sim, metrics, sink ? &*sink : nullptr, spans);
     } catch (const recover::Interrupted& e) {
       // Graceful shutdown: the engine already flushed its checkpoint; flush
