@@ -23,14 +23,13 @@
 
 #pragma once
 
-#include <fstream>
 #include <map>
 #include <string>
 #include <utility>
 
 #include "src/obs/json_writer.h"
 #include "src/obs/run_manifest.h"
-#include "src/util/error.h"
+#include "src/util/serial.h"
 
 namespace cdn::bench {
 
@@ -88,11 +87,7 @@ class BenchArtifact {
 
   void write_json_file(const std::string& path,
                        obs::RunManifest& manifest) const {
-    std::ofstream out(path, std::ios::trunc);
-    CDN_EXPECT(out.good(), "cannot open bench artifact file: " + path);
-    out << to_json(manifest) << '\n';
-    out.flush();
-    CDN_EXPECT(out.good(), "failed writing bench artifact file: " + path);
+    util::write_file(path, to_json(manifest) + '\n', "bench artifact file");
   }
 
  private:

@@ -24,11 +24,10 @@ int main(int argc, char** argv) {
   cfg.classes = {{12, 1.0, "low"}, {24, 4.0, "medium"}, {12, 16.0, "high"}};
   cfg.surge.objects_per_site = 400;
   cfg.storage_fraction = 0.05;
-  cfg.demand_model = core::DemandModel::kClientPopulation;
   core::Scenario scenario(cfg);
 
   std::cout << "Fleet provisioned at " << headroom
-            << "x the mean per-server miss load (client-population demand)\n\n";
+            << "x the mean per-server miss load\n\n";
 
   util::TextTable table({"placement", "selection", "net_hops", "resp_cost",
                          "max_util%", "mean_util%"});

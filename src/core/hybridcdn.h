@@ -1,9 +1,9 @@
 // Umbrella header: the paper's pipeline — scenario, workload, the Section 4
 // placement algorithms and their baselines, cost accounting, the simulators
 // and the summary tables.  Extensions and internals (per-cluster
-// replication, adaptive replanning, local search, server selection, the
-// concrete cache policies, model internals, topology generators, trace I/O,
-// CLI helpers) are not included: include their headers directly.
+// replication, adaptive replanning, server selection, the concrete cache
+// policies, model internals, topology generators, trace I/O, CLI helpers)
+// are not included: include their headers directly.
 //
 // Quick start:
 //

@@ -1,6 +1,6 @@
 #include "src/core/scenario.h"
 
-#include "src/redirect/client_population.h"
+#include "src/topology/shortest_paths.h"
 #include "src/util/error.h"
 #include "src/util/rng.h"
 
@@ -32,11 +32,12 @@ Scenario::Scenario(ScenarioConfig config) : config_(std::move(config)) {
       nodes.end());
 
   // 3. Hop costs from every server to all nodes (BFS, parallel).
-  hops_ = std::make_unique<topology::HopMatrix>(topo_->graph, server_nodes_);
+  const topology::HopMatrix hops(topo_->graph, server_nodes_);
   distances_ = std::make_unique<sys::DistanceOracle>(
-      sys::DistanceOracle::from_topology(*hops_, primary_nodes_));
+      sys::DistanceOracle::from_topology(hops, primary_nodes_));
 
-  // 4. Sites and demand.
+  // 4. Sites and demand: each site's volume splits over servers by a
+  //    truncated normal N(1/N, 1/4N) on mu +/- 3 sigma (the paper's model).
   util::Rng workload_rng = rng.fork(3);
   catalog_ = std::make_unique<workload::SiteCatalog>(
       workload::SiteCatalog::generate(config_.surge, config_.classes,
@@ -44,16 +45,9 @@ Scenario::Scenario(ScenarioConfig config) : config_(std::move(config)) {
   catalog_->set_uncacheable_fraction(config_.uncacheable_fraction);
 
   util::Rng demand_rng = rng.fork(4);
-  if (config_.demand_model == DemandModel::kClientPopulation) {
-    const redirect::ClientPopulation clients(*hops_);
-    demand_ = std::make_unique<workload::DemandMatrix>(clients.derive_demand(
-        *catalog_, config_.demand_total, demand_rng,
-        config_.client_demand_jitter));
-  } else {
-    demand_ = std::make_unique<workload::DemandMatrix>(
-        workload::DemandMatrix::generate(*catalog_, config_.server_count,
-                                         config_.demand_total, demand_rng));
-  }
+  demand_ = std::make_unique<workload::DemandMatrix>(
+      workload::DemandMatrix::generate(*catalog_, config_.server_count,
+                                       config_.demand_total, demand_rng));
 
   // 5. The assembled system.
   system_ = std::make_unique<sys::CdnSystem>(

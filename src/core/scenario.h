@@ -9,23 +9,12 @@
 #include <vector>
 
 #include "src/cdn/system.h"
-#include "src/topology/shortest_paths.h"
 #include "src/topology/transit_stub.h"
 #include "src/workload/demand.h"
 #include "src/workload/site_catalog.h"
 #include "src/workload/surge.h"
 
 namespace cdn::core {
-
-/// How the demand matrix r_j^(i) is produced.
-enum class DemandModel {
-  /// The paper's model: each site's volume splits over servers by a
-  /// truncated normal N(1/N, 1/4N) on mu +/- 3 sigma.
-  kTruncatedNormal,
-  /// Topological model: client mass at stub nodes, DNS-mapped to nearest
-  /// servers; per-server shares emerge from where servers sit.
-  kClientPopulation,
-};
 
 /// Every knob of one experimental scenario.  Defaults reconstruct the
 /// paper's setup: 1560-node transit-stub graph, N = 50 servers, M = 200
@@ -34,9 +23,6 @@ enum class DemandModel {
 struct ScenarioConfig {
   topology::TransitStubParams topology{};
   std::size_t server_count = 50;
-  DemandModel demand_model = DemandModel::kTruncatedNormal;
-  /// Per-(server, site) relative jitter for kClientPopulation demand.
-  double client_demand_jitter = 0.25;
   workload::SurgeParams surge{};
   std::vector<workload::PopularityClass> classes =
       workload::default_popularity_classes();
@@ -90,7 +76,6 @@ class Scenario {
   std::unique_ptr<topology::TransitStubTopology> topo_;
   std::vector<topology::NodeId> server_nodes_;
   std::vector<topology::NodeId> primary_nodes_;
-  std::unique_ptr<topology::HopMatrix> hops_;
   std::unique_ptr<sys::DistanceOracle> distances_;
   std::unique_ptr<workload::SiteCatalog> catalog_;
   std::unique_ptr<workload::DemandMatrix> demand_;

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <fstream>
 #include <sstream>
 
 #include "src/util/error.h"
 #include "src/util/rng.h"
+#include "src/util/serial.h"
 #include "src/util/text_parse.h"
 
 namespace cdn::fault {
@@ -177,11 +177,7 @@ FaultSchedule FaultSchedule::parse(const std::string& text) {
 }
 
 FaultSchedule FaultSchedule::load(const std::string& path) {
-  std::ifstream in(path);
-  CDN_EXPECT(in.good(), "cannot open fault schedule file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse(buffer.str());
+  return parse(util::read_file(path, "fault schedule file"));
 }
 
 namespace {

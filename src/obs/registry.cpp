@@ -1,10 +1,9 @@
 #include "src/obs/registry.h"
 
-#include <fstream>
-
 #include "src/obs/json_writer.h"
 #include "src/obs/run_manifest.h"
 #include "src/util/error.h"
+#include "src/util/serial.h"
 
 namespace cdn::obs {
 
@@ -253,10 +252,8 @@ std::string Registry::to_json(const RunManifest* manifest) const {
 
 void write_json_file(const Registry& registry, const std::string& path,
                      const RunManifest* manifest) {
-  std::ofstream out(path, std::ios::trunc);
-  CDN_EXPECT(out.good(), "cannot open metrics output file: " + path);
-  out << registry.to_json(manifest) << '\n';
-  CDN_EXPECT(out.good(), "failed writing metrics output file: " + path);
+  util::write_file(path, registry.to_json(manifest) + '\n',
+                   "metrics output file");
 }
 
 }  // namespace cdn::obs

@@ -2,11 +2,11 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <map>
 
 #include "src/obs/json_writer.h"
 #include "src/util/error.h"
+#include "src/util/serial.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -178,10 +178,7 @@ std::string RunManifest::to_json() const {
 }
 
 void RunManifest::write_json_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  CDN_EXPECT(out.good(), "cannot open manifest output file: " + path);
-  out << to_json() << '\n';
-  CDN_EXPECT(out.good(), "failed writing manifest output file: " + path);
+  util::write_file(path, to_json() + '\n', "manifest output file");
 }
 
 RunManifest make_run_manifest(std::string tool) {

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <fstream>
 #include <thread>
 
 #include "src/obs/json_writer.h"
-#include "src/util/error.h"
+#include "src/util/serial.h"
 
 namespace cdn::obs {
 
@@ -257,10 +256,7 @@ std::string SpanTracer::to_chrome_json() const {
 }
 
 void SpanTracer::write_json_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  CDN_EXPECT(out.good(), "cannot open spans output file: " + path);
-  out << to_chrome_json() << '\n';
-  CDN_EXPECT(out.good(), "failed writing spans output file: " + path);
+  util::write_file(path, to_chrome_json() + '\n', "spans output file");
 }
 
 }  // namespace cdn::obs

@@ -1,6 +1,5 @@
 #include "src/obs/trace.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "src/obs/json_writer.h"
@@ -61,10 +60,7 @@ std::string TraceSink::csv() const {
 }
 
 void TraceSink::write_csv(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  CDN_EXPECT(out.good(), "cannot open trace output file: " + path);
-  out << csv();
-  CDN_EXPECT(out.good(), "failed writing trace output file: " + path);
+  util::write_file(path, csv(), "trace output file");
 }
 
 void TraceSink::save_state(util::ByteWriter& w) const {

@@ -1,6 +1,5 @@
 #include "src/placement/placement_io.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "src/util/error.h"
@@ -32,11 +31,7 @@ std::string serialize_placement(const sys::ReplicaPlacement& placement) {
 
 void save_placement(const sys::ReplicaPlacement& placement,
                     const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  CDN_EXPECT(out.good(), "cannot open placement file for writing: " + path);
-  out << serialize_placement(placement);
-  out.flush();
-  CDN_EXPECT(out.good(), "I/O error writing placement file: " + path);
+  util::write_file(path, serialize_placement(placement), kWhat);
 }
 
 std::uint64_t placement_digest(const sys::ReplicaPlacement& placement) {
@@ -127,12 +122,8 @@ PlacementResult parse_placement_result(const std::string& text,
 PlacementResult load_placement_result(const std::string& path,
                                       const sys::CdnSystem& system,
                                       const std::string& algorithm) {
-  std::ifstream in(path);
-  CDN_EXPECT(in.good(), "cannot open placement file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  CDN_EXPECT(!in.bad(), "I/O error reading placement file: " + path);
-  return parse_placement_result(buffer.str(), system, algorithm);
+  return parse_placement_result(util::read_file(path, kWhat), system,
+                                algorithm);
 }
 
 }  // namespace cdn::placement

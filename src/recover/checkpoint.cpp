@@ -1,8 +1,8 @@
 #include "src/recover/checkpoint.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 
 #include "src/util/error.h"
 
@@ -27,54 +27,38 @@ std::uint64_t write_file(const std::string& path, const Checkpoint& ckpt) {
   w.raw(ckpt.payload.data(), ckpt.payload.size());
   w.u64(util::fnv1a(w.buffer().data(), w.size()));
 
-  // Atomic publish: serialise to a sibling tmp file, flush it, rename over
-  // the target.  POSIX rename() replaces atomically, so readers only ever
-  // see the old complete file or the new complete file.
+  // Atomic publish: write a sibling tmp file, then rename it over the
+  // target.  POSIX rename() replaces atomically, so readers only ever see
+  // the old complete file or the new complete file.
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    CDN_EXPECT(out.good(), "cannot open checkpoint temp file: " + tmp);
-    out.write(reinterpret_cast<const char*>(w.buffer().data()),
-              static_cast<std::streamsize>(w.size()));
-    out.flush();
-    CDN_EXPECT(out.good(), "failed writing checkpoint temp file: " + tmp);
-  }
+  util::write_file(tmp, w.bytes(), "checkpoint temp file");
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    const int err = errno;
     std::remove(tmp.c_str());
-    CDN_EXPECT(false, "cannot rename checkpoint into place: " + path);
+    CDN_EXPECT(false, "cannot rename checkpoint into place: " + path + ": " +
+                          std::strerror(err));
   }
   return w.size();
 }
 
 Checkpoint read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  CDN_EXPECT(in.good(), "cannot open checkpoint file: " + path);
-  const std::streamoff size = in.tellg();
+  const std::string bytes = util::read_file(path, "checkpoint file");
   // Smallest valid file: magic + version + two counts + trailer.
-  constexpr std::streamoff kMinSize = 8 + 4 + 8 + 8 + 8;
-  CDN_EXPECT(size >= kMinSize,
+  constexpr std::size_t kMinSize = 8 + 4 + 8 + 8 + 8;
+  CDN_EXPECT(bytes.size() >= kMinSize,
              "checkpoint file truncated: " + path + " is " +
-                 std::to_string(size) + " bytes, need at least " +
+                 std::to_string(bytes.size()) + " bytes, need at least " +
                  std::to_string(kMinSize));
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  in.seekg(0);
-  in.read(reinterpret_cast<char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  CDN_EXPECT(in.good(), "failed reading checkpoint file: " + path);
 
   // Checksum first: a torn or bit-flipped file is rejected before any of
   // its contents are interpreted.
-  const std::size_t body = bytes.size() - 8;
-  std::uint64_t stored = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    stored |= static_cast<std::uint64_t>(bytes[body + i]) << (8 * i);
-  }
-  const std::uint64_t computed = util::fnv1a(bytes.data(), body);
-  CDN_EXPECT(stored == computed,
+  const std::string_view body(bytes.data(), bytes.size() - 8);
+  util::ByteReader trailer(std::string_view(bytes).substr(body.size()));
+  CDN_EXPECT(trailer.u64() == util::fnv1a(body.data(), body.size()),
              "checkpoint checksum mismatch in " + path +
                  " (torn write or corruption)");
 
-  util::ByteReader r({bytes.data(), body});
+  util::ByteReader r(body);
   char magic[8];
   r.raw(magic, sizeof(magic));
   CDN_EXPECT(std::memcmp(magic, kMagic, sizeof(kMagic)) == 0,

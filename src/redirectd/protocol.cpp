@@ -1,9 +1,9 @@
 #include "src/redirectd/protocol.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "src/util/error.h"
+#include "src/util/serial.h"
 #include "src/util/text_parse.h"
 
 namespace cdn::redirectd {
@@ -159,12 +159,8 @@ EndpointMap EndpointMap::parse(const std::string& text,
 EndpointMap EndpointMap::load(const std::string& path,
                               std::size_t server_count,
                               std::size_t site_count) {
-  std::ifstream in(path);
-  CDN_EXPECT(in.good(), "cannot open endpoint map: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  CDN_EXPECT(!in.bad(), "I/O error reading endpoint map: " + path);
-  return parse(buffer.str(), server_count, site_count);
+  return parse(util::read_file(path, "endpoint map"), server_count,
+               site_count);
 }
 
 void EndpointMap::validate(std::size_t server_count,

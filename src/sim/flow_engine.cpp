@@ -132,7 +132,7 @@ SimulationReport simulate_flow(const sys::CdnSystem& system,
   const bool slo_active = config.slo_ms > 0.0;
 
   SimulationReport report;
-  report.latency_cdf.use_sketch(config.latency_sketch_error);
+  report.latency_cdf.use_sketch(detail::kLatencySketchError);
 
   // --- Split every demand cell's flow mass analytically. ---
   double mass = 0.0;                  // total processed flow (sums to ~1)

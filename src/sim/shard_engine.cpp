@@ -381,7 +381,7 @@ class EventRun {
                           plan_.servers[s]);
         sh.lambda_rng =
             util::Rng(substream_seed(config.seed, s, kLambdaSalt));
-        sh.latency.use_sketch(config.latency_sketch_error);
+        sh.latency.use_sketch(detail::kLatencySketchError);
       }
       sh.windows.resize(window_count_);
       if (per_server_) {
@@ -511,7 +511,7 @@ class EventRun {
     if (shape_.reference) {
       report.latency_cdf = std::move(shards_[0].latency);
     } else {
-      report.latency_cdf.use_sketch(config_.latency_sketch_error);
+      report.latency_cdf.use_sketch(detail::kLatencySketchError);
     }
     double hop_sum = 0.0;
     std::uint64_t local = 0;

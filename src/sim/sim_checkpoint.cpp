@@ -5,6 +5,7 @@
 #include "src/cdn/system.h"
 #include "src/fault/fault_schedule.h"
 #include "src/sim/shard_engine.h"
+#include "src/sim/sim_internal.h"
 #include "src/workload/trace_io.h"
 
 namespace cdn::sim {
@@ -79,7 +80,7 @@ std::uint64_t config_hash(const SimulationConfig& config) {
   w.f64(config.latency.retry_backoff_ms);
   w.u64(config.seed);
   w.f64(config.slo_ms);
-  w.f64(config.latency_sketch_error);
+  w.f64(kLatencySketchError);  // a new bound must refuse old checkpoints
   w.u64(config.metrics_windows);
   w.u8(config.per_server_metrics ? 1 : 0);
   // Observability shape matters to the payload layout: a checkpoint taken

@@ -1,7 +1,8 @@
 // What the event engine (shard_engine.cpp) shares with the flow engine
 // (flow_engine.cpp) and with the test oracle (tests/sim_oracle.h): the
-// end-of-run summary metrics and the seeds of the one-shard reference run's
-// RNGs.  Not part of the public sim API.
+// end-of-run summary metrics, the latency sketch's error bound and the
+// seeds of the one-shard reference run's RNGs.  Not part of the public sim
+// API.
 
 #pragma once
 
@@ -18,6 +19,11 @@ namespace cdn::sim::detail {
 inline constexpr std::uint64_t kLambdaMix = 0x5bd1e995u;
 inline constexpr std::uint64_t kSurgeMix = 0x9e3779b9u;
 inline constexpr std::uint64_t kUpdateMix = 0x2545f491u;
+
+/// Relative error bound of the bounded-memory latency quantile sketch that
+/// multi-shard and flow runs report (the one-shard reference keeps exact
+/// samples).
+inline constexpr double kLatencySketchError = 0.005;
 
 /// End-of-run summary metrics, shared verbatim by the event and flow
 /// engines so their snapshots have the same layout.

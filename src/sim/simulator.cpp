@@ -20,8 +20,6 @@ void SimulationConfig::validate() const {
   CDN_EXPECT(slo_ms >= 0.0, "SLO threshold must be non-negative");
   CDN_EXPECT(latency.retry_timeout_ms >= 0.0 && latency.retry_backoff_ms >= 0.0,
              "retry latency penalties must be non-negative");
-  CDN_EXPECT(latency_sketch_error > 0.0 && latency_sketch_error < 1.0,
-             "latency sketch relative error must be in (0, 1)");
   CDN_EXPECT(std::isfinite(checkpoint_every_seconds) &&
                  checkpoint_every_seconds >= 0.0,
              "checkpoint time cadence must be a non-negative finite number "

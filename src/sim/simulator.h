@@ -146,9 +146,6 @@ struct SimulationConfig {
   /// deterministic function of (seed, shards) alone — the thread count
   /// only changes the execution schedule, never a result bit.
   std::size_t shards = 0;
-  /// Relative error bound of the multi-shard bounded-memory latency
-  /// quantile sketch (the one-shard reference keeps exact samples).
-  double latency_sketch_error = 0.005;
 
   // --- Fault injection (see docs/FAULTS.md) ---
 

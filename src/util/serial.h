@@ -1,5 +1,5 @@
 // Bounds-checked binary (de)serialisation primitives for crash-safe state
-// snapshots (src/recover) and the trace formats.
+// snapshots (src/recover) and the trace formats, and checked file I/O.
 //
 // ByteWriter appends little-endian fixed-width fields to a growable buffer;
 // ByteReader walks a read-only view of such a buffer and throws
@@ -15,6 +15,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/util/error.h"
@@ -24,6 +25,17 @@ namespace cdn::util {
 /// FNV-1a over a byte range; `seed` chains incremental runs.
 std::uint64_t fnv1a(const void* data, std::size_t bytes,
                     std::uint64_t seed = 0xcbf29ce484222325ULL) noexcept;
+
+/// The whole of `path` read to EOF, FIFOs and devices too.  A failed open
+/// or read (a directory reads as EISDIR) throws PreconditionError naming
+/// `what` (the file's role), the path and the OS reason.
+std::string read_file(const std::string& path, std::string_view what);
+
+/// Creates or truncates `path` (mode 0666 under the umask) and writes
+/// `bytes`; a failed open, a short or failed write, or an error at close
+/// (a full disk) throws like read_file, so no output is lost silently.
+void write_file(const std::string& path, std::string_view bytes,
+                std::string_view what);
 
 /// Append-only little-endian buffer writer.
 class ByteWriter {
@@ -44,6 +56,9 @@ class ByteWriter {
   }
 
   const std::vector<std::uint8_t>& buffer() const noexcept { return buf_; }
+  std::string_view bytes() const noexcept {
+    return {reinterpret_cast<const char*>(buf_.data()), buf_.size()};
+  }
   std::size_t size() const noexcept { return buf_.size(); }
 
  private:
@@ -65,6 +80,9 @@ class ByteWriter {
 class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
+  explicit ByteReader(std::string_view bytes)
+      : data_(reinterpret_cast<const std::uint8_t*>(bytes.data()),
+              bytes.size()) {}
 
   std::uint8_t u8() {
     need(1, "u8");

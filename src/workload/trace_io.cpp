@@ -1,10 +1,9 @@
 #include "src/workload/trace_io.h"
 
-#include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include "src/util/error.h"
+#include "src/util/serial.h"
 #include "src/util/text_parse.h"
 
 namespace cdn::workload {
@@ -13,17 +12,10 @@ namespace {
 
 constexpr char kMagic[8] = {'C', 'D', 'N', 'T', 'R', 'A', 'C', 'E'};
 constexpr std::uint32_t kVersion = 1;
-
-std::uint64_t fnv1a(const void* data, std::size_t bytes,
-                    std::uint64_t seed = 0xcbf29ce484222325ULL) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+constexpr std::uint64_t kHeaderBytes =
+    sizeof(kMagic) + sizeof(kVersion) + sizeof(std::uint64_t);
+constexpr std::uint64_t kRecordBytes = 3 * sizeof(std::uint32_t);
+constexpr std::uint64_t kChecksumBytes = sizeof(std::uint64_t);
 
 }  // namespace
 
@@ -38,48 +30,32 @@ RecordedTrace RecordedTrace::record(RequestStream& stream,
 }
 
 void RecordedTrace::save_binary(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  CDN_EXPECT(out.good(), "cannot open trace file for writing: " + path);
-  out.write(kMagic, sizeof(kMagic));
-  out.write(reinterpret_cast<const char*>(&kVersion), sizeof(kVersion));
-  const std::uint64_t count = requests_.size();
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  std::uint64_t checksum = 0xcbf29ce484222325ULL;
+  util::ByteWriter w;
+  w.raw(kMagic, sizeof(kMagic));
+  w.u32(kVersion);
+  w.u64(requests_.size());
   for (const Request& r : requests_) {
-    const std::uint32_t fields[3] = {r.server, r.site, r.rank};
-    out.write(reinterpret_cast<const char*>(fields), sizeof(fields));
-    checksum = fnv1a(fields, sizeof(fields), checksum);
+    w.u32(r.server);
+    w.u32(r.site);
+    w.u32(r.rank);
   }
-  out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  CDN_CHECK(out.good(), "short write while saving trace: " + path);
+  w.u64(util::fnv1a(w.buffer().data() + kHeaderBytes,
+                    w.size() - kHeaderBytes));
+  util::write_file(path, w.bytes(), "trace file");
 }
 
 RecordedTrace RecordedTrace::load_binary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  CDN_EXPECT(in.good(), "cannot open trace file: " + path);
+  const std::string bytes = util::read_file(path, "trace file");
   // Reject truncated or padded files up front, BEFORE trusting the record
-  // count: a corrupt header must not drive a multi-gigabyte allocation or a
-  // long doomed read loop.
-  in.seekg(0, std::ios::end);
-  const std::uint64_t file_size = static_cast<std::uint64_t>(in.tellg());
-  in.seekg(0, std::ios::beg);
-  constexpr std::uint64_t kHeaderBytes =
-      sizeof(kMagic) + sizeof(kVersion) + sizeof(std::uint64_t);
-  constexpr std::uint64_t kChecksumBytes = sizeof(std::uint64_t);
+  // count: a corrupt header must not drive a multi-gigabyte allocation.
+  const std::uint64_t file_size = bytes.size();
   CDN_EXPECT(file_size >= kHeaderBytes + kChecksumBytes,
              "truncated trace file (smaller than its header): " + path);
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  CDN_EXPECT(in.good() && std::memcmp(magic, kMagic, sizeof(kMagic)) == 0,
+  CDN_EXPECT(std::string_view(bytes).starts_with({kMagic, sizeof(kMagic)}),
              "not a hybridcdn trace file: " + path);
-  std::uint32_t version = 0;
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  CDN_EXPECT(in.good() && version == kVersion,
-             "unsupported trace version in " + path);
-  std::uint64_t count = 0;
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  CDN_EXPECT(in.good(), "truncated trace header: " + path);
-  constexpr std::uint64_t kRecordBytes = 3 * sizeof(std::uint32_t);
+  util::ByteReader r(std::string_view(bytes).substr(sizeof(kMagic)));
+  CDN_EXPECT(r.u32() == kVersion, "unsupported trace version in " + path);
+  const std::uint64_t count = r.u64();
   CDN_EXPECT(count <= (file_size - kHeaderBytes - kChecksumBytes) /
                           kRecordBytes,
              "trace record count exceeds the file size (truncated or "
@@ -90,34 +66,28 @@ RecordedTrace RecordedTrace::load_binary(const std::string& path) {
 
   RecordedTrace trace;
   trace.requests_.resize(count);
-  std::uint64_t checksum = 0xcbf29ce484222325ULL;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint32_t fields[3];
-    in.read(reinterpret_cast<char*>(fields), sizeof(fields));
-    CDN_EXPECT(in.good(), "truncated trace payload: " + path);
-    checksum = fnv1a(fields, sizeof(fields), checksum);
-    trace.requests_[i] = {fields[0], fields[1], fields[2]};
+  for (Request& req : trace.requests_) {
+    req.server = r.u32();
+    req.site = r.u32();
+    req.rank = r.u32();
   }
-  std::uint64_t stored = 0;
-  in.read(reinterpret_cast<char*>(&stored), sizeof(stored));
-  CDN_EXPECT(in.good() && stored == checksum,
+  CDN_EXPECT(r.u64() == util::fnv1a(bytes.data() + kHeaderBytes,
+                                    count * kRecordBytes),
              "trace checksum mismatch (corrupt file?): " + path);
   return trace;
 }
 
 void RecordedTrace::save_csv(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  CDN_EXPECT(out.good(), "cannot open trace file for writing: " + path);
-  out << "server,site,rank\n";
+  std::ostringstream csv;
+  csv << "server,site,rank\n";
   for (const Request& r : requests_) {
-    out << r.server << ',' << r.site << ',' << r.rank << '\n';
+    csv << r.server << ',' << r.site << ',' << r.rank << '\n';
   }
-  CDN_CHECK(out.good(), "short write while saving trace: " + path);
+  util::write_file(path, csv.str(), "trace file");
 }
 
 RecordedTrace RecordedTrace::load_csv(const std::string& path) {
-  std::ifstream in(path);
-  CDN_EXPECT(in.good(), "cannot open trace file: " + path);
+  std::istringstream in(util::read_file(path, "trace file"));
   std::string line;
   CDN_EXPECT(static_cast<bool>(std::getline(in, line)),
              "empty CSV trace file: " + path);

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <typeinfo>
 #include <vector>
@@ -20,6 +19,7 @@
 #include "src/redirectd/control.h"
 #include "src/redirectd/protocol.h"
 #include "src/util/error.h"
+#include "src/util/serial.h"
 #include "src/workload/trace_io.h"
 #include "tests/test_support.h"
 
@@ -42,24 +42,34 @@ std::vector<std::filesystem::path> corpus_files(const char* prefix) {
   return files;
 }
 
+/// `load(path)` must throw a PreconditionError whose message holds
+/// `names` (empty: any message).
+template <typename Loader>
+void expect_rejected(const std::filesystem::path& path, const Loader& load,
+                     const std::string& names) {
+  try {
+    load(path.string());
+    ADD_FAILURE() << path << " was accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(names), std::string::npos)
+        << path << ": " << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << path << " threw " << typeid(e).name() << " ("
+                  << e.what() << ") instead of PreconditionError";
+  }
+}
+
+/// Every corpus file of the family, and the corpus directory itself: a
+/// directory is a read error naming it, never an empty file to parse or a
+/// size to allocate.
 template <typename Loader>
 void expect_all_rejected(const char* prefix, std::size_t at_least,
                          Loader&& load) {
   const auto files = corpus_files(prefix);
   ASSERT_GE(files.size(), at_least)
       << "corpus lost its '" << prefix << "' files";
-  for (const auto& file : files) {
-    try {
-      load(file.string());
-      ADD_FAILURE() << file.filename() << " was accepted";
-    } catch (const PreconditionError& e) {
-      EXPECT_NE(e.what(), nullptr) << file.filename();
-    } catch (const std::exception& e) {
-      ADD_FAILURE() << file.filename() << " threw "
-                    << typeid(e).name() << " (" << e.what()
-                    << ") instead of PreconditionError";
-    }
-  }
+  for (const auto& file : files) expect_rejected(file, load, "");
+  expect_rejected(corpus_dir(), load, corpus_dir().string());
 }
 
 TEST(ParserCorpusTest, CorpusIsPresentAndSubstantial) {
@@ -100,10 +110,7 @@ TEST(ParserCorpusTest, RedirectRequestFilesAllRejected) {
   // Each rp_ file holds one adversarial redirector request line (truncated,
   // bad verb, negative/float/NaN/overflowing numbers, oversized line).
   expect_all_rejected("rp_", 9, [](const std::string& p) {
-    std::ifstream in(p, std::ios::binary);
-    std::string line((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    (void)redirectd::parse_request(line);
+    (void)redirectd::parse_request(util::read_file(p, "request line file"));
   });
 }
 
@@ -136,10 +143,8 @@ TEST(ParserCorpusTest, ReloadEndpointFilesAllRejected) {
 
 TEST(ParserCorpusTest, ControlCommandFilesAllRejected) {
   expect_all_rejected("rc_control_", 5, [](const std::string& p) {
-    std::ifstream in(p, std::ios::binary);
-    std::string line((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    (void)redirectd::parse_control_command(line);
+    (void)redirectd::parse_control_command(
+        util::read_file(p, "control line file"));
   });
 }
 
@@ -193,10 +198,8 @@ TEST(ParserCorpusTest, FaultErrorsCarryLineAndColumn) {
 TEST(ParserCorpusTest, CsvErrorsCarryLineAndColumn) {
   const auto dir = std::filesystem::temp_directory_path();
   const auto p = dir / ("hybridcdn_csv_diag_" + std::to_string(::getpid()));
-  {
-    std::ofstream out(p);
-    out << "server,site,rank\n0,1,2\n3,-4,5\n";
-  }
+  util::write_file(p.string(), "server,site,rank\n0,1,2\n3,-4,5\n",
+                   "trace file");
   try {
     workload::RecordedTrace::load_csv(p.string());
     FAIL() << "negative field accepted";

@@ -1,17 +1,13 @@
-// Unit tests for client populations, DNS first-hop mapping, and load-aware
-// server selection.
+// Unit tests for load-aware server selection.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "src/core/scenario.h"
 #include "src/placement/fixed_split.h"
 #include "src/placement/greedy_global.h"
 #include "src/placement/hybrid_greedy.h"
-#include "src/redirect/client_population.h"
 #include "src/redirect/server_selection.h"
-#include "src/topology/shortest_paths.h"
 #include "src/util/error.h"
 #include "tests/test_support.h"
 
@@ -19,112 +15,6 @@ namespace {
 
 using namespace cdn;
 using cdn::test::TestSystem;
-
-/// Path graph 0-1-2-3-4 with servers at nodes 0 and 4.
-struct LineFixture {
-  topology::Graph graph{5};
-  std::vector<topology::NodeId> servers{0, 4};
-
-  LineFixture() {
-    for (topology::NodeId v = 0; v + 1 < 5; ++v) graph.add_edge(v, v + 1);
-  }
-};
-
-TEST(ClientPopulationTest, NearestServerAssignment) {
-  LineFixture f;
-  const topology::HopMatrix hops(f.graph, f.servers);
-  const redirect::ClientPopulation clients(hops);
-  EXPECT_EQ(clients.first_hop(1), 0u);  // 1 hop to server 0, 3 to server 4
-  EXPECT_EQ(clients.first_hop(3), 1u);
-  // Node 2 is equidistant: deterministic tie-break to the lower index.
-  EXPECT_EQ(clients.first_hop(2), 0u);
-}
-
-TEST(ClientPopulationTest, DefaultWeightsExcludeServers) {
-  LineFixture f;
-  const topology::HopMatrix hops(f.graph, f.servers);
-  const redirect::ClientPopulation clients(hops);
-  EXPECT_DOUBLE_EQ(clients.weight(0), 0.0);
-  EXPECT_DOUBLE_EQ(clients.weight(4), 0.0);
-  // Remaining three nodes share the mass equally.
-  EXPECT_NEAR(clients.weight(1), 1.0 / 3.0, 1e-12);
-  EXPECT_NEAR(clients.server_share(0) + clients.server_share(1), 1.0, 1e-12);
-  EXPECT_NEAR(clients.server_share(0), 2.0 / 3.0, 1e-12);  // nodes 1 and 2
-}
-
-TEST(ClientPopulationTest, MeanAccessHops) {
-  LineFixture f;
-  const topology::HopMatrix hops(f.graph, f.servers);
-  const redirect::ClientPopulation clients(hops);
-  // Nodes 1, 2, 3 at distances 1, 2, 1 from their first hops.
-  EXPECT_NEAR(clients.mean_access_hops(), (1.0 + 2.0 + 1.0) / 3.0, 1e-12);
-}
-
-TEST(ClientPopulationTest, CustomWeightsShiftShares) {
-  LineFixture f;
-  const topology::HopMatrix hops(f.graph, f.servers);
-  std::vector<double> weights{0.0, 0.0, 0.0, 10.0, 0.0};  // all mass at 3
-  const redirect::ClientPopulation clients(hops, std::move(weights));
-  EXPECT_DOUBLE_EQ(clients.server_share(1), 1.0);
-  EXPECT_DOUBLE_EQ(clients.server_share(0), 0.0);
-}
-
-TEST(ClientPopulationTest, DerivedDemandFollowsShares) {
-  LineFixture f;
-  const topology::HopMatrix hops(f.graph, f.servers);
-  const redirect::ClientPopulation clients(hops);
-
-  workload::SurgeParams params;
-  params.objects_per_site = 20;
-  const std::vector<workload::PopularityClass> classes{{4, 1.0, "x"}};
-  util::Rng rng(1);
-  const auto catalog =
-      workload::SiteCatalog::generate(params, classes, rng);
-  const auto demand =
-      clients.derive_demand(catalog, 9000.0, rng, /*jitter=*/0.0);
-  EXPECT_NEAR(demand.total(), 9000.0, 1e-6);
-  // Server 0 owns 2/3 of the clients.
-  EXPECT_NEAR(demand.server_total(0), 6000.0, 1e-6);
-  EXPECT_NEAR(demand.server_total(1), 3000.0, 1e-6);
-}
-
-TEST(ClientPopulationTest, RejectsBadInput) {
-  LineFixture f;
-  const topology::HopMatrix hops(f.graph, f.servers);
-  EXPECT_THROW(
-      redirect::ClientPopulation(hops, std::vector<double>{1.0, 2.0}),
-      cdn::PreconditionError);
-  EXPECT_THROW(redirect::ClientPopulation(
-                   hops, std::vector<double>{0, 0, 0, 0, 0}),
-               cdn::PreconditionError);
-  EXPECT_THROW(redirect::ClientPopulation(
-                   hops, std::vector<double>{1, 1, -1, 1, 1}),
-               cdn::PreconditionError);
-}
-
-TEST(ClientPopulationScenarioTest, ScenarioDemandModelWorksEndToEnd) {
-  core::ScenarioConfig cfg;
-  cfg.topology = {.transit_domains = 2,
-                  .transit_nodes_per_domain = 2,
-                  .stub_domains_per_transit_node = 2,
-                  .nodes_per_stub_domain = 8};
-  cfg.server_count = 5;
-  cfg.surge.objects_per_site = 100;
-  cfg.classes = {{4, 1.0, "low"}, {2, 8.0, "high"}};
-  cfg.demand_model = core::DemandModel::kClientPopulation;
-  cfg.seed = 5;
-  const core::Scenario scenario(cfg);
-  EXPECT_NEAR(scenario.demand().total(), cfg.demand_total, 1e-6);
-  // Demand shares are topology-driven, hence uneven across servers.
-  double lo = 1e18, hi = 0.0;
-  for (std::size_t i = 0; i < 5; ++i) {
-    const double s =
-        scenario.demand().server_total(static_cast<workload::ServerId>(i));
-    lo = std::min(lo, s);
-    hi = std::max(hi, s);
-  }
-  EXPECT_GT(hi, lo * 1.05);
-}
 
 TEST(ServerSelectionTest, NearestPolicyMatchesNearestIndexCosts) {
   const auto t = TestSystem::make();

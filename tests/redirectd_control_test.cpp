@@ -266,22 +266,35 @@ TEST(ControlServer, MalformedReloadLeavesThePreviousGenerationServing) {
   RedirectorDaemon daemon(config);
   DaemonRunner runner(daemon);
 
-  const std::string bad = std::string(HYBRIDCDN_TEST_DATA_DIR) +
-                          "/corpus/rc_placement_truncated.txt";
+  // Each input's ERR reply names `expect`.  A directory must fail as a
+  // read error naming it, never parse as an empty file.
+  const std::string corpus = std::string(HYBRIDCDN_TEST_DATA_DIR) + "/corpus";
+  const struct {
+    std::string command;
+    std::string expect;
+  } inputs[] = {
+      {"RELOAD placement " + corpus + "/rc_placement_truncated.txt", "line 2"},
+      {"RELOAD placement " + corpus, corpus + ": Is a directory"},
+      {"RELOAD endpoints " + corpus, corpus + ": Is a directory"},
+  };
   net::Fd ctl = connect_client(daemon.control_port());
-  const auto reply = control_rpc(ctl.get(), "RELOAD placement " + bad);
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->rfind("ERR", 0), 0u) << *reply;
-  EXPECT_NE(reply->find("line 2"), std::string::npos) << *reply;
+  std::uint64_t failures = 0;
+  for (const auto& input : inputs) {
+    const auto reply = control_rpc(ctl.get(), input.command);
+    ASSERT_TRUE(reply.has_value()) << input.command;
+    EXPECT_EQ(reply->rfind("ERR", 0), 0u) << *reply;
+    EXPECT_NE(reply->find(input.expect), std::string::npos) << *reply;
 
-  // Same connection, same daemon: generation 1 still serving, digest
-  // untouched.
-  const auto status = control_rpc(ctl.get(), "STATUS");
-  ASSERT_TRUE(status.has_value());
-  EXPECT_EQ(status_field(*status, "generation"), "1");
-  EXPECT_EQ(status_field(*status, "placement_digest"),
-            hex16(placement::placement_digest(fx.placement.placement)));
-  EXPECT_EQ(status_field(*status, "reload_failures"), "1");
+    // Same connection, same daemon: generation 1 still serving, digest
+    // untouched.
+    const auto status = control_rpc(ctl.get(), "STATUS");
+    ASSERT_TRUE(status.has_value());
+    EXPECT_EQ(status_field(*status, "generation"), "1") << input.command;
+    EXPECT_EQ(status_field(*status, "placement_digest"),
+              hex16(placement::placement_digest(fx.placement.placement)));
+    EXPECT_EQ(status_field(*status, "reload_failures"),
+              std::to_string(++failures));
+  }
 
   net::Fd client = connect_client(daemon.port());
   const auto a = rpc(client.get(), 0, 0, 1);
@@ -289,7 +302,7 @@ TEST(ControlServer, MalformedReloadLeavesThePreviousGenerationServing) {
   EXPECT_EQ(a->server, 1u);
 
   runner.stop();
-  EXPECT_EQ(daemon.stats().reloads_failed, 1u);
+  EXPECT_EQ(daemon.stats().reloads_failed, failures);
   EXPECT_EQ(daemon.stats().reloads_applied, 0u);
   EXPECT_EQ(daemon.generation(), 1u);
 }

@@ -252,12 +252,4 @@ TEST(ParallelSimTest, ShardRequestCountersCoverTheRun) {
   EXPECT_EQ(total, 100'000u);
 }
 
-TEST(ParallelSimTest, InvalidSketchErrorRejected) {
-  auto cfg = parallel_sim();
-  cfg.latency_sketch_error = 0.0;
-  EXPECT_THROW(cfg.validate(), cdn::PreconditionError);
-  cfg.latency_sketch_error = 1.0;
-  EXPECT_THROW(cfg.validate(), cdn::PreconditionError);
-}
-
 }  // namespace
