@@ -2,7 +2,7 @@
 // placement algorithms and their baselines, cost accounting, the simulators
 // and the summary tables.  Extensions and internals (per-cluster
 // replication, adaptive replanning, server selection, the concrete cache
-// policies, model internals, topology generators, trace I/O, CLI helpers)
+// policies, model internals, topology generators, CLI helpers)
 // are not included: include their headers directly.
 //
 // Quick start:

@@ -49,12 +49,6 @@ void Table::add_row(std::vector<double> row) {
   rows_.push_back(std::move(row));
 }
 
-void Table::merge(const Table& other) {
-  CDN_EXPECT(columns_ == other.columns_,
-             "cannot merge tables with different columns");
-  rows_.insert(rows_.end(), other.rows_.begin(), other.rows_.end());
-}
-
 std::vector<double> default_latency_bounds_ms() {
   return {2.0, 4.0, 6.0, 8.0, 10.0, 14.0, 20.0, 30.0, 45.0, 65.0, 100.0};
 }

@@ -11,11 +11,11 @@
 //   Table      named columns x rows of doubles — structured iteration logs
 //              (one row per committed replica with its benefit breakdown)
 //
-// plus TimerStat, the accumulation target of obs::ScopedTimer.  Histograms
-// and the streaming moments merge exactly (RunningStats-style parallel
-// reduction), so per-shard metric sets can be combined after a parallel
-// run.  None of the types lock: a metric instance belongs to one thread;
-// cross-thread aggregation goes through merge().
+// plus TimerStat, the accumulation target of obs::ScopedTimer.  None of
+// the types lock: a metric instance belongs to one thread.  A histogram
+// and its streaming moments merge exactly (RunningStats-style parallel
+// reduction), which is how a sharded run folds each shard's per-server
+// latency histogram into the one registry after its merge.
 
 #pragma once
 
@@ -33,7 +33,6 @@ class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept { value_ += n; }
   std::uint64_t value() const noexcept { return value_; }
-  void merge(const Counter& other) noexcept { value_ += other.value_; }
   void reset() noexcept { value_ = 0; }
 
  private:
@@ -118,11 +117,6 @@ class Series {
   std::size_t size() const noexcept { return values_.size(); }
   double sum() const noexcept;
 
-  /// Appends `other`'s values (shard concatenation).
-  void merge(const Series& other) {
-    values_.insert(values_.end(), other.values_.begin(), other.values_.end());
-  }
-
  private:
   std::vector<double> values_;
 };
@@ -140,9 +134,6 @@ class Table {
     return rows_;
   }
   std::size_t row_count() const noexcept { return rows_.size(); }
-
-  /// Appends `other`'s rows; columns must match exactly.
-  void merge(const Table& other);
 
  private:
   std::vector<std::string> columns_;
@@ -165,11 +156,6 @@ class TimerStat {
   /// Per-invocation latency moments in milliseconds.
   const util::RunningStats& per_call_ms() const noexcept {
     return per_call_ms_;
-  }
-
-  void merge(const TimerStat& other) noexcept {
-    total_ns_ += other.total_ns_;
-    per_call_ms_.merge(other.per_call_ms_);
   }
 
  private:

@@ -109,29 +109,6 @@ const TimerStat* Registry::find_timer(const std::string& name) const {
   return it == timers_.end() ? nullptr : &it->second;
 }
 
-void Registry::merge(const Registry& other) {
-  for (const auto& [name, c] : other.counters_) counters_[name].merge(c);
-  for (const auto& [name, g] : other.gauges_) gauges_[name].set(g.value());
-  for (const auto& [name, h] : other.histograms_) {
-    const auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-      histograms_.emplace(name, h);
-    } else {
-      it->second.merge(h);
-    }
-  }
-  for (const auto& [name, s] : other.series_) series_[name].merge(s);
-  for (const auto& [name, t] : other.tables_) {
-    const auto it = tables_.find(name);
-    if (it == tables_.end()) {
-      tables_.emplace(name, t);
-    } else {
-      it->second.merge(t);
-    }
-  }
-  for (const auto& [name, t] : other.timers_) timers_[name].merge(t);
-}
-
 std::size_t Registry::metric_count() const noexcept {
   return counters_.size() + gauges_.size() + histograms_.size() +
          series_.size() + tables_.size() + timers_.size();

@@ -10,9 +10,9 @@
 //     callers resolve their metrics ONCE before a loop and keep pointers;
 //   * recording on a resolved metric is a few arithmetic ops, no locks.
 //
-// The registry is not thread-safe.  Parallel runs give each shard its own
-// Registry and combine them afterwards with merge() (histograms, moments
-// and counters merge exactly; see obs/metrics.h).
+// The registry is not thread-safe.  A sharded simulation keeps its
+// per-shard tallies in its own accumulators and writes them into the one
+// registry after the shards have merged, on the calling thread.
 //
 // Naming convention: '/'-separated paths, subsystem first —
 // "sim/window/hit_ratio", "placement/hybrid/iterations",
@@ -67,11 +67,6 @@ class Registry {
   const Series* find_series(const std::string& name) const;
   const Table* find_table(const std::string& name) const;
   const TimerStat* find_timer(const std::string& name) const;
-
-  /// Combines `other` into this registry: same-named counters add,
-  /// histograms/series/tables/timers merge per their own rules, gauges
-  /// take `other`'s value (last write wins).
-  void merge(const Registry& other);
 
   std::size_t metric_count() const noexcept;
 

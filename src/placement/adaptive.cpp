@@ -157,65 +157,4 @@ AdaptiveOutcome adaptive_hybrid_replan(const sys::CdnSystem& system,
   return outcome;
 }
 
-AdaptiveOutcome failover_replan(const sys::CdnSystem& system,
-                                const PlacementResult& previous,
-                                const std::vector<std::uint8_t>& server_up,
-                                const AdaptiveOptions& options) {
-  const std::size_t n = system.server_count();
-  const std::size_t m = system.site_count();
-  CDN_EXPECT(server_up.size() == n,
-             "server health mask length must equal the server count");
-  CDN_EXPECT(previous.placement.server_count() == n &&
-                 previous.placement.site_count() == m,
-             "previous placement dimensions must match the system");
-
-  // Degraded fleet: a dead server offers no storage and keeps no replicas.
-  std::vector<std::uint64_t> degraded_storage = system.server_storage();
-  std::size_t dead = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (server_up[i] == 0) {
-      degraded_storage[i] = 0;
-      ++dead;
-    }
-  }
-  if (dead == 0) {
-    AdaptiveOutcome outcome =
-        adaptive_hybrid_replan(system, previous, options);
-    outcome.result.algorithm = "failover-replan";
-    return outcome;
-  }
-
-  const sys::CdnSystem degraded(system.catalog(), system.demand(),
-                                system.distances(), degraded_storage);
-
-  // Seed = the previous placement minus everything a dead server held.
-  sys::ReplicaPlacement live(degraded.server_storage(),
-                             degraded.site_bytes());
-  std::size_t replicas_stripped = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < m; ++j) {
-      const auto server = static_cast<sys::ServerIndex>(i);
-      const auto site = static_cast<sys::SiteIndex>(j);
-      if (!previous.placement.is_replicated(server, site)) continue;
-      if (server_up[i] != 0) {
-        live.add(server, site);
-      } else {
-        ++replicas_stripped;
-      }
-    }
-  }
-  PlacementResult seed = previous;
-  seed.placement = live;
-  seed.nearest.rebuild(live);
-
-  AdaptiveOutcome outcome = adaptive_hybrid_replan(degraded, seed, options);
-  outcome.result.algorithm = "failover-replan";
-  outcome.replicas_dropped += replicas_stripped;
-  if (options.metrics != nullptr) {
-    options.metrics->gauge(options.metrics_prefix + "replicas_stripped")
-        .set(static_cast<double>(replicas_stripped));
-  }
-  return outcome;
-}
-
 }  // namespace cdn::placement

@@ -59,18 +59,4 @@ AdaptiveOutcome adaptive_hybrid_replan(const sys::CdnSystem& system,
                                        const PlacementResult& previous,
                                        const AdaptiveOptions& options = {});
 
-/// Failure-triggered replan: replans `previous` around dead servers.
-/// `server_up` (length N, 1 = up) masks the fleet; dead servers lose their
-/// replicas and contribute zero storage, so the greedy re-homes the lost
-/// copies on the survivors (their demand still counts and spills to the
-/// nearest remaining copy, which is what makes re-homing pay off).  The
-/// stripped replicas count toward replicas_dropped.  With every server up
-/// this is exactly adaptive_hybrid_replan.  The returned placement carries
-/// the DEGRADED budgets — swap back to a full-fleet plan on recovery rather
-/// than replanning forward from it.
-AdaptiveOutcome failover_replan(const sys::CdnSystem& system,
-                                const PlacementResult& previous,
-                                const std::vector<std::uint8_t>& server_up,
-                                const AdaptiveOptions& options = {});
-
 }  // namespace cdn::placement

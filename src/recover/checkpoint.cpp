@@ -1,5 +1,7 @@
 #include "src/recover/checkpoint.h"
 
+#include <sys/stat.h>
+
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -15,6 +17,13 @@ constexpr char kMagic[8] = {'C', 'D', 'N', 'C', 'K', 'P', 'T', '1'};
 }  // namespace
 
 std::uint64_t write_file(const std::string& path, const Checkpoint& ckpt) {
+  // The rename below replaces whatever sits at `path`, so refuse anything
+  // but a regular file: a FIFO, socket, device, directory or symlink there
+  // was not written by a checkpoint and must survive.
+  struct stat target {};
+  const bool exists = ::lstat(path.c_str(), &target) == 0;
+  CDN_EXPECT(!exists || S_ISREG(target.st_mode),
+             "checkpoint target is not a regular file: " + path);
   util::ByteWriter w;
   w.raw(kMagic, sizeof(kMagic));
   w.u32(kCheckpointVersion);

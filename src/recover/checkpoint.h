@@ -43,7 +43,8 @@ struct Checkpoint {
 };
 
 /// Serialises `ckpt` and writes it atomically to `path` (tmp + rename).
-/// Returns the file size in bytes.  Throws PreconditionError on I/O error.
+/// Returns the file size in bytes.  Throws PreconditionError on I/O error,
+/// and, writing nothing, when `path` exists but is not a regular file.
 std::uint64_t write_file(const std::string& path, const Checkpoint& ckpt);
 
 /// Reads and validates a checkpoint file: size, checksum trailer, magic,

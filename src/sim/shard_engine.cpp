@@ -304,15 +304,10 @@ class EventRun {
         uncacheable_mode_(config.staleness == StalenessMode::kUncacheable),
         ttl_mode_(config.staleness == StalenessMode::kTtl),
         sink_(config.trace_sink),
-        spans_(config.spans) {
+        spans_(config.spans),
+        total_(config.total_requests) {
     const std::size_t n = system.server_count();
     const std::size_t m = system.site_count();
-    total_ = config.total_requests;
-    if (config.trace != nullptr) {
-      config.trace->validate(n, catalog_.site_count(),
-                             catalog_.objects_per_site());
-      total_ = config.trace->size();
-    }
     if (shape_.reference) {
       plan_.servers.emplace_back(n);
       std::iota(plan_.servers[0].begin(), plan_.servers[0].end(),
@@ -664,7 +659,7 @@ class EventRun {
     Shard& sh = shards_[s];
     const auto count = static_cast<std::size_t>(end - t);
     auto& [batch, kind, modified, served, order, group] = scratch;
-    draw(sh, batch, t, count);
+    draw(sh, batch, count);
     kind.resize(count);
     served.resize(count);
     order.resize(count);
@@ -726,31 +721,26 @@ class EventRun {
     }
   }
 
-  /// Pass 1's draw: the block's requests from the trace, from the stream,
-  /// or, while a surge is on, from the stream one at a time.
-  void draw(Shard& sh, workload::RequestBatch& batch, std::uint64_t t,
+  /// Pass 1's draw: the block's requests from the stream, or, while a
+  /// surge is on, from the stream one at a time.
+  void draw(Shard& sh, workload::RequestBatch& batch,
             std::size_t count) const {
-    const bool surge = timeline_ && timeline_->any_surge_active();
-    if (config_.trace == nullptr && !surge) {
+    if (!timeline_ || !timeline_->any_surge_active()) {
       sh.stream->next_batch(batch, count);
       return;
     }
+    // Flash-crowd reshaping: accept a drawn request with probability
+    // proportional to its site's surge multiplier (rejection sampling
+    // against the current max), which samples site j with probability
+    // ∝ p_j * mult_j without touching the demand matrix.
+    const double bound = timeline_->max_demand_multiplier();
     batch.resize(count);
     for (std::size_t i = 0; i < count; ++i) {
       workload::Request req;
-      if (config_.trace != nullptr) {
-        req = (*config_.trace)[t + i];
-      } else {
-        // Flash-crowd reshaping: accept a drawn request with probability
-        // proportional to its site's surge multiplier (rejection sampling
-        // against the current max), which samples site j with probability
-        // ∝ p_j * mult_j without touching the demand matrix.
-        const double bound = timeline_->max_demand_multiplier();
-        do {
-          req = sh.stream->next();
-        } while (sh.surge_rng.uniform() * bound >
-                 timeline_->demand_multiplier(req.site));
-      }
+      do {
+        req = sh.stream->next();
+      } while (sh.surge_rng.uniform() * bound >
+               timeline_->demand_multiplier(req.site));
       batch.server[i] = req.server;
       batch.site[i] = req.site;
       batch.rank[i] = req.rank;
@@ -1191,7 +1181,7 @@ class EventRun {
   const char* sp_fault_ = nullptr;
 
   ShardPlan plan_;
-  std::uint64_t total_ = 0;
+  const std::uint64_t total_;
   std::uint64_t warmup_total_ = 0;
   std::uint64_t measured_total_ = 0;
   std::size_t window_count_ = 0;
@@ -1267,8 +1257,7 @@ EventShape event_shape(const SimulationConfig& config,
   const bool faults_active =
       config.faults != nullptr && !config.faults->empty();
   shape.reference = shape.threads == 1 || faults_active ||
-                    config.trace != nullptr || config.trace_sink != nullptr ||
-                    consistency_mode(config);
+                    config.trace_sink != nullptr || consistency_mode(config);
   shape.shards = shape.reference ? 1
                                  : resolve_shard_count(config.shards,
                                                        shape.threads,

@@ -6,7 +6,6 @@
 #include "src/fault/fault_schedule.h"
 #include "src/sim/shard_engine.h"
 #include "src/sim/sim_internal.h"
-#include "src/workload/trace_io.h"
 
 namespace cdn::sim {
 
@@ -58,19 +57,8 @@ std::uint64_t hash_of(const util::ByteWriter& w) {
 
 std::uint64_t config_hash(const SimulationConfig& config) {
   util::ByteWriter w;
-  if (config.trace != nullptr) {
-    w.u8(1);
-    w.u64(config.trace->size());
-    for (std::size_t i = 0; i < config.trace->size(); ++i) {
-      const workload::Request& req = (*config.trace)[i];
-      w.u32(req.server);
-      w.u32(req.site);
-      w.u32(req.rank);
-    }
-  } else {
-    w.u8(0);
-    w.u64(config.total_requests);
-  }
+  w.u8(0);  // once "no recorded trace"; kept so old checkpoints still match
+  w.u64(config.total_requests);
   w.f64(config.warmup_fraction);
   w.u8(static_cast<std::uint8_t>(config.policy));
   w.u8(static_cast<std::uint8_t>(config.staleness));

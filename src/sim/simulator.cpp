@@ -12,11 +12,7 @@ void SimulationConfig::validate() const {
   CDN_EXPECT(warmup_fraction >= 0.0 && warmup_fraction < 1.0,
              "warmup fraction must be in [0, 1)");
   CDN_EXPECT(metrics_windows >= 1, "need at least one metrics window");
-  if (trace != nullptr) {
-    CDN_EXPECT(!trace->empty(), "cannot replay an empty trace");
-  } else {
-    CDN_EXPECT(total_requests > 0, "need at least one request");
-  }
+  CDN_EXPECT(total_requests > 0, "need at least one request");
   CDN_EXPECT(slo_ms >= 0.0, "SLO threshold must be non-negative");
   CDN_EXPECT(latency.retry_timeout_ms >= 0.0 && latency.retry_backoff_ms >= 0.0,
              "retry latency penalties must be non-negative");
@@ -35,11 +31,8 @@ void SimulationConfig::validate() const {
   if (engine == SimEngine::kFlow) {
     // The flow engine has no per-request loop, so every per-request feature
     // is meaningless there.  Reject loudly instead of silently ignoring —
-    // a user who asked for a trace or a checkpoint must not get a report
-    // that quietly dropped it.
-    CDN_EXPECT(trace == nullptr,
-               "the flow engine computes steady-state flows and cannot "
-               "replay a recorded trace; use --engine=event");
+    // a user who asked for a fault schedule or a checkpoint must not get a
+    // report that quietly dropped it.
     CDN_EXPECT(faults == nullptr || faults->empty(),
                "fault schedules need per-request failover decisions; "
                "use --engine=event for fault-injection runs");

@@ -29,7 +29,6 @@
 #include "src/sim/latency_model.h"
 #include "src/util/cdf.h"
 #include "src/util/quantile_sketch.h"
-#include "src/workload/trace_io.h"
 
 namespace cdn::sim {
 
@@ -68,7 +67,7 @@ enum class SimEngine {
   /// Flow-level analytical fast path: summary metrics computed from the
   /// demand matrix, the placement and a steady-state hit-ratio model with
   /// no per-request loop (src/sim/flow_engine.cpp).  Orders of magnitude
-  /// faster; per-request features (trace replay/sinks, fault schedules,
+  /// faster; per-request features (trace sinks, fault schedules,
   /// checkpointing, the kTtl and kInvalidation modes) are rejected by
   /// validate().
   kFlow,
@@ -112,11 +111,6 @@ struct SimulationProgress {
 
 struct SimulationConfig {
   std::uint64_t total_requests = 2'000'000;
-  /// Optional pre-recorded trace (non-owning).  When set, the whole trace
-  /// is replayed instead of generating `total_requests` synthetic requests
-  /// (warmup_fraction still applies).  The trace must fit the system's
-  /// dimensions (see RecordedTrace::validate).
-  const workload::RecordedTrace* trace = nullptr;
   /// Leading fraction of the stream excluded from measurement so caches
   /// reach steady state ("we allowed an appropriate warm-up period").
   double warmup_fraction = 0.3;
@@ -137,9 +131,9 @@ struct SimulationConfig {
   /// Simulation worker threads.  1 (the default) runs the one-shard
   /// reference case on the calling thread, bit-identical across releases
   /// (tests/sim_digest_pin_test.cpp); 0 uses one thread per hardware
-  /// thread.  Fault schedules, trace replay, trace sinks and the kTtl and
-  /// kInvalidation modes are indexed by the global request number, so
-  /// they run the one-shard case regardless of this knob.
+  /// thread.  Fault schedules, trace sinks and the kTtl and kInvalidation
+  /// modes are indexed by the global request number, so they run the
+  /// one-shard case regardless of this knob.
   std::size_t threads = 1;
   /// First-hop shard count of a multi-threaded run.  0 = auto (4 threads'
   /// worth of shards, capped at the server count).  The report is a

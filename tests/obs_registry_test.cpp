@@ -20,12 +20,6 @@ TEST(CounterTest, AddsAndMerges) {
   r.counter("a").add();
   r.counter("a").add(4);
   EXPECT_EQ(r.counter("a").value(), 5u);
-  Registry other;
-  other.counter("a").add(10);
-  other.counter("b").add(1);
-  r.merge(other);
-  EXPECT_EQ(r.counter("a").value(), 15u);
-  EXPECT_EQ(r.counter("b").value(), 1u);
   r.counter("a").reset();
   EXPECT_EQ(r.counter("a").value(), 0u);
 }
@@ -35,10 +29,6 @@ TEST(GaugeTest, LastWriteWins) {
   r.gauge("g").set(1.5);
   r.gauge("g").set(-2.5);
   EXPECT_DOUBLE_EQ(r.gauge("g").value(), -2.5);
-  Registry other;
-  other.gauge("g").set(7.0);
-  r.merge(other);
-  EXPECT_DOUBLE_EQ(r.gauge("g").value(), 7.0);
 }
 
 TEST(HistogramTest, BucketsAreRightClosed) {
@@ -94,11 +84,8 @@ TEST(SeriesTest, AppendsAndConcatenatesOnMerge) {
   r.series("s").push(1.0);
   r.series("s").push(2.0);
   EXPECT_DOUBLE_EQ(r.series("s").sum(), 3.0);
-  Registry other;
-  other.series("s").push(4.0);
-  r.merge(other);
-  ASSERT_EQ(r.series("s").size(), 3u);
-  EXPECT_DOUBLE_EQ(r.series("s").values().back(), 4.0);
+  ASSERT_EQ(r.series("s").size(), 2u);
+  EXPECT_DOUBLE_EQ(r.series("s").values().back(), 2.0);
 }
 
 TEST(TableTest, ValidatesRowWidthAndMergeColumns) {
@@ -107,10 +94,7 @@ TEST(TableTest, ValidatesRowWidthAndMergeColumns) {
   t.add_row({1.0, 2.0});
   EXPECT_THROW(t.add_row({1.0}), cdn::PreconditionError);
   EXPECT_THROW(r.table("t", {"x"}), cdn::PreconditionError);
-  Registry other;
-  other.table("t", {"x", "y"}).add_row({3.0, 4.0});
-  r.merge(other);
-  ASSERT_EQ(r.table("t", {"x", "y"}).row_count(), 2u);
+  ASSERT_EQ(r.table("t", {"x", "y"}).row_count(), 1u);
 }
 
 TEST(TimerStatTest, AccumulatesAndMerges) {
@@ -121,10 +105,6 @@ TEST(TimerStatTest, AccumulatesAndMerges) {
   EXPECT_EQ(t.count(), 2u);
   EXPECT_DOUBLE_EQ(t.total_seconds(), 0.004);
   EXPECT_DOUBLE_EQ(t.per_call_ms().mean(), 2.0);
-  Registry other;
-  other.timer("t").record_ns(2'000'000);
-  r.merge(other);
-  EXPECT_EQ(r.timer("t").count(), 3u);
 }
 
 TEST(RegistryTest, FindDoesNotCreate) {
@@ -140,20 +120,6 @@ TEST(RegistryTest, FindDoesNotCreate) {
   r.gauge("g");
   EXPECT_EQ(r.metric_count(), 2u);
   EXPECT_NE(r.find_counter("c"), nullptr);
-}
-
-TEST(RegistryTest, MergePullsInMissingMetrics) {
-  Registry a, b;
-  b.histogram("h", {1.0}).observe(0.5);
-  b.series("s").push(9.0);
-  b.table("t", {"c"}).add_row({1.0});
-  b.timer("w").record_ns(5);
-  a.merge(b);
-  ASSERT_NE(a.find_histogram("h"), nullptr);
-  EXPECT_EQ(a.find_histogram("h")->count(), 1u);
-  ASSERT_NE(a.find_series("s"), nullptr);
-  ASSERT_NE(a.find_table("t"), nullptr);
-  ASSERT_NE(a.find_timer("w"), nullptr);
 }
 
 TEST(RegistryTest, JsonSnapshotContainsEveryKind) {

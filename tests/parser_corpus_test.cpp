@@ -20,7 +20,6 @@
 #include "src/redirectd/protocol.h"
 #include "src/util/error.h"
 #include "src/util/serial.h"
-#include "src/workload/trace_io.h"
 #include "tests/test_support.h"
 
 namespace {
@@ -85,18 +84,6 @@ TEST(ParserCorpusTest, CorpusIsPresentAndSubstantial) {
 TEST(ParserCorpusTest, FaultScheduleFilesAllRejected) {
   expect_all_rejected("fs_", 15, [](const std::string& p) {
     (void)fault::FaultSchedule::load(p);
-  });
-}
-
-TEST(ParserCorpusTest, CsvTraceFilesAllRejected) {
-  expect_all_rejected("tr_", 9, [](const std::string& p) {
-    (void)workload::RecordedTrace::load_csv(p);
-  });
-}
-
-TEST(ParserCorpusTest, BinaryTraceFilesAllRejected) {
-  expect_all_rejected("tb_", 7, [](const std::string& p) {
-    (void)workload::RecordedTrace::load_binary(p);
   });
 }
 
@@ -193,23 +180,6 @@ TEST(ParserCorpusTest, FaultErrorsCarryLineAndColumn) {
     EXPECT_NE(msg.find("line 1"), std::string::npos) << msg;
     EXPECT_NE(msg.find("line ended"), std::string::npos) << msg;
   }
-}
-
-TEST(ParserCorpusTest, CsvErrorsCarryLineAndColumn) {
-  const auto dir = std::filesystem::temp_directory_path();
-  const auto p = dir / ("hybridcdn_csv_diag_" + std::to_string(::getpid()));
-  util::write_file(p.string(), "server,site,rank\n0,1,2\n3,-4,5\n",
-                   "trace file");
-  try {
-    workload::RecordedTrace::load_csv(p.string());
-    FAIL() << "negative field accepted";
-  } catch (const PreconditionError& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("col 3"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("'-4'"), std::string::npos) << msg;
-  }
-  std::filesystem::remove(p);
 }
 
 }  // namespace

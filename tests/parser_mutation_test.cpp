@@ -5,9 +5,9 @@
 // file built here.  A mutant is one to three edits: a byte flip, a deleted
 // or duplicated span, a truncation, or a whole token replaced with a
 // hostile one (4294967295, 18446744073709551616, -1, 1e309, nan, 0x10, +5,
-// a 5 KiB token; in the binary formats, a word of hostile bytes).  Binary
-// trace and checkpoint mutants get their FNV-1a trailer re-sealed, so they
-// reach the payload parser instead of stopping at the checksum.
+// a 5 KiB token; in the binary format, a word of hostile bytes).
+// Checkpoint mutants get their FNV-1a trailer re-sealed, so they reach the
+// payload parser instead of stopping at the checksum.
 //
 // Every mutant must be accepted or rejected with a PreconditionError; any
 // other exception or a crash fails.  For the formats with a serializer
@@ -40,7 +40,6 @@
 #include "src/redirectd/protocol.h"
 #include "src/util/error.h"
 #include "src/util/serial.h"
-#include "src/workload/trace_io.h"
 #include "tests/test_support.h"
 
 namespace {
@@ -59,7 +58,7 @@ constexpr std::array<std::uint64_t, 5> kHostileWords = {
 
 using Bytes = std::string;
 
-enum class Trailer { kNone, kBinaryTrace, kCheckpoint };
+enum class Trailer { kNone, kCheckpoint };
 
 Bytes read_bytes(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
@@ -131,23 +130,15 @@ void mutate_once(Bytes& m, bool binary, std::mt19937_64& rng) {
   }
 }
 
-/// Rewrites the FNV-1a trailer over what the loader checksums.
+/// Rewrites the FNV-1a trailer over what the loader checksums: the whole
+/// file before it, stored little-endian.
 void reseal(Bytes& m, Trailer trailer) {
   if (trailer == Trailer::kNone || m.size() < 8) return;
   const std::size_t body = m.size() - 8;
-  std::uint64_t sum = 0;
-  if (trailer == Trailer::kCheckpoint) {
-    sum = util::fnv1a(m.data(), body);  // whole file, stored little-endian
-    for (std::size_t i = 0; i < 8; ++i) {
-      m[body + i] = static_cast<char>((sum >> (8 * i)) & 0xff);
-    }
-    return;
+  const std::uint64_t sum = util::fnv1a(m.data(), body);
+  for (std::size_t i = 0; i < 8; ++i) {
+    m[body + i] = static_cast<char>((sum >> (8 * i)) & 0xff);
   }
-  // Binary trace: records after the 20-byte header, stored natively.
-  constexpr std::size_t kHeader = 8 + 4 + 8;
-  if (body < kHeader) return;
-  sum = util::fnv1a(m.data() + kHeader, body - kHeader);
-  std::memcpy(m.data() + body, &sum, 8);
 }
 
 struct Family {
@@ -270,16 +261,6 @@ bool same_endpoints(const redirectd::EndpointMap& a,
   return slots(a.replicas, b.replicas) && slots(a.origins, b.origins);
 }
 
-Bytes valid_binary_trace(TempFile& temp) {
-  workload::RecordedTrace trace;
-  trace.append({0, 1, 2});
-  trace.append({3, 4, 5});
-  trace.append({1, 7, 99});
-  const std::string path = temp.write({});
-  trace.save_binary(path);
-  return read_bytes(path);
-}
-
 Bytes valid_checkpoint(TempFile& temp) {
   recover::Checkpoint ckpt;
   ckpt.fingerprint = {{"scenario", 0x1234}, {"placement", 0xabcdef}};
@@ -378,26 +359,6 @@ TEST_F(ParserMutationTest, ControlCommand) {
                    (void)redirectd::parse_control_command(m);
                  }},
                 105);
-}
-
-TEST_F(ParserMutationTest, CsvTrace) {
-  TempFile temp("tr");
-  expect_family({"tr_", false, Trailer::kNone,
-                 "server,site,rank\n0,1,2\n3,4,5\n1,7,99\n",
-                 [&](const Bytes& m) {
-                   (void)workload::RecordedTrace::load_csv(temp.write(m));
-                 }},
-                106);
-}
-
-TEST_F(ParserMutationTest, BinaryTrace) {
-  TempFile temp("tb");
-  const Bytes valid = valid_binary_trace(temp);
-  expect_family({"tb_", true, Trailer::kBinaryTrace, valid,
-                 [&](const Bytes& m) {
-                   (void)workload::RecordedTrace::load_binary(temp.write(m));
-                 }},
-                107);
 }
 
 TEST_F(ParserMutationTest, Checkpoint) {

@@ -2,13 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <numeric>
+#include <vector>
 
-#include "src/core/scenario.h"
 #include "src/placement/adaptive.h"
 #include "src/placement/hybrid_greedy.h"
-#include "src/redirect/server_selection.h"
 #include "src/sim/simulator.h"
 #include "src/util/error.h"
 #include "tests/test_support.h"
@@ -138,167 +135,6 @@ TEST(AdaptiveTest, RejectsInvalidOptions) {
   bad.transfer_cost_per_byte = -1.0;
   EXPECT_THROW(placement::adaptive_hybrid_replan(*t.system, previous, bad),
                cdn::PreconditionError);
-}
-
-TEST(AdaptiveTest, FailoverReplanLeavesDeadServersEmpty) {
-  const auto t = TestSystem::make();
-  const auto previous = placement::hybrid_greedy(*t.system);
-  std::vector<std::uint8_t> up(t.system->server_count(), 1);
-  up[0] = 0;
-  const auto outcome =
-      placement::failover_replan(*t.system, previous, up, {});
-  EXPECT_EQ(outcome.result.algorithm, "failover-replan");
-  for (std::size_t j = 0; j < t.system->site_count(); ++j) {
-    EXPECT_FALSE(outcome.result.placement.is_replicated(
-        0, static_cast<sys::SiteIndex>(j)));
-  }
-  // Whatever server 0 held was stripped (counted as dropped).
-  const std::size_t was_on_dead = [&] {
-    std::size_t c = 0;
-    for (std::size_t j = 0; j < t.system->site_count(); ++j) {
-      c += previous.placement.is_replicated(
-          0, static_cast<sys::SiteIndex>(j));
-    }
-    return c;
-  }();
-  EXPECT_GE(outcome.replicas_dropped, was_on_dead);
-}
-
-TEST(AdaptiveTest, FailoverReplanRehomesLostReplicas) {
-  const auto t = TestSystem::make();
-  const auto previous = placement::hybrid_greedy(*t.system);
-  std::vector<std::uint8_t> up(t.system->server_count(), 1);
-  up[0] = 0;
-  const auto outcome =
-      placement::failover_replan(*t.system, previous, up, {});
-  // The survivors still replicate: total replicas stay positive, and
-  // every one of them sits on a live server.
-  EXPECT_GT(outcome.result.placement.replica_count(), 0u);
-  const auto rehomed = sim::simulate(
-      *t.system, outcome.result, [] {
-        sim::SimulationConfig sc;
-        sc.total_requests = 100'000;
-        sc.seed = 17;
-        return sc;
-      }());
-  EXPECT_GT(rehomed.measured_requests, 0u);
-}
-
-TEST(AdaptiveTest, FailoverReplanWithHealthyMaskIsPlainReplan) {
-  const auto t = TestSystem::make();
-  const auto previous = placement::hybrid_greedy(*t.system);
-  const std::vector<std::uint8_t> up(t.system->server_count(), 1);
-  const auto failover =
-      placement::failover_replan(*t.system, previous, up, {});
-  const auto plain =
-      placement::adaptive_hybrid_replan(*t.system, previous, {});
-  EXPECT_EQ(failover.result.algorithm, "failover-replan");
-  EXPECT_EQ(failover.result.placement.replica_count(),
-            plain.result.placement.replica_count());
-  EXPECT_EQ(failover.replicas_dropped, plain.replicas_dropped);
-}
-
-TEST(AdaptiveTest, FailoverReplanSurvivesTotalRegionOutage) {
-  // Kill EVERY server inside one stub domain — the paper's topology makes
-  // a region-wide outage a natural fault unit — and check that (a) the
-  // replan leaves the dead region empty, and (b) the spilled-flow
-  // accounting of the redirect layer stays non-negative and conserved.
-  core::ScenarioConfig cfg;
-  cfg.topology.transit_domains = 2;
-  cfg.topology.transit_nodes_per_domain = 2;
-  cfg.topology.stub_domains_per_transit_node = 2;
-  cfg.topology.nodes_per_stub_domain = 4;  // 36 nodes total
-  cfg.server_count = 12;
-  cfg.classes = {{8, 1.0, "low"}, {4, 8.0, "high"}};
-  cfg.surge.objects_per_site = 40;
-  cfg.storage_fraction = 0.15;
-  cfg.seed = 7;
-  const core::Scenario scenario(cfg);
-  const auto& system = scenario.system();
-  const auto previous = placement::hybrid_greedy(system);
-
-  // Pick the stub domain hosting the most servers and take it offline.
-  const auto& domains = scenario.topology().stub_domains;
-  const auto& nodes = scenario.server_nodes();
-  std::vector<std::uint8_t> up(system.server_count(), 1);
-  std::size_t best_domain = 0, best_count = 0;
-  for (std::size_t d = 0; d < domains.size(); ++d) {
-    std::size_t count = 0;
-    for (const auto node : nodes) {
-      count += std::count(domains[d].nodes.begin(), domains[d].nodes.end(),
-                          node) != 0;
-    }
-    if (count > best_count) {
-      best_count = count;
-      best_domain = d;
-    }
-  }
-  ASSERT_GT(best_count, 0u);           // some domain hosts servers...
-  ASSERT_LT(best_count, up.size());    // ...but not all of them
-  std::vector<sys::ServerIndex> dead;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (std::count(domains[best_domain].nodes.begin(),
-                   domains[best_domain].nodes.end(), nodes[i]) != 0) {
-      up[i] = 0;
-      dead.push_back(static_cast<sys::ServerIndex>(i));
-    }
-  }
-
-  const auto outcome = placement::failover_replan(system, previous, up, {});
-  for (const sys::ServerIndex i : dead) {
-    for (std::size_t j = 0; j < system.site_count(); ++j) {
-      EXPECT_FALSE(outcome.result.placement.is_replicated(
-          i, static_cast<sys::SiteIndex>(j)));
-    }
-  }
-
-  redirect::SelectionParams params;
-  params.server_up = &up;
-  const auto selection =
-      redirect::assign_miss_traffic(system, outcome.result, params);
-
-  // Non-negativity, and dead servers receive no redirected flow.
-  EXPECT_GE(selection.failed_over_flow, 0.0);
-  EXPECT_GE(selection.unserved_flow, 0.0);
-  EXPECT_GT(selection.failed_over_flow, 0.0);  // the region had demand
-  for (const sys::ServerIndex i : dead) {
-    EXPECT_DOUBLE_EQ(selection.server_flow[i], 0.0) << "dead server " << i;
-  }
-  for (const double f : selection.server_flow) EXPECT_GE(f, 0.0);
-  for (const double f : selection.primary_flow) EXPECT_GE(f, 0.0);
-
-  // Conservation: everything that entered the redirect layer either landed
-  // on a live holder / primary or was declared unserved — nothing vanishes.
-  double expected_total = 0.0;
-  for (std::size_t i = 0; i < system.server_count(); ++i) {
-    const auto server = static_cast<sys::ServerIndex>(i);
-    for (std::size_t j = 0; j < system.site_count(); ++j) {
-      const auto site = static_cast<sys::SiteIndex>(j);
-      if (up[i] == 0) {
-        expected_total += system.demand().requests(server, site);
-      } else if (!outcome.result.placement.is_replicated(server, site)) {
-        expected_total += system.demand().requests(server, site) *
-                          (1.0 - outcome.result.hit(server, site));
-      }
-    }
-  }
-  const double assigned =
-      std::accumulate(selection.server_flow.begin(),
-                      selection.server_flow.end(), 0.0) +
-      std::accumulate(selection.primary_flow.begin(),
-                      selection.primary_flow.end(), 0.0) +
-      selection.unserved_flow;
-  EXPECT_NEAR(assigned, expected_total, 1e-6 * std::max(1.0, expected_total));
-}
-
-TEST(AdaptiveTest, FailoverReplanRejectsBadMask) {
-  const auto t = TestSystem::make();
-  const auto previous = placement::hybrid_greedy(*t.system);
-  const std::vector<std::uint8_t> short_mask(t.system->server_count() - 1,
-                                             1);
-  EXPECT_THROW(
-      placement::failover_replan(*t.system, previous, short_mask, {}),
-      cdn::PreconditionError);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // mode (truncation, bit flips, bad magic, bad version, trailing bytes).
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cmath>
 #include <cstdint>
@@ -115,6 +116,40 @@ TEST_F(CheckpointFileTest, RewriteReplacesAtomically) {
   recover::write_file(path("ck.bin"), ckpt);
   const auto loaded = recover::read_file(path("ck.bin"));
   EXPECT_EQ(loaded.payload, ckpt.payload);
+}
+
+// Publishing renames over the target, so a target that is not a regular
+// file is refused before anything is written: it stays what it was, a
+// symlink's own target keeps its bytes, and no temp file is left behind.
+TEST_F(CheckpointFileTest, NonRegularTargetIsRefused) {
+  ASSERT_EQ(::mkfifo(path("fifo").c_str(), 0600), 0);
+  recover::write_file(path("real.bin"), sample_checkpoint());
+  std::filesystem::create_symlink(path("real.bin"), path("link"));
+  const std::string real = util::read_file(path("real.bin"), "checkpoint");
+  auto other = sample_checkpoint();
+  other.payload.push_back(0x5a);
+
+  const struct {
+    const char* name;
+    std::filesystem::file_type type;
+  } rows[] = {
+      {"fifo", std::filesystem::file_type::fifo},
+      {"link", std::filesystem::file_type::symlink},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.name);
+    const std::string target = path(row.name);
+    try {
+      recover::write_file(target, other);
+      ADD_FAILURE() << "published over a non-regular target";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(target), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(std::filesystem::symlink_status(target).type(), row.type);
+    EXPECT_FALSE(std::filesystem::exists(target + ".tmp"));
+  }
+  EXPECT_EQ(util::read_file(path("real.bin"), "checkpoint"), real);
 }
 
 TEST_F(CheckpointFileTest, MissingFileRejected) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
+#include "src/core/scenario.h"
 #include "src/placement/fixed_split.h"
 #include "src/placement/greedy_global.h"
 #include "src/placement/hybrid_greedy.h"
@@ -132,6 +135,91 @@ TEST(ServerSelectionTest, DeadHolderReceivesNoFlow) {
   // failed-over flow, and (origins are all up) none of it is lost.
   EXPECT_GT(r.failed_over_flow, 0.0);
   EXPECT_DOUBLE_EQ(r.unserved_flow, 0.0);
+}
+
+TEST(ServerSelectionTest, RegionOutageConservesFlowAndSkipsDeadServers) {
+  // Kill EVERY server inside one stub domain — the paper's topology makes
+  // a region-wide outage a natural fault unit — under a plan whose dead
+  // servers still hold replicas and whose live ones serve cache hits: the
+  // dead region gets no flow, and every miss that enters the redirect layer
+  // lands on a live copy or is counted unserved.
+  core::ScenarioConfig cfg;
+  cfg.topology.transit_domains = 2;
+  cfg.topology.transit_nodes_per_domain = 2;
+  cfg.topology.stub_domains_per_transit_node = 2;
+  cfg.topology.nodes_per_stub_domain = 4;  // 36 nodes total
+  cfg.server_count = 12;
+  cfg.classes = {{8, 1.0, "low"}, {4, 8.0, "high"}};
+  cfg.surge.objects_per_site = 40;
+  cfg.storage_fraction = 0.15;
+  cfg.seed = 7;
+  const core::Scenario scenario(cfg);
+  const auto& system = scenario.system();
+  const auto placement = placement::hybrid_greedy(system);
+
+  // Pick the stub domain hosting the most servers and take it offline.
+  const auto& domains = scenario.topology().stub_domains;
+  const auto& nodes = scenario.server_nodes();
+  std::vector<std::uint8_t> up(system.server_count(), 1);
+  std::size_t best_domain = 0, best_count = 0;
+  for (std::size_t d = 0; d < domains.size(); ++d) {
+    std::size_t count = 0;
+    for (const auto node : nodes) {
+      count += std::count(domains[d].nodes.begin(), domains[d].nodes.end(),
+                          node) != 0;
+    }
+    if (count > best_count) {
+      best_count = count;
+      best_domain = d;
+    }
+  }
+  ASSERT_GT(best_count, 0u);           // some domain hosts servers...
+  ASSERT_LT(best_count, up.size());    // ...but not all of them
+  std::vector<sys::ServerIndex> dead;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (std::count(domains[best_domain].nodes.begin(),
+                   domains[best_domain].nodes.end(), nodes[i]) != 0) {
+      up[i] = 0;
+      dead.push_back(static_cast<sys::ServerIndex>(i));
+    }
+  }
+
+  redirect::SelectionParams params;
+  params.server_up = &up;
+  const auto selection =
+      redirect::assign_miss_traffic(system, placement, params);
+
+  // Non-negativity, and dead servers receive no redirected flow.
+  EXPECT_GE(selection.unserved_flow, 0.0);
+  EXPECT_GT(selection.failed_over_flow, 0.0);  // the region had demand
+  for (const sys::ServerIndex i : dead) {
+    EXPECT_DOUBLE_EQ(selection.server_flow[i], 0.0) << "dead server " << i;
+  }
+  for (const double f : selection.server_flow) EXPECT_GE(f, 0.0);
+  for (const double f : selection.primary_flow) EXPECT_GE(f, 0.0);
+
+  // Conservation: a dead first hop spills its whole demand, a live one its
+  // misses on the sites it does not replicate.
+  double expected_total = 0.0;
+  for (std::size_t i = 0; i < system.server_count(); ++i) {
+    const auto server = static_cast<sys::ServerIndex>(i);
+    for (std::size_t j = 0; j < system.site_count(); ++j) {
+      const auto site = static_cast<sys::SiteIndex>(j);
+      if (up[i] == 0) {
+        expected_total += system.demand().requests(server, site);
+      } else if (!placement.placement.is_replicated(server, site)) {
+        expected_total += system.demand().requests(server, site) *
+                          (1.0 - placement.hit(server, site));
+      }
+    }
+  }
+  const double assigned =
+      std::accumulate(selection.server_flow.begin(),
+                      selection.server_flow.end(), 0.0) +
+      std::accumulate(selection.primary_flow.begin(),
+                      selection.primary_flow.end(), 0.0) +
+      selection.unserved_flow;
+  EXPECT_NEAR(assigned, expected_total, 1e-6 * std::max(1.0, expected_total));
 }
 
 TEST(ServerSelectionTest, HealthyMaskMatchesNoMask) {

@@ -3,8 +3,7 @@
 // of an engine run, warm-up included, must produce the oracle's trace event
 // field for field, and the run's failure, consistency and per-server cache
 // counters must equal the oracle's — across cache policies, the four
-// staleness modes, a fault schedule and trace replay.  A live synthetic run
-// must also report exactly what replaying its recorded stream reports.
+// staleness modes and a fault schedule.
 
 #include <gtest/gtest.h>
 
@@ -21,24 +20,18 @@
 #include "src/obs/trace.h"
 #include "src/placement/fixed_split.h"
 #include "src/placement/hybrid_greedy.h"
-#include "src/sim/sim_checkpoint.h"
 #include "src/sim/simulator.h"
 #include "src/util/serial.h"
-#include "src/workload/request_stream.h"
-#include "src/workload/trace_io.h"
 #include "tests/sim_oracle.h"
 #include "tests/test_support.h"
 
 namespace {
 
 using cdn::cache::PolicyKind;
-using cdn::sim::report_digest;
 using cdn::sim::simulate;
 using cdn::sim::SimulationConfig;
 using cdn::sim::StalenessMode;
 using cdn::test::TestSystem;
-using cdn::workload::RecordedTrace;
-using cdn::workload::RequestStream;
 
 constexpr std::uint64_t kRequests = 120'000;
 constexpr std::uint64_t kSeed = 23;
@@ -62,59 +55,11 @@ const auto kPolicies =
     ::testing::Values(PolicyKind::kLru, PolicyKind::kFifo, PolicyKind::kLfu,
                       PolicyKind::kClock, PolicyKind::kDelayedLru);
 
-class BatchParityTest
-    : public ::testing::TestWithParam<std::tuple<PolicyKind, StalenessMode>> {
-};
-
-TEST_P(BatchParityTest, LiveRunMatchesTraceReplayExactly) {
-  const auto [policy, staleness] = GetParam();
-  auto t = TestSystem::make();
-  // A nonzero lambda exercises the flagged-request branches of the block;
-  // kUncacheable additionally covers the admission bypass.
-  t.catalog->set_uncacheable_fraction(0.2);
-  const auto placement = cdn::placement::hybrid_greedy(*t.system);
-
-  auto live_cfg = base_config();
-  live_cfg.policy = policy;
-  live_cfg.staleness = staleness;
-  const auto live = simulate(*t.system, placement, live_cfg);
-
-  // A trace recorded from the same stream seed replays the exact sequence
-  // the live run generated, drawn from the trace instead of the stream.
-  RequestStream stream(*t.catalog, *t.demand, kSeed);
-  const auto trace = RecordedTrace::record(stream, kRequests);
-  auto replay_cfg = live_cfg;
-  replay_cfg.trace = &trace;
-  const auto replay = simulate(*t.system, placement, replay_cfg);
-  t.catalog->set_uncacheable_fraction(0.0);
-
-  EXPECT_EQ(report_digest(live), report_digest(replay));
-  EXPECT_EQ(live.measured_requests, replay.measured_requests);
-  EXPECT_DOUBLE_EQ(live.mean_latency_ms, replay.mean_latency_ms);
-  EXPECT_DOUBLE_EQ(live.mean_cost_hops, replay.mean_cost_hops);
-  EXPECT_DOUBLE_EQ(live.cache_hit_ratio, replay.cache_hit_ratio);
-  EXPECT_EQ(live.cache_totals.hits(), replay.cache_totals.hits());
-  EXPECT_EQ(live.cache_totals.evictions(), replay.cache_totals.evictions());
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    PoliciesAndStaleness, BatchParityTest,
-    ::testing::Combine(kPolicies,
-                       ::testing::Values(StalenessMode::kRefresh,
-                                         StalenessMode::kUncacheable)),
-    [](const auto& suite_info) {
-      return policy_label(std::get<0>(suite_info.param)) +
-             (std::get<1>(suite_info.param) == StalenessMode::kRefresh
-                  ? "Refresh"
-                  : "Uncacheable");
-    });
-
 /// What an engine-vs-oracle run exercises besides its cache policy.
 struct Workload {
   const char* name;
   StalenessMode staleness;
   bool faults;  // oracle_faults() and a 40 ms SLO
-  bool trace;   // replay a recorded stream
 };
 
 // Keeps the test names ctest lists free of pointer values.
@@ -123,12 +68,11 @@ void PrintTo(const Workload& workload, std::ostream* os) {
 }
 
 constexpr Workload kWorkloads[] = {
-    {"Refresh", StalenessMode::kRefresh, false, false},
-    {"Uncacheable", StalenessMode::kUncacheable, false, false},
-    {"Ttl", StalenessMode::kTtl, false, false},
-    {"Invalidation", StalenessMode::kInvalidation, false, false},
-    {"Faults", StalenessMode::kRefresh, true, false},
-    {"TraceReplay", StalenessMode::kRefresh, false, true},
+    {"Refresh", StalenessMode::kRefresh, false},
+    {"Uncacheable", StalenessMode::kUncacheable, false},
+    {"Ttl", StalenessMode::kTtl, false},
+    {"Invalidation", StalenessMode::kInvalidation, false},
+    {"Faults", StalenessMode::kRefresh, true},
 };
 
 /// Server and origin outages, a link degradation and two overlapping
@@ -200,9 +144,6 @@ TEST_P(EngineOracleTest, EveryEventMatchesThePerRequestOracle) {
     cfg.faults = &faults;
     cfg.slo_ms = 40.0;
   }
-  RequestStream stream(*t.catalog, *t.demand, 31);
-  const auto trace = RecordedTrace::record(stream, kRequests);
-  if (workload.trace) cfg.trace = &trace;
   const auto oracle = cdn::test::oracle_simulate(*t.system, placement, cfg);
 
   // Every request is traced; the metric windows add block edges.

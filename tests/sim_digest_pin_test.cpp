@@ -1,10 +1,11 @@
 // Literal report digests of the event engine.  The other simulator tests
-// compare runs with each other (batched vs replay, killed vs resumed,
+// compare runs with each other (engine vs oracle, killed vs resumed,
 // thread counts), so a change that shifted every path the same way would
 // pass them; these pins would not.  Each value is the report_digest (and,
-// where noted, an FNV-1a over registry series or sampled trace events) of
-// one fixed TestSystem run.  A deliberate change to what the simulator
-// computes must re-record them and say why.
+// where noted, an FNV-1a over registry series or sampled trace events, or
+// a checkpoint fingerprint section) of one fixed TestSystem run.  A
+// deliberate change to what the simulator computes must re-record them and
+// say why.
 
 #include <gtest/gtest.h>
 
@@ -19,11 +20,10 @@
 #include "src/obs/trace.h"
 #include "src/placement/fixed_split.h"
 #include "src/placement/hybrid_greedy.h"
+#include "src/recover/checkpoint.h"
 #include "src/sim/sim_checkpoint.h"
 #include "src/sim/simulator.h"
 #include "src/util/serial.h"
-#include "src/workload/request_stream.h"
-#include "src/workload/trace_io.h"
 #include "tests/test_support.h"
 
 namespace {
@@ -144,14 +144,6 @@ TEST_F(DigestPinTest, FaultScheduleWithSlo) {
   EXPECT_EQ(report_digest(report), 0xd4d28a39973a8b18ull);
 }
 
-TEST_F(DigestPinTest, TraceReplay) {
-  workload::RequestStream stream(*t_.catalog, *t_.demand, 31);
-  const auto trace = workload::RecordedTrace::record(stream, 50'000);
-  auto cfg = pin_config();
-  cfg.trace = &trace;
-  EXPECT_EQ(digest_of(cfg), 0x7c2b35987fd58c88ull);
-}
-
 TEST_F(DigestPinTest, TraceSinkAttached) {
   obs::TraceSink sink(0.02, 5, 100'000);
   auto cfg = pin_config();
@@ -170,6 +162,47 @@ TEST_F(DigestPinTest, ShardedFourThreadsEightShards) {
   cfg.threads = 4;
   cfg.shards = 8;
   EXPECT_EQ(digest_of(cfg), 0x811f04f08ded01a3ull);
+}
+
+// A checkpoint resumes only when all five sections match the resuming
+// run's, so a change that moves one refuses every saved checkpoint of
+// that shape.  These pin them for the configs of the healthy one-shard,
+// the sharded and the fault pins above.
+TEST_F(DigestPinTest, CheckpointFingerprints) {
+  using Sections = std::vector<recover::FingerprintSection>;
+  const auto fingerprint = [&](const SimulationConfig& cfg) {
+    return sim::detail::checkpoint_fingerprint(*t_.system, placement_, cfg);
+  };
+  EXPECT_EQ(fingerprint(pin_config()),
+            (Sections{{"config", 0x412b09ee79218cadull},
+                      {"system", 0x3bb593ecf3bfc564ull},
+                      {"placement", 0xb3b1123a92154823ull},
+                      {"faults", 0xcbf29ce484222325ull},
+                      {"engine", 0xc709bb3119a0df9eull}}));
+  auto sharded = pin_config();
+  sharded.total_requests = 120'000;
+  sharded.threads = 4;
+  sharded.shards = 8;
+  EXPECT_EQ(fingerprint(sharded),
+            (Sections{{"config", 0x25a8e11f9b6e8afcull},
+                      {"system", 0x3bb593ecf3bfc564ull},
+                      {"placement", 0xb3b1123a92154823ull},
+                      {"faults", 0xcbf29ce484222325ull},
+                      {"engine", 0x5ac3f494387ae2a4ull}}));
+  fault::FaultSchedule faults;
+  faults.add_server_outage(1, 8'000, 30'000);
+  faults.add_origin_outage(0, 20'000, 35'000);
+  faults.add_link_degradation(2, 10'000, 50'000, 3.0);
+  faults.add_demand_surge(3, 25'000, 45'000, 6.0);
+  auto fault_cfg = pin_config();
+  fault_cfg.faults = &faults;
+  fault_cfg.slo_ms = 40.0;
+  EXPECT_EQ(fingerprint(fault_cfg),
+            (Sections{{"config", 0x551ca305bba4b0a1ull},
+                      {"system", 0x3bb593ecf3bfc564ull},
+                      {"placement", 0xb3b1123a92154823ull},
+                      {"faults", 0x93438f88d6de73d2ull},
+                      {"engine", 0xc709bb3119a0df9eull}}));
 }
 
 /// TTL and invalidation runs on the default TestSystem with churny objects

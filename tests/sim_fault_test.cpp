@@ -355,12 +355,6 @@ TEST(SimFaultTest, ValidateRejectsBadConfigs) {
   cfg = quick_sim();
   cfg.latency.retry_timeout_ms = -5.0;
   EXPECT_THROW(simulate(*t.system, placement, cfg), cdn::PreconditionError);
-
-  // A recorded trace must be non-empty.
-  cfg = quick_sim();
-  cdn::workload::RecordedTrace empty_trace;
-  cfg.trace = &empty_trace;
-  EXPECT_THROW(simulate(*t.system, placement, cfg), cdn::PreconditionError);
 }
 
 }  // namespace

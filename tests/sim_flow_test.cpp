@@ -15,8 +15,6 @@
 #include "src/sim/sim_checkpoint.h"
 #include "src/sim/simulator.h"
 #include "src/util/error.h"
-#include "src/workload/request_stream.h"
-#include "src/workload/trace_io.h"
 #include "tests/test_support.h"
 
 namespace {
@@ -169,13 +167,6 @@ TEST(FlowEngineTest, UncacheableFractionShiftsMassToRedirects) {
 TEST(FlowEngineTest, RejectsPerRequestFeatures) {
   const auto t = TestSystem::make();
 
-  {
-    auto cfg = flow_config();
-    cdn::workload::RequestStream stream(*t.catalog, *t.demand, 17);
-    const auto trace = cdn::workload::RecordedTrace::record(stream, 100);
-    cfg.trace = &trace;
-    EXPECT_THROW(cfg.validate(), cdn::PreconditionError);
-  }
   {
     auto cfg = flow_config();
     cdn::fault::FaultSchedule faults;

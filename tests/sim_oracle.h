@@ -4,12 +4,12 @@
 //
 // One request at a time on public APIs, with no shards, blocks, metrics or
 // checkpoints.  Each request advances the fault timeline, is drawn from the
-// trace or the stream (thinned by rejection against the surge RNG while a
-// surge is on) and is served by its first-hop cache before the next one is
-// drawn.  Faults, the lambda modes and the consistency modes are branches
-// of that one step; fetch times are a plain map per server that is never
-// pruned, and an object's last modification is read only when a cache hit
-// needs it.  The RNGs are seeded the way the engine's one-shard reference
+// stream (thinned by rejection against the surge RNG while a surge is on)
+// and is served by its first-hop cache before the next one is drawn.
+// Faults, the lambda modes and the consistency modes are branches of that
+// one step; fetch times are a plain map per server that is never pruned,
+// and an object's last modification is read only when a cache hit needs
+// it.  The RNGs are seeded the way the engine's one-shard reference
 // run seeds its own (src/sim/sim_internal.h).
 
 #pragma once
@@ -56,8 +56,7 @@ inline SimOracleRun oracle_simulate(const sys::CdnSystem& system,
   const workload::SiteCatalog& catalog = system.catalog();
   const std::size_t n = system.server_count();
   const std::size_t m = system.site_count();
-  const std::uint64_t total =
-      config.trace != nullptr ? config.trace->size() : config.total_requests;
+  const std::uint64_t total = config.total_requests;
   const auto warmup = static_cast<std::uint64_t>(config.warmup_fraction *
                                                  static_cast<double>(total));
   workload::RequestStream stream(catalog, system.demand(), config.seed);
@@ -103,10 +102,8 @@ inline SimOracleRun oracle_simulate(const sys::CdnSystem& system,
         ++run.cold_restarts;
       }
     }
-    workload::Request req =
-        config.trace != nullptr ? (*config.trace)[t] : stream.next();
-    if (timeline && config.trace == nullptr &&
-        timeline->any_surge_active()) {
+    workload::Request req = stream.next();
+    if (timeline && timeline->any_surge_active()) {
       while (surge_rng.uniform() * timeline->max_demand_multiplier() >
              timeline->demand_multiplier(req.site)) {
         req = stream.next();

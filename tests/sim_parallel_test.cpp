@@ -15,8 +15,6 @@
 #include "src/sim/shard_engine.h"
 #include "src/sim/simulator.h"
 #include "src/util/error.h"
-#include "src/workload/request_stream.h"
-#include "src/workload/trace_io.h"
 #include "tests/test_support.h"
 
 namespace {
@@ -182,19 +180,6 @@ TEST(ParallelSimTest, FaultScheduleForcesSequentialEngine) {
   cfg.threads = 1;
   const auto sequential = simulate(*t.system, placement, cfg);
   expect_identical(with_threads, sequential);
-}
-
-TEST(ParallelSimTest, TraceReplayForcesSequentialEngine) {
-  const auto t = TestSystem::make();
-  const auto placement = pure_caching(*t.system);
-  cdn::workload::RequestStream stream(t.system->catalog(),
-                                      t.system->demand(), 17);
-  const auto trace = cdn::workload::RecordedTrace::record(stream, 50'000);
-  auto cfg = parallel_sim(50'000);
-  cfg.trace = &trace;
-  const auto report = simulate(*t.system, placement, cfg);
-  EXPECT_EQ(report.shards_used, 1u);
-  EXPECT_FALSE(report.latency_cdf.sketched());
 }
 
 TEST(ParallelSimTest, WindowSeriesSumBackToAggregates) {
